@@ -27,11 +27,11 @@ from typing import Optional
 import numpy as np
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .control import validate_gains
+from .control import InverseModelFn, assert_stable, validate_gains
 from .gp import (
     ConditioningError,
-    FitConfig,
     GpModel,
+    atomic_write_text,
     fit,
     held_out_error,
     load_model,
@@ -40,7 +40,6 @@ from .gp import (
 from .sim import (
     NumericsError,
     RolloutLog,
-    atomic_write_text,
     cartesian_error,
     extract_dataset,
     learned_inverse,
@@ -65,18 +64,25 @@ def _sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_model_artifact(path: str) -> GpModel:
+def _load_inverse(path: str) -> tuple[GpModel, InverseModelFn]:
+    """Load a trained model and adapt it to the learned control slot."""
     if not os.path.exists(path):
         raise ArtifactError(f"model file not found: {path}")
     try:
-        return load_model(path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        model = load_model(path)
+        return model, learned_inverse(model)
+    except (ValueError, KeyError) as exc:
         raise ArtifactError(f"model file {path} is not usable: {exc}") from exc
 
 
 def _rollout_for(
     cfg: ExperimentConfig, traj, seed: int, inverse_model=None
 ) -> RolloutLog:
+    # unstable gains are a rejected run request, not a failed run
+    try:
+        assert_stable(cfg.gains, cfg.order)
+    except ValueError as exc:
+        raise ConfigError(f"gains: {exc}") from exc
     world = cfg.world if cfg.plant == "slip" else None
     return rollout(
         traj,
@@ -99,11 +105,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     if cfg.slot == "gp":
         if model_path is None:
             raise ConfigError("controller.slot 'gp' requires --model")
-        model = _load_model_artifact(model_path)
-        try:
-            inverse = learned_inverse(model)
-        except ValueError as exc:
-            raise ArtifactError(str(exc)) from exc
+        _, inverse = _load_inverse(model_path)
         model_hash = _sha256_file(model_path)
     traj = cfg.trajectory()
     log = _rollout_for(cfg, traj, run_seed, inverse)
@@ -236,11 +238,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     along that rollout the closed form produced the logged commands, so the
     prediction error doubles as a slot-equivalence measure.
     """
-    model = _load_model_artifact(model_path)
-    try:
-        inverse = learned_inverse(model)
-    except ValueError as exc:
-        raise ArtifactError(str(exc)) from exc
+    model, inverse = _load_inverse(model_path)
     traj = cfg.trajectory()
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
     os.makedirs(out, exist_ok=True)
@@ -303,9 +301,13 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
 
 
 def cmd_gains_check(cfg: ExperimentConfig) -> int:
-    """Print closed-loop pole magnitudes; exit 0 iff all inside unit circle."""
+    """Print closed-loop pole magnitudes; exit 0 iff the trackers accept them."""
     mags = validate_gains(cfg.gains, cfg.order)
-    stable = bool(np.all(mags < 1.0))
+    try:
+        assert_stable(cfg.gains, cfg.order)
+        stable = True
+    except ValueError:
+        stable = False
     print(
         f"order {cfg.order} pole magnitudes: "
         + ", ".join(f"{m:.6f}" for m in mags)

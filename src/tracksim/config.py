@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import yaml
@@ -32,27 +33,22 @@ class ConfigError(Exception):
     """Raised for malformed, mistyped, or out-of-domain configuration."""
 
 
-_VEHICLE_DEFAULTS = {
-    "tread": 0.5,
-    "steering_efficiency": 0.9,
-    "offset": 0.25,
-    "sample_time": 0.05,
-    "actuator_alpha": 0.1,
-    "max_track_speed": 2.0,
-}
+_VEHICLE_DEFAULTS = {f.name: f.default for f in fields(VehicleParams)}
 
-# Key names of the world block are a published interface; they map onto
-# SlipPlaneWorld fields (alpha -> slope, d_b -> ride_height, n ->
-# slip_exponent, mu -> friction, beta0 -> beta_gain). "seed" seeds the
-# plant noise stream and doubles as the default rollout seed.
+# Key names of the world block are a published interface; each maps onto
+# a SlipPlaneWorld field. "seed" seeds the plant noise stream and doubles
+# as the default rollout seed.
+_WORLD_KEYS = {
+    "alpha": "slope",
+    "d_b": "ride_height",
+    "n": "slip_exponent",
+    "base_slip": "base_slip",
+    "mu": "friction",
+    "beta0": "beta_gain",
+    "noise_sigma": "noise_sigma",
+}
 _WORLD_DEFAULTS = {
-    "alpha": 0.0,
-    "d_b": 0.1,
-    "n": 1.0,
-    "base_slip": 0.0,
-    "mu": 0.6,
-    "beta0": 0.05,
-    "noise_sigma": 0.0,
+    **{key: getattr(SlipPlaneWorld, name) for key, name in _WORLD_KEYS.items()},
     "seed": 0,
 }
 
@@ -120,6 +116,9 @@ def _merge_section(raw: Mapping, defaults: Mapping, where: str) -> dict:
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    # also rejects NaN, and integers too large to become a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
@@ -278,34 +277,18 @@ def parse_config(raw: Any) -> ExperimentConfig:
         _require_mapping(raw.get("trajectory"), "trajectory")
     )
 
+    vehicle_args = {k: _number(vehicle[k], f"vehicle.{k}") for k in _VEHICLE_DEFAULTS}
     try:
-        params = VehicleParams(
-            tread=_number(vehicle["tread"], "vehicle.tread"),
-            steering_efficiency=_number(
-                vehicle["steering_efficiency"], "vehicle.steering_efficiency"
-            ),
-            offset=_number(vehicle["offset"], "vehicle.offset"),
-            sample_time=_number(vehicle["sample_time"], "vehicle.sample_time"),
-            actuator_alpha=_number(
-                vehicle["actuator_alpha"], "vehicle.actuator_alpha"
-            ),
-            max_track_speed=_number(
-                vehicle["max_track_speed"], "vehicle.max_track_speed"
-            ),
-        )
+        params = VehicleParams(**vehicle_args)
     except ValueError as exc:
         raise ConfigError(f"vehicle: {exc}") from exc
 
+    world_args = {
+        name: _number(world_raw[key], f"world.{key}")
+        for key, name in _WORLD_KEYS.items()
+    }
     try:
-        world = SlipPlaneWorld(
-            slope=_number(world_raw["alpha"], "world.alpha"),
-            ride_height=_number(world_raw["d_b"], "world.d_b"),
-            slip_exponent=_number(world_raw["n"], "world.n"),
-            base_slip=_number(world_raw["base_slip"], "world.base_slip"),
-            friction=_number(world_raw["mu"], "world.mu"),
-            beta_gain=_number(world_raw["beta0"], "world.beta0"),
-            noise_sigma=_number(world_raw["noise_sigma"], "world.noise_sigma"),
-        )
+        world = SlipPlaneWorld(**world_args)
     except ValueError as exc:
         raise ConfigError(f"world: {exc}") from exc
 

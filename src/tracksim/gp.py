@@ -509,19 +509,24 @@ def model_from_dict(payload: dict) -> GpModel:
     return model
 
 
-def save_model(model: GpModel, path: str) -> None:
-    """Serialize to JSON atomically (temp file + rename)."""
-    payload = json.dumps(model_to_dict(model), indent=1, sort_keys=True)
+def atomic_write_text(path: str, text: str) -> None:
+    """Write via a temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(payload)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_model(model: GpModel, path: str) -> None:
+    """Serialize to JSON atomically (temp file + rename)."""
+    atomic_write_text(path, json.dumps(model_to_dict(model), indent=1, sort_keys=True))
 
 
 def load_model(path: str) -> GpModel:

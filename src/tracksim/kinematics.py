@@ -100,18 +100,8 @@ class Pose2:
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
 
-@dataclass(frozen=True)
-class OffsetPose:
+class OffsetPose(Pose2):
     """Pose of the offset output point; same heading as the center pose."""
-
-    x: float
-    y: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.phi)):
-            raise ValueError(f"pose components must be finite, got {self}")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
 
     def xy(self) -> np.ndarray:
         return np.array([self.x, self.y])

@@ -18,9 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +30,7 @@ from .control import (
     ReferencePoint,
     SecondOrderTracker,
 )
-from .gp import Dataset, GpModel, predict
+from .gp import Dataset, GpModel, atomic_write_text, predict
 from .kinematics import (
     OffsetPose,
     Pose2,
@@ -143,9 +141,13 @@ def make_circle(
 
 
 def catmull_rom_point(
-    p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray, u: float
+    p0: np.ndarray, p1: np.ndarray, p2: np.ndarray, p3: np.ndarray,
+    u: float | np.ndarray,
 ) -> np.ndarray:
-    """Uniform Catmull-Rom segment between p1 and p2 at parameter u."""
+    """Uniform Catmull-Rom segment between p1 and p2 at parameter u.
+
+    A column of parameters (shape (n, 1)) gives the n points as rows.
+    """
     u2 = u * u
     u3 = u2 * u
     return 0.5 * (
@@ -206,15 +208,7 @@ def path_spline(
         chord = float(np.linalg.norm(p2 - p1))
         n = max(8, int(math.ceil(chord / spacing)))
         u = np.arange(1, n + 1) / n
-        u2 = u * u
-        u3 = u2 * u
-        block = 0.5 * (
-            2.0 * p1
-            + np.outer(u, p2 - p0)
-            + np.outer(u2, 2.0 * p0 - 5.0 * p1 + 4.0 * p2 - p3)
-            + np.outer(u3, 3.0 * p1 - 3.0 * p2 + p3 - p0)
-        )
-        dense.extend(block)
+        dense.extend(catmull_rom_point(p0, p1, p2, p3, u[:, None]))
         junction_idx.append(len(dense) - 1)
     points = np.asarray(dense)
     arclengths = np.concatenate(
@@ -305,6 +299,15 @@ class PlantStep:
     slip: SlipState
 
 
+def _actuate(
+    vel: np.ndarray, cmd: TrackCommand, alpha: float, params: VehicleParams
+) -> np.ndarray:
+    """Clip the command at the track-speed bound, then low-pass it from vel."""
+    vmax = params.max_track_speed
+    sat = np.clip(cmd.as_array(), -vmax, vmax)
+    return alpha * vel + (1.0 - alpha) * sat
+
+
 class NominalPlant:
     """Integrates the offset pose under the exact difference model."""
 
@@ -325,9 +328,7 @@ class NominalPlant:
         return center_pose(self._pose, self.params)
 
     def step(self, cmd: TrackCommand) -> PlantStep:
-        vmax = self.params.max_track_speed
-        sat = np.clip(cmd.as_array(), -vmax, vmax)
-        self._vel = self.alpha * self._vel + (1.0 - self.alpha) * sat
+        self._vel = _actuate(self._vel, cmd, self.alpha, self.params)
         d = self.params.sample_time * (
             offset_model_matrix(self._pose.phi, self.params) @ self._vel
         )
@@ -368,10 +369,7 @@ class SlipPlant:
         return self._pose
 
     def step(self, cmd: TrackCommand) -> PlantStep:
-        vmax = self.params.max_track_speed
-        sat = np.clip(cmd.as_array(), -vmax, vmax)
-        a = self.params.actuator_alpha
-        self._vel = a * self._vel + (1.0 - a) * sat
+        self._vel = _actuate(self._vel, cmd, self.params.actuator_alpha, self.params)
         realized = TrackCommand(float(self._vel[0]), float(self._vel[1]))
         slip = slip_ratios(realized, self.world)
         delta_c = slip_forward(self._pose, realized, slip, self.world, self.params)
@@ -456,26 +454,8 @@ class RolloutLog:
         return self.ref_x.shape[0]
 
 
-_LOG_FIELDS = (
-    "ref_x",
-    "ref_y",
-    "x",
-    "y",
-    "phi",
-    "x_b",
-    "y_b",
-    "dx",
-    "dy",
-    "dphi",
-    "vl_cmd",
-    "vr_cmd",
-    "vl_real",
-    "vr_real",
-    "a_l",
-    "a_r",
-    "beta",
-    "err",
-)
+# the per-step columns, in LOG_COLUMNS order after "t"
+_LOG_FIELDS = tuple(f.name for f in fields(RolloutLog) if f.name != "sample_time")
 
 
 def rollout(
@@ -517,6 +497,9 @@ def rollout(
             phi0 = math.atan2(p.dy, p.dx)
             break
     start_b = OffsetPose(traj.samples[0].x, traj.samples[0].y, phi0)
+    # Actuator lag: the nominal plant mirrors the model the controller
+    # inverts, so it lags only under the order-2 law; the slip plant is
+    # the world, so its tracks always lag by params.actuator_alpha.
     if plant == "nominal":
         alpha = params.actuator_alpha if order == 2 else 0.0
         machine = NominalPlant(params, start_b, alpha)
@@ -657,21 +640,6 @@ def split_dataset(
 
 # ---------------------------------------------------------------------------
 # CSV persistence
-
-
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _csv_text(header: Sequence[str], rows) -> str:

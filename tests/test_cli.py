@@ -64,6 +64,16 @@ class TestGainsCheck:
         out = capsys.readouterr().out
         assert "0.800000" in out and "0.600000" in out
 
+    def test_pole_within_the_trackers_margin_is_unstable(self, tmp_path, capsys):
+        # |1 - 2e-10| lies inside the unit circle but not inside the
+        # stability margin the trackers demand
+        cfg = tiny_config(
+            tmp_path, controller={"order": 1}, gains={"kp": [2e-10, 0.1], "kd": None}
+        )
+        assert main(["gains-check", "--config", cfg]) == 1
+        assert "UNSTABLE" in capsys.readouterr().out
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
 
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path):
@@ -72,6 +82,29 @@ class TestConfigErrors:
     def test_invalid_config(self, tmp_path):
         cfg = write_config(tmp_path, {"plant": "warp"})
         assert main(["simulate", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "collect"])
+    def test_unstable_gains_rejected(self, tmp_path, command):
+        cfg = tiny_config(tmp_path, gains={"kp": [2.5, 2.5], "kd": [0.3, 0.3]})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (
+                {"trajectory": {"kind": "circle", "radius": float("nan"),
+                                "period_steps": 120}},
+                "trajectory.radius",
+            ),
+            ({"plant": "slip", "world": {"beta0": float("nan")}}, "world.beta0"),
+            ({"vehicle": {"max_track_speed": float("inf")}}, "vehicle.max_track_speed"),
+            ({"vehicle": {"tread": 10**400}}, "vehicle.tread"),
+        ],
+    )
+    def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, key):
+        cfg = tiny_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -202,6 +235,14 @@ class TestTrain:
         assert main(["train", str(ds), "--config", cfg, "--out",
                      str(tmp_path / "model"), "--model", str(target)]) == 0
         assert target.exists()
+
+    def test_model_flag_creates_missing_directories(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        ds = self.fixture_dataset(tmp_path, cfg)
+        target = tmp_path / "a" / "b" / "model.json"
+        assert main(["train", str(ds), "--config", cfg, "--out",
+                     str(tmp_path / "model"), "--model", str(target)]) == 0
+        assert len(load_model(str(target)).outputs) == 2
 
     def test_clean_dataset_trains_an_accurate_model(self, tmp_path):
         cfg = tiny_config(tmp_path)
