@@ -11,7 +11,7 @@ Exit codes form a stable scripting contract:
 
 Reports embed the fully resolved config plus content hashes of their file
 inputs and carry no timestamps, so a rerun with the same config and seed
-produces byte-identical output.
+at a fixed BLAS thread count produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -352,6 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out, args.seed, args.model)

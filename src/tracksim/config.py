@@ -128,6 +128,13 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def _seed(value: Any, where: str) -> int:
+    seed = _integer(value, where)
+    if seed < 0:
+        raise ConfigError(f"{where} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _pair(value: Any, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a 2-element list")
@@ -311,18 +318,18 @@ def parse_config(raw: Any) -> ExperimentConfig:
             grad_tol=_number(gp_raw["grad_tol"], "gp.grad_tol"),
             restarts=_integer(gp_raw["restarts"], "gp.restarts"),
             restart_spread=_number(gp_raw["restart_spread"], "gp.restart_spread"),
-            seed=_integer(gp_raw["seed"], "gp.seed"),
+            seed=_seed(gp_raw["seed"], "gp.seed"),
             max_train=_integer(gp_raw["max_train"], "gp.max_train"),
         )
     except ValueError as exc:
         raise ConfigError(f"gp: {exc}") from exc
 
-    seed = _integer(world_raw["seed"], "world.seed")
+    seed = _seed(world_raw["seed"], "world.seed")
     seeds_raw = evaluation["seeds"]
     if not isinstance(seeds_raw, list) or not seeds_raw:
         raise ConfigError("evaluation.seeds must be a non-empty list")
     eval_seeds = tuple(
-        _integer(s, f"evaluation.seeds[{i}]") for i, s in enumerate(seeds_raw)
+        _seed(s, f"evaluation.seeds[{i}]") for i, s in enumerate(seeds_raw)
     )
 
     resolved = {

@@ -12,10 +12,22 @@ log marginal likelihood with analytic gradients under a bounded
 quasi-Newton optimizer, from a data-scaled start plus seeded random
 restarts. Inputs and targets are standardized internally; the stored
 transform is inverted at prediction time.
+
+The fit and the factorizations run their BLAS and LAPACK calls on one
+OpenBLAS thread, whatever OPENBLAS_NUM_THREADS says, and restore the
+previous thread count afterwards. Threaded reductions sum in another
+order, which made the fitted hyperparameters depend on the thread count,
+and at these problem sizes two threads made the fit about three times
+slower than one. Only the OpenBLAS bundled with the numpy and scipy
+Linux wheels is pinned; any other BLAS keeps its own setting.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import glob
 import json
 import math
 import os
@@ -24,6 +36,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.linalg.lapack import dpotri
 from scipy.optimize import minimize
@@ -46,6 +59,44 @@ BOUND_LOG_NOISE_VAR = (math.log(1e-12), math.log(1e3))
 
 class ConditioningError(RuntimeError):
     """Kernel matrix could not be factorized even at maximum jitter."""
+
+
+@functools.cache
+def _bundled_openblas() -> tuple:
+    """(get, set) thread-count functions of each wheel-bundled OpenBLAS.
+
+    numpy's copy exports the symbols with the ILP64 suffix "64_", scipy's
+    without; the tuple is empty when neither wheel bundles one.
+    """
+    found = []
+    for module, suffix in ((np, "64_"), (scipy, "")):
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        pattern = os.path.join(site, f"{module.__name__}.libs", "libscipy_openblas*.so")
+        for path in sorted(glob.glob(pattern)):
+            lib = ctypes.CDLL(path)
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is None or put is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            found.append((get, put))
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run the enclosed block on one OpenBLAS thread, then restore each
+    library's previous thread count (also when the block raises)."""
+    libs = _bundled_openblas()
+    previous = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, previous):
+            put(count)
 
 
 @dataclass(frozen=True)
@@ -83,7 +134,8 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     ua = a / kernel.lengthscales
     ub = ua if b is a else b / kernel.lengthscales
-    sq = -2.0 * (ua @ ub.T)
+    sq = ua @ ub.T
+    sq *= -2.0
     sq += np.sum(ua**2, axis=1)[:, None]
     sq += np.sum(ub**2, axis=1)[None, :]
     np.maximum(sq, 0.0, out=sq)
@@ -137,28 +189,34 @@ class FitConfig:
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
-    Returns (L, jitter). Raises ConditioningError when even the maximum
-    jitter cannot rescue the factorization.
+    The jitter is added to the diagonal of k_noisy in place (scipy
+    factors its own copy) and the diagonal is put back before returning,
+    so the argument ends unchanged. Returns (L, jitter). Raises
+    ConditioningError when even the maximum jitter cannot rescue the
+    factorization.
     """
     n = k_noisy.shape[0]
     mean_diag = float(np.trace(k_noisy)) / n
-    work = k_noisy.copy()
+    diag = k_noisy.diagonal().copy()
     applied = 0.0
     rel = JITTER_REL_INIT
-    while True:
-        jitter = rel * mean_diag
-        work.flat[:: n + 1] += jitter - applied
-        applied = jitter
-        try:
-            return cholesky(work, lower=True), jitter
-        except np.linalg.LinAlgError:
-            pass
-        if rel >= JITTER_REL_MAX:
-            raise ConditioningError(
-                f"Cholesky failed at maximum jitter {jitter:.3e} "
-                f"(relative level {rel:.0e})"
-            )
-        rel *= 10.0
+    try:
+        while True:
+            jitter = rel * mean_diag
+            k_noisy.flat[:: n + 1] += jitter - applied
+            applied = jitter
+            try:
+                return cholesky(k_noisy, lower=True), jitter
+            except np.linalg.LinAlgError:
+                pass
+            if rel >= JITTER_REL_MAX:
+                raise ConditioningError(
+                    f"Cholesky failed at maximum jitter {jitter:.3e} "
+                    f"(relative level {rel:.0e})"
+                )
+            rel *= 10.0
+    finally:
+        k_noisy.flat[:: n + 1] = diag
 
 
 def _spd_inverse_from_cholesky(l: np.ndarray) -> np.ndarray:
@@ -166,7 +224,12 @@ def _spd_inverse_from_cholesky(l: np.ndarray) -> np.ndarray:
     tri, info = dpotri(l, lower=1)
     if info != 0:
         return cho_solve((l, True), np.eye(l.shape[0]))
-    return np.tril(tri) + np.tril(tri, -1).T
+    # L comes from potrf with its upper triangle zeroed and dpotri writes
+    # only the lower one, so the mirror is tri + tri' with the diagonal
+    # counted once
+    full = tri + tri.T
+    full.flat[:: l.shape[0] + 1] = tri.diagonal()
+    return full
 
 
 def nll_and_grad(
@@ -182,9 +245,11 @@ def nll_and_grad(
     kern = Kernel(theta[:d], float(theta[d]))
     noise_var = math.exp(theta[d + 1])
     k = kernel_matrix(kern, inputs, inputs)
-    k_noisy = k.copy()
-    k_noisy.flat[:: n + 1] += noise_var
-    l, _ = _chol_with_jitter(k_noisy)
+    # factor K + noise in place, then put back K's diagonal for the gradient
+    diag = k.diagonal().copy()
+    k.flat[:: n + 1] += noise_var
+    l, _ = _chol_with_jitter(k)
+    k.flat[:: n + 1] = diag
     alpha = cho_solve((l, True), targets)
     nll = (
         0.5 * float(targets @ alpha)
@@ -193,10 +258,11 @@ def nll_and_grad(
     )
     k_inv = _spd_inverse_from_cholesky(l)
     trace_m = float(alpha @ alpha) - float(np.trace(k_inv))
-    m = np.outer(alpha, alpha)
-    m -= k_inv
-    m *= k  # now holds P = (alpha alpha' - K_y^-1) o K
-    p = m
+    # L is not needed any more; potrf returns it in Fortran order, so its
+    # transpose is a free C-ordered buffer for the outer product
+    p = np.multiply(alpha[:, None], alpha[None, :], out=l.T)
+    p -= k_inv
+    p *= k  # now holds P = (alpha alpha' - K_y^-1) o K
     grad = np.empty(d + 2)
     scaled = inputs / kern.lengthscales
     row_sums = p.sum(axis=1)
@@ -238,6 +304,8 @@ class GpModel:
     target_std: np.ndarray
     outputs: list[OutputModel] = field(default_factory=list)
     report: dict = field(default_factory=dict)
+    # standardized training inputs, cached by _refresh_caches for predict
+    standardized: Optional[np.ndarray] = None
 
     def standardized_inputs(self) -> np.ndarray:
         return (self.inputs - self.input_mean) / self.input_std
@@ -248,8 +316,10 @@ def _safe_std(x: np.ndarray) -> np.ndarray:
     return np.where(std > 0.0, std, 1.0)
 
 
+@_single_blas_thread()
 def _refresh_caches(model: GpModel) -> None:
-    """(Re)build each output's Cholesky factor and weight vector."""
+    """(Re)build the standardized inputs and each output's Cholesky
+    factor and weight vector."""
     xs = model.standardized_inputs()
     zs = (model.targets - model.target_mean) / model.target_std
     n = xs.shape[0]
@@ -258,6 +328,7 @@ def _refresh_caches(model: GpModel) -> None:
         k_noisy.flat[:: n + 1] += out.noise_variance
         out.chol, out.jitter = _chol_with_jitter(k_noisy)
         out.alpha = cho_solve((out.chol, True), zs[:, j])
+    model.standardized = xs
 
 
 def _optimize_output(
@@ -336,6 +407,7 @@ def _optimize_output(
     return best[0], best[1], info
 
 
+@_single_blas_thread()
 def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()) -> GpModel:
     """Fit both command outputs independently over the shared inputs.
 
@@ -387,11 +459,15 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
     return model
 
 
-def predict(model: GpModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict(
+    model: GpModel, w: np.ndarray, variance: bool = True
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Posterior mean and observation variance of the command at w.
 
     Accepts a single 6-vector or an (M, 6) batch; returns arrays shaped
-    (2,)/(M, 2). Variance includes the fitted noise level.
+    (2,)/(M, 2). Variance includes the fitted noise level. With
+    variance=False the triangular solve against the N x N factor is
+    skipped and the variance comes back as None; the means are the same.
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 1
@@ -402,22 +478,23 @@ def predict(model: GpModel, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     if not np.all(np.isfinite(w2)):
         raise ValueError("prediction query contains non-finite values")
-    xs = model.standardized_inputs()
+    xs = model.standardized
     ws = (w2 - model.input_mean) / model.input_std
     means = np.empty((w2.shape[0], len(model.outputs)))
-    variances = np.empty_like(means)
+    variances = np.empty_like(means) if variance else None
     for j, out in enumerate(model.outputs):
-        if out.chol is None or out.alpha is None:
+        if xs is None or out.chol is None or out.alpha is None:
             raise RuntimeError("model caches missing; fit or load the model first")
         ks = kernel_matrix(out.kernel, ws, xs)
         mean_s = ks @ out.alpha
-        v = solve_triangular(out.chol, ks.T, lower=True)
-        latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
-        var_s = latent + out.noise_variance
         means[:, j] = mean_s * model.target_std[j] + model.target_mean[j]
-        variances[:, j] = var_s * model.target_std[j] ** 2
+        if variance:
+            v = solve_triangular(out.chol, ks.T, lower=True)
+            latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
+            var_s = latent + out.noise_variance
+            variances[:, j] = var_s * model.target_std[j] ** 2
     if single:
-        return means[0], variances[0]
+        return means[0], None if variances is None else variances[0]
     return means, variances
 
 
@@ -426,7 +503,7 @@ def held_out_error(model: GpModel, inputs: np.ndarray, targets: np.ndarray) -> t
     data = Dataset(inputs, targets)
     if len(data) == 0:
         raise ValueError("held-out set is empty")
-    mean, _ = predict(model, data.inputs)
+    mean, _ = predict(model, data.inputs, variance=False)
     errors = np.linalg.norm(mean - data.targets, axis=1)
     return errors, float(errors.mean())
 

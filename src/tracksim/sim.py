@@ -559,7 +559,7 @@ def learned_inverse(model: GpModel) -> InverseModelFn:
 
     def fn(u: np.ndarray, delta: PoseDelta, phi: float) -> TrackCommand:
         w = np.array([u[0], u[1], delta.dx, delta.dy, delta.dphi, phi])
-        mean, _ = predict(model, w)
+        mean, _ = predict(model, w, variance=False)
         return TrackCommand(float(mean[0]), float(mean[1]))
 
     return fn

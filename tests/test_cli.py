@@ -1,18 +1,24 @@
 """End-to-end tests for the command-line harness.
 
 Everything runs in-process through main(argv), on deliberately small
-trajectories so the whole file stays fast. The determinism tests compare
-file bytes across reruns: reports embed no timestamps, so identical
-config and seed must mean identical artifacts.
+trajectories so the whole file stays fast; only the BLAS thread-count
+test starts subprocesses, since OpenBLAS reads OPENBLAS_NUM_THREADS when
+it loads. The determinism tests compare file bytes across reruns:
+reports embed no timestamps, so identical config and seed must mean
+identical artifacts.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import yaml
 
+from tracksim import gp
 from tracksim.cli import main
 from tracksim.gp import FitConfig, fit, held_out_error, load_model, save_model
 from tracksim.sim import load_dataset, load_log
@@ -105,6 +111,30 @@ class TestConfigErrors:
         cfg = tiny_config(tmp_path, **overrides)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"plant": "slip", "world": {"seed": -1}}, "world.seed"),
+            ({"gp": dict(FAST_GP, seed=-3)}, "gp.seed"),
+            ({"evaluation": {"seeds": [50, -2]}}, "evaluation.seeds[1]"),
+        ],
+    )
+    def test_negative_config_seed_rejected(self, tmp_path, capsys, overrides, key):
+        cfg = tiny_config(tmp_path, **overrides)
+        assert main(["collect", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "collect", "train", "evaluate"])
+    def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
+        cfg = tiny_config(tmp_path, plant="slip")
+        argv = [command, "--config", cfg, "--out", str(tmp_path), "--seed", "-5"]
+        if command == "train":
+            argv.insert(1, str(tmp_path / "dataset.csv"))
+        if command == "evaluate":
+            argv += ["--model", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_unknown_subcommand_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -256,6 +286,26 @@ class TestTrain:
         _, held = held_out_error(model, test.inputs, test.targets)
         command_scale = float(np.mean(np.linalg.norm(test.targets, axis=1)))
         assert held < 1e-3 * command_scale
+
+    def test_model_identical_across_blas_thread_counts(self, tmp_path):
+        if not gp._bundled_openblas():
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        # at 200 samples threaded BLAS already sums in another order
+        cfg = tiny_config(
+            tmp_path, trajectory={"kind": "figure8", "amplitude": 0.5, "period_steps": 200}
+        )
+        ds = self.fixture_dataset(tmp_path, cfg)
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run(
+                [sys.executable, "-m", "tracksim.cli", "train", str(ds),
+                 "--config", cfg, "--out", str(out)],
+                env=env, check=True, capture_output=True,
+            )
+            digests.append(sha256(out / "model.json"))
+        assert digests[0] == digests[1]
 
     def test_single_sample_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)

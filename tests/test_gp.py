@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from tracksim import gp
 from tracksim.gp import (
     ConditioningError,
     Dataset,
@@ -174,6 +175,18 @@ class TestCholeskyJitter:
         with pytest.raises(ConditioningError, match="jitter"):
             _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    def test_argument_unchanged_after_escalation_or_failure(self):
+        nearly = np.ones((3, 3))
+        nearly[0, 0] -= 1e-8
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
+        for matrix in (nearly, indefinite):
+            before = matrix.copy()
+            try:
+                _chol_with_jitter(matrix)
+            except ConditioningError:
+                pass
+            assert np.array_equal(matrix, before)
+
 
 class TestPrediction:
     def test_mean_and_variance_match_dense_solve(self):
@@ -206,6 +219,18 @@ class TestPrediction:
         assert m1.shape == (2,) and v1.shape == (2,)
         assert np.array_equal(m1, m2[0])
         assert np.array_equal(v1, v2[0])
+
+    def test_mean_only_query_gives_the_same_means(self):
+        rng = np.random.default_rng(27)
+        w, z = make_problem(rng, 25)
+        model = manual_model(w, z, rng.normal(0.0, 0.2, size=6), 0.1, math.log(0.03))
+        queries = rng.normal(size=(6, 6))
+        for q in (queries[2], queries):
+            mean, var = predict(model, q)
+            mean_only, none = predict(model, q, variance=False)
+            assert none is None and var is not None
+            assert mean_only.shape == mean.shape
+            assert np.array_equal(mean_only, mean)
 
     def test_near_zero_noise_interpolates_training_targets(self):
         rng = np.random.default_rng(23)
@@ -322,6 +347,69 @@ class TestFit:
             Dataset(np.zeros((3, 6)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.full((3, 6), np.nan), np.zeros((3, 2)))
+
+
+def blas_thread_counts():
+    return [get() for get, _ in gp._bundled_openblas()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Set every bundled OpenBLAS to two threads for the test, then back."""
+    libs = gp._bundled_openblas()
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = blas_thread_counts()
+    for _, put in libs:
+        put(2)
+    try:
+        yield blas_thread_counts()
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
+
+
+class TestBlasThreads:
+    def test_fit_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, monkeypatch):
+        seen = []
+        optimize = gp._optimize_output
+
+        def recording(*args):
+            seen.append(blas_thread_counts())
+            return optimize(*args)
+
+        monkeypatch.setattr(gp, "_optimize_output", recording)
+        rng = np.random.default_rng(36)
+        w, z = make_problem(rng, 20)
+        fit(w, z, FitConfig(max_iter=10, restarts=0))
+        assert seen == [[1] * len(two_blas_threads)] * 2
+        assert blas_thread_counts() == two_blas_threads
+
+    def test_thread_count_restored_when_fit_raises(self, two_blas_threads, monkeypatch):
+        def failing(*args):
+            raise ConditioningError("every optimizer start ended non-finite")
+
+        monkeypatch.setattr(gp, "_optimize_output", failing)
+        rng = np.random.default_rng(37)
+        w, z = make_problem(rng, 10)
+        with pytest.raises(ConditioningError):
+            fit(w, z, FitConfig(max_iter=10, restarts=0))
+        assert blas_thread_counts() == two_blas_threads
+
+    def test_refresh_caches_runs_on_one_thread(self, two_blas_threads, monkeypatch):
+        seen = []
+        chol = gp._chol_with_jitter
+
+        def recording(k_noisy):
+            seen.append(blas_thread_counts())
+            return chol(k_noisy)
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", recording)
+        rng = np.random.default_rng(38)
+        w, z = make_problem(rng, 10)
+        manual_model(w, z, np.zeros(6), 0.0, math.log(0.1))
+        assert seen == [[1] * len(two_blas_threads)] * 2
+        assert blas_thread_counts() == two_blas_threads
 
 
 class TestHeldOutError:
