@@ -48,6 +48,7 @@ from .sim import (
     save_dataset,
     save_log,
     split_dataset,
+    write_csv,
 )
 
 
@@ -260,18 +261,11 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
                 "gp_prediction_rmse": rmse,
             }
         )
-        rows = zip(
-            range(log_nom.dx.shape[0]),
-            log_nom.ref_x,
-            log_nom.ref_y,
-            m_nom.errors,
-            m_gp.errors,
+        write_csv(
+            os.path.join(out, f"errors_seed{s}.csv"),
+            ("t", "ref_x", "ref_y", "err_nominal", "err_gp"),
+            zip(range(len(log_nom)), log_nom.ref_x, log_nom.ref_y, m_nom.errors, m_gp.errors),
         )
-        text = "t,ref_x,ref_y,err_nominal,err_gp\n" + "".join(
-            f"{t},{float(rx)!r},{float(ry)!r},{float(en)!r},{float(eg)!r}\n"
-            for t, rx, ry, en, eg in rows
-        )
-        atomic_write_text(os.path.join(out, f"errors_seed{s}.csv"), text)
     agg = {
         "nominal_mean_error": float(np.mean([r["nominal"]["mean_error"] for r in per_seed])),
         "nominal_max_error": float(np.max([r["nominal"]["max_error"] for r in per_seed])),

@@ -52,18 +52,9 @@ _WORLD_DEFAULTS = {
     "seed": 0,
 }
 
-# Experiment-level fit defaults. Tighter than the library FitConfig
-# defaults: one seeded restart and a 1000-sample cap is the setting the
-# multi-variant recipe in the README was tuned under, and more optimizer
-# effort does not help closed-loop tracking when the data covers a thin
-# tube of the input space.
+# the gp block is FitConfig's fields plus the train share of the split
 _GP_DEFAULTS = {
-    "max_iter": 200,
-    "grad_tol": 1e-6,
-    "restarts": 1,
-    "restart_spread": 0.5,
-    "seed": 0,
-    "max_train": 1000,
+    **{f.name: f.default for f in fields(FitConfig)},
     "train_fraction": 0.8,
 }
 
@@ -79,6 +70,12 @@ _TRAJECTORY_DEFAULTS: dict[str, dict[str, Any]] = {
         "cruise_speed": 0.3,
         "ramp_time": 2.0,
     },
+}
+
+_TRAJECTORY_BUILDERS = {
+    "figure8": make_figure8,
+    "circle": make_circle,
+    "waypoints": make_waypoint_path,
 }
 
 _EVALUATION_DEFAULTS = {"seeds": [50, 51, 52]}
@@ -103,14 +100,13 @@ def _require_mapping(value: Any, where: str) -> dict:
     return value
 
 
-def _merge_section(raw: Mapping, defaults: Mapping, where: str) -> dict:
-    """Overlay raw keys on defaults, rejecting keys outside the schema."""
-    unknown = sorted(set(raw) - set(defaults))
+def _section(raw: Mapping, name: str, defaults: Mapping) -> dict:
+    """Overlay section raw[name] on defaults, rejecting keys outside the schema."""
+    section = _require_mapping(raw.get(name), name)
+    unknown = sorted(set(section) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-    merged = dict(defaults)
-    merged.update(raw)
-    return merged
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return {**defaults, **section}
 
 
 def _number(value: Any, where: str) -> float:
@@ -133,6 +129,11 @@ def _seed(value: Any, where: str) -> int:
     if seed < 0:
         raise ConfigError(f"{where} must be a non-negative integer, got {seed}")
     return seed
+
+
+def _like(default: Any, value: Any, where: str) -> Any:
+    """value parsed as the type of its default: integer, else number."""
+    return (_integer if isinstance(default, int) else _number)(value, where)
 
 
 def _pair(value: Any, where: str) -> tuple[float, float]:
@@ -174,31 +175,11 @@ class ExperimentConfig:
 
     def trajectory(self) -> ReferenceTrajectory:
         """Build the reference trajectory described by the config."""
-        spec = self.resolved["trajectory"]
-        kind = spec["kind"]
-        ts = self.params.sample_time
+        spec = dict(self.resolved["trajectory"])
+        build = _TRAJECTORY_BUILDERS[spec.pop("kind")]
         try:
-            if kind == "figure8":
-                return make_figure8(
-                    amplitude=spec["amplitude"],
-                    period_steps=spec["period_steps"],
-                    sample_time=ts,
-                    laps=spec["laps"],
-                )
-            if kind == "circle":
-                return make_circle(
-                    radius=spec["radius"],
-                    period_steps=spec["period_steps"],
-                    sample_time=ts,
-                    laps=spec["laps"],
-                )
-            return make_waypoint_path(
-                [tuple(p) for p in spec["points"]],
-                cruise_speed=spec["cruise_speed"],
-                sample_time=ts,
-                ramp_time=spec["ramp_time"],
-            )
-        except ValueError as exc:
+            return build(sample_time=self.params.sample_time, **spec)
+        except (ValueError, OverflowError) as exc:  # too long to count in samples
             raise ConfigError(f"trajectory: {exc}") from exc
 
     def content_hash(self) -> str:
@@ -208,30 +189,21 @@ class ExperimentConfig:
 
 
 def _resolve_trajectory(raw: Mapping) -> dict:
-    kind = raw.get("kind", "figure8")
-    if kind not in _TRAJECTORY_DEFAULTS:
+    kind = _require_mapping(raw.get("trajectory"), "trajectory").get("kind", "figure8")
+    if not isinstance(kind, str) or kind not in _TRAJECTORY_DEFAULTS:
         raise ConfigError(
             f"trajectory.kind must be one of figure8, circle, waypoints; got {kind!r}"
         )
-    body = {k: v for k, v in raw.items() if k != "kind"}
-    merged = _merge_section(body, _TRAJECTORY_DEFAULTS[kind], f"trajectory({kind})")
-    if kind in ("figure8", "circle"):
-        scale_key = "amplitude" if kind == "figure8" else "radius"
-        merged[scale_key] = _number(merged[scale_key], f"trajectory.{scale_key}")
-        merged["period_steps"] = _integer(
-            merged["period_steps"], "trajectory.period_steps"
-        )
-        merged["laps"] = _integer(merged["laps"], "trajectory.laps")
-    else:
-        pts = merged["points"]
-        if not isinstance(pts, list) or len(pts) < 2:
-            raise ConfigError("trajectory.points must list at least 2 waypoints")
-        merged["points"] = [list(_pair(p, "trajectory.points[i]")) for p in pts]
-        merged["cruise_speed"] = _number(
-            merged["cruise_speed"], "trajectory.cruise_speed"
-        )
-        merged["ramp_time"] = _number(merged["ramp_time"], "trajectory.ramp_time")
-    return {"kind": kind, **merged}
+    merged = _section(raw, "trajectory", {"kind": kind, **_TRAJECTORY_DEFAULTS[kind]})
+    for key, default in _TRAJECTORY_DEFAULTS[kind].items():
+        if key == "points":
+            pts = merged["points"]
+            if not isinstance(pts, list) or len(pts) < 2:
+                raise ConfigError("trajectory.points must list at least 2 waypoints")
+            merged["points"] = [list(_pair(p, "trajectory.points[i]")) for p in pts]
+        else:
+            merged[key] = _like(default, merged[key], f"trajectory.{key}")
+    return merged
 
 
 def parse_config(raw: Any) -> ExperimentConfig:
@@ -246,28 +218,12 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown top-level section(s): {', '.join(unknown)}")
 
-    vehicle = _merge_section(
-        _require_mapping(raw.get("vehicle"), "vehicle"), _VEHICLE_DEFAULTS, "vehicle"
-    )
-    world_raw = _merge_section(
-        _require_mapping(raw.get("world"), "world"), _WORLD_DEFAULTS, "world"
-    )
-    controller = _merge_section(
-        _require_mapping(raw.get("controller"), "controller"),
-        _CONTROLLER_DEFAULTS,
-        "controller",
-    )
-    gains_raw = _merge_section(
-        _require_mapping(raw.get("gains"), "gains"), _GAINS_DEFAULTS, "gains"
-    )
-    gp_raw = _merge_section(
-        _require_mapping(raw.get("gp"), "gp"), _GP_DEFAULTS, "gp"
-    )
-    evaluation = _merge_section(
-        _require_mapping(raw.get("evaluation"), "evaluation"),
-        _EVALUATION_DEFAULTS,
-        "evaluation",
-    )
+    vehicle = _section(raw, "vehicle", _VEHICLE_DEFAULTS)
+    world_raw = _section(raw, "world", _WORLD_DEFAULTS)
+    controller = _section(raw, "controller", _CONTROLLER_DEFAULTS)
+    gains_raw = _section(raw, "gains", _GAINS_DEFAULTS)
+    gp_raw = _section(raw, "gp", _GP_DEFAULTS)
+    evaluation = _section(raw, "evaluation", _EVALUATION_DEFAULTS)
 
     plant = raw.get("plant", "nominal")
     if plant not in ("nominal", "slip"):
@@ -280,9 +236,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if slot not in ("nominal", "gp"):
         raise ConfigError(f"controller.slot must be 'nominal' or 'gp', got {slot!r}")
 
-    trajectory = _resolve_trajectory(
-        _require_mapping(raw.get("trajectory"), "trajectory")
-    )
+    trajectory = _resolve_trajectory(raw)
 
     vehicle_args = {k: _number(vehicle[k], f"vehicle.{k}") for k in _VEHICLE_DEFAULTS}
     try:
@@ -312,15 +266,12 @@ def parse_config(raw: Any) -> ExperimentConfig:
         raise ConfigError(
             f"gp.train_fraction must be in (0, 1), got {train_fraction}"
         )
+    fit_args = {
+        f.name: _like(f.default, gp_raw[f.name], f"gp.{f.name}") for f in fields(FitConfig)
+    }
+    fit_args["seed"] = _seed(gp_raw["seed"], "gp.seed")
     try:
-        fit = FitConfig(
-            max_iter=_integer(gp_raw["max_iter"], "gp.max_iter"),
-            grad_tol=_number(gp_raw["grad_tol"], "gp.grad_tol"),
-            restarts=_integer(gp_raw["restarts"], "gp.restarts"),
-            restart_spread=_number(gp_raw["restart_spread"], "gp.restart_spread"),
-            seed=_seed(gp_raw["seed"], "gp.seed"),
-            max_train=_integer(gp_raw["max_train"], "gp.max_train"),
-        )
+        fit = FitConfig(**fit_args)
     except ValueError as exc:
         raise ConfigError(f"gp: {exc}") from exc
 

@@ -97,6 +97,19 @@ def _trajectory_from_positions(
     return ReferenceTrajectory(kind, sample_time, samples)
 
 
+def _angle_grid(period_steps: int, laps: int) -> np.ndarray:
+    """Angles of a closed curve sampled period_steps times per turn.
+
+    Covers laps turns plus the two points past the end that the forward
+    deltas of the last reference sample need.
+    """
+    if period_steps < 4:
+        raise ValueError(f"period_steps must be at least 4, got {period_steps}")
+    if laps < 1:
+        raise ValueError(f"laps must be at least 1, got {laps}")
+    return 2.0 * math.pi * np.arange(period_steps * laps + 3) / period_steps
+
+
 def make_figure8(
     amplitude: float = 2.0,
     period_steps: int = 800,
@@ -110,12 +123,7 @@ def make_figure8(
     """
     if amplitude <= 0.0:
         raise ValueError(f"amplitude must be positive, got {amplitude}")
-    if period_steps < 4:
-        raise ValueError(f"period_steps must be at least 4, got {period_steps}")
-    if laps < 1:
-        raise ValueError(f"laps must be at least 1, got {laps}")
-    steps = period_steps * laps
-    theta = 2.0 * math.pi * np.arange(steps + 3) / period_steps
+    theta = _angle_grid(period_steps, laps)
     s = np.sin(theta)
     positions = amplitude * np.stack([s, s * np.cos(theta)], axis=1)
     return _trajectory_from_positions("figure8", positions, sample_time)
@@ -130,12 +138,7 @@ def make_circle(
     """Closed circle starting at (radius, 0), counterclockwise."""
     if radius <= 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
-    if period_steps < 4:
-        raise ValueError(f"period_steps must be at least 4, got {period_steps}")
-    if laps < 1:
-        raise ValueError(f"laps must be at least 1, got {laps}")
-    steps = period_steps * laps
-    theta = 2.0 * math.pi * np.arange(steps + 3) / period_steps
+    theta = _angle_grid(period_steps, laps)
     positions = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     return _trajectory_from_positions("circle", positions, sample_time)
 
@@ -226,42 +229,33 @@ def _ramp_profile(length: float, cruise: float, ramp_time: float):
     """Arc length as a function of time under a trapezoidal speed profile.
 
     Accelerates at cruise/ramp_time, cruises, then decelerates; short
-    paths fall back to a triangular profile that peaks below cruise.
-    Returns (total_time, s_of_t).
+    paths take the triangular profile, which is the trapezoid with a
+    shorter ramp and a peak below cruise. Returns (total_time, s_of_t).
     """
     accel = cruise / ramp_time
     if length >= cruise * ramp_time:
         total = length / cruise + ramp_time
-
-        def s_of_t(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
-            if t >= total:
-                return length
-            if t < ramp_time:
-                return 0.5 * accel * t * t
-            if t <= total - ramp_time:
-                return 0.5 * cruise * ramp_time + cruise * (t - ramp_time)
-            return length - 0.5 * accel * (total - t) ** 2
-
     else:
-        peak_time = math.sqrt(length / accel)
-        total = 2.0 * peak_time
+        ramp_time = math.sqrt(length / accel)
+        cruise = accel * ramp_time
+        total = 2.0 * ramp_time
 
-        def s_of_t(t: float) -> float:
-            if t <= 0.0:
-                return 0.0
-            if t >= total:
-                return length
-            if t < peak_time:
-                return 0.5 * accel * t * t
-            return length - 0.5 * accel * (total - t) ** 2
+    def s_of_t(t: float) -> float:
+        if t <= 0.0:
+            return 0.0
+        if t >= total:
+            return length
+        if t < ramp_time:
+            return 0.5 * accel * t * t
+        if t <= total - ramp_time:
+            return 0.5 * cruise * ramp_time + cruise * (t - ramp_time)
+        return length - 0.5 * accel * (total - t) ** 2
 
     return total, s_of_t
 
 
 def make_waypoint_path(
-    waypoints: Sequence[Sequence[float]],
+    points: Sequence[Sequence[float]],
     cruise_speed: float = 0.3,
     sample_time: float = 0.05,
     ramp_time: float = 2.0,
@@ -276,7 +270,7 @@ def make_waypoint_path(
         raise ValueError(f"cruise_speed must be positive, got {cruise_speed}")
     if ramp_time <= 0.0:
         raise ValueError(f"ramp_time must be positive, got {ramp_time}")
-    spline = path_spline(waypoints)
+    spline = path_spline(points)
     total, s_of_t = _ramp_profile(spline.length, cruise_speed, ramp_time)
     steps = int(math.ceil(total / sample_time))
     times = np.arange(steps + 3) * sample_time
@@ -508,8 +502,7 @@ def rollout(
             params, world, center_pose(start_b, params), np.random.default_rng(seed)
         )
 
-    n = len(traj)
-    cols = {name: np.empty(n) for name in _LOG_FIELDS}
+    rows = []
     for k, ref in enumerate(traj.samples):
         pose_b = machine.offset_pose()
         center = machine.center()
@@ -522,26 +515,17 @@ def rollout(
             raise NumericsError(
                 f"loop state went non-finite at step {k}: {exc}"
             ) from exc
-        cols["ref_x"][k] = ref.x
-        cols["ref_y"][k] = ref.y
-        cols["x"][k] = center.x
-        cols["y"][k] = center.y
-        cols["phi"][k] = center.phi
-        cols["x_b"][k] = pose_b.x
-        cols["y_b"][k] = pose_b.y
-        cols["dx"][k] = step.delta.dx
-        cols["dy"][k] = step.delta.dy
-        cols["dphi"][k] = step.delta.dphi
-        cols["vl_cmd"][k] = cmd.left
-        cols["vr_cmd"][k] = cmd.right
-        cols["vl_real"][k] = step.left_speed
-        cols["vr_real"][k] = step.right_speed
-        cols["a_l"][k] = step.slip.left_ratio
-        cols["a_r"][k] = step.slip.right_ratio
-        cols["beta"][k] = step.slip.beta
-        cols["err"][k] = math.hypot(ref.x - pose_b.x, ref.y - pose_b.y)
-        tracker.observe(step.delta)
-    return RolloutLog(sample_time=traj.sample_time, **cols)
+        delta, slip = step.delta, step.slip
+        # one value per _LOG_FIELDS entry, in order
+        rows.append((
+            ref.x, ref.y, center.x, center.y, center.phi, pose_b.x, pose_b.y,
+            delta.dx, delta.dy, delta.dphi, cmd.left, cmd.right,
+            step.left_speed, step.right_speed,
+            slip.left_ratio, slip.right_ratio, slip.beta,
+            math.hypot(ref.x - pose_b.x, ref.y - pose_b.y),
+        ))
+        tracker.observe(delta)
+    return RolloutLog(traj.sample_time, *np.array(rows).T.copy())
 
 
 def learned_inverse(model: GpModel) -> InverseModelFn:
@@ -642,7 +626,8 @@ def split_dataset(
 # CSV persistence
 
 
-def _csv_text(header: Sequence[str], rows) -> str:
+def write_csv(path: str, header: Sequence[str], rows) -> None:
+    """Write rows under header atomically; floats keep every digit (repr)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -651,50 +636,36 @@ def _csv_text(header: Sequence[str], rows) -> str:
         if len(row) != ncols:
             raise ValueError(f"row has {len(row)} fields, want {ncols}")
         writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    return buf.getvalue()
+    atomic_write_text(path, buf.getvalue())
+
+
+def read_csv(path: str, header: Sequence[str]) -> np.ndarray:
+    """The rows of a CSV under exactly this header, as an (n, columns) array."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        found = tuple(next(reader, ()))
+        if found != tuple(header):
+            raise ValueError(f"unexpected header in {path}: {found}, want {tuple(header)}")
+        data = [[float(v) for v in row] for row in reader]
+    return np.asarray(data, dtype=float).reshape(len(data), len(header))
 
 
 def save_log(log: RolloutLog, path: str) -> None:
-    rows = (
-        [k] + [float(getattr(log, name)[k]) for name in _LOG_FIELDS]
-        for k in range(len(log))
-    )
-    atomic_write_text(path, _csv_text(LOG_COLUMNS, rows))
+    columns = (getattr(log, name) for name in _LOG_FIELDS)
+    write_csv(path, LOG_COLUMNS, zip(range(len(log)), *columns))
 
 
 def load_log(path: str, sample_time: float = 0.05) -> RolloutLog:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != LOG_COLUMNS:
-            raise ValueError(
-                f"unexpected log header in {path}: {header}, want {LOG_COLUMNS}"
-            )
-        data = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(data, dtype=float).reshape(len(data), len(LOG_COLUMNS))
-    cols = {name: arr[:, i + 1].copy() for i, name in enumerate(_LOG_FIELDS)}
-    return RolloutLog(sample_time=sample_time, **cols)
+    return RolloutLog(sample_time, *read_csv(path, LOG_COLUMNS)[:, 1:].T.copy())
 
 
 DATASET_COLUMNS = ("w1", "w2", "w3", "w4", "w5", "w6", "z1", "z2")
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    rows = (
-        [float(v) for v in data.inputs[i]] + [float(v) for v in data.targets[i]]
-        for i in range(len(data))
-    )
-    atomic_write_text(path, _csv_text(DATASET_COLUMNS, rows))
+    write_csv(path, DATASET_COLUMNS, np.hstack([data.inputs, data.targets]))
 
 
 def load_dataset(path: str) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != DATASET_COLUMNS:
-            raise ValueError(
-                f"unexpected dataset header in {path}: {header}, want {DATASET_COLUMNS}"
-            )
-        data = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(data, dtype=float).reshape(len(data), len(DATASET_COLUMNS))
+    arr = read_csv(path, DATASET_COLUMNS)
     return Dataset(arr[:, :6].copy(), arr[:, 6:].copy())

@@ -105,6 +105,11 @@ class TestConfigErrors:
             ({"plant": "slip", "world": {"beta0": float("nan")}}, "world.beta0"),
             ({"vehicle": {"max_track_speed": float("inf")}}, "vehicle.max_track_speed"),
             ({"vehicle": {"tread": 10**400}}, "vehicle.tread"),
+            # a waypoint profile whose duration overflows to infinity
+            ({"trajectory": {"kind": "waypoints", "cruise_speed": 5e-324}}, "trajectory"),
+            ({"trajectory": {"kind": "waypoints", "ramp_time": 1e308}}, "trajectory"),
+            # a value of the wrong type, unhashable, used to escape as TypeError
+            ({"trajectory": {"kind": ["figure8"]}}, "trajectory.kind"),
         ],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, key):
@@ -118,6 +123,8 @@ class TestConfigErrors:
             ({"plant": "slip", "world": {"seed": -1}}, "world.seed"),
             ({"gp": dict(FAST_GP, seed=-3)}, "gp.seed"),
             ({"evaluation": {"seeds": [50, -2]}}, "evaluation.seeds[1]"),
+            # the restart draws' standard deviation must not be negative either
+            ({"gp": dict(FAST_GP, restart_spread=-0.5)}, "restart_spread"),
         ],
     )
     def test_negative_config_seed_rejected(self, tmp_path, capsys, overrides, key):

@@ -4,7 +4,10 @@ import math
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tracksim import config
 from tracksim.config import ConfigError, load_config, parse_config
 from tracksim.kinematics import VehicleParams
 
@@ -237,3 +240,97 @@ class TestLoadConfig:
         path = tmp_path / "empty.yaml"
         path.write_text("")
         assert load_config(str(path)).plant == "nominal"
+
+
+# Every key the schema knows, per section; each section also gets an unknown key.
+SCHEMA_KEYS = {
+    "vehicle": set(config._VEHICLE_DEFAULTS),
+    "world": set(config._WORLD_DEFAULTS),
+    "controller": set(config._CONTROLLER_DEFAULTS),
+    "gains": set(config._GAINS_DEFAULTS),
+    "trajectory": {"kind"}.union(*config._TRAJECTORY_DEFAULTS.values()),
+    "gp": set(config._GP_DEFAULTS),
+    "evaluation": set(config._EVALUATION_DEFAULTS),
+}
+
+# Integers stay small and positive floats stay at 0.1 or more, so that no
+# accepted document asks for a reference of more than a few thousand samples.
+NUMBERS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.floats(-10.0, 0.0),
+    st.floats(0.1, 10.0),
+)
+VALUES = st.recursive(
+    NUMBERS | st.booleans() | st.none() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=8,
+)
+PAIRS = st.lists(NUMBERS, min_size=2, max_size=2)
+SHAPES = {
+    "kind": st.sampled_from(sorted(config._TRAJECTORY_DEFAULTS)),
+    "points": st.lists(PAIRS, max_size=4),
+    "kp": PAIRS,
+    "kd": PAIRS,
+    "seeds": st.lists(st.integers(-3, 12), max_size=3),
+    "slot": st.sampled_from(["nominal", "gp"]),
+    "plant": st.sampled_from(["nominal", "slip"]),
+}
+
+
+def mostly(likely, other):
+    """Draw from likely three times in four, else from other."""
+    return st.integers(0, 3).flatmap(lambda i: other if i == 0 else likely)
+
+
+def entries(keys, value_for):
+    """Mappings of up to three keys drawn from keys plus one unknown key."""
+    key = st.sampled_from(sorted(keys) + ["unknown"])
+    pairs = key.flatmap(lambda k: st.tuples(st.just(k), value_for(k)))
+    return st.lists(pairs, max_size=3).map(dict)
+
+
+def value(key):
+    """Mostly the shape the schema expects for key, else anything."""
+    return mostly(SHAPES.get(key, NUMBERS), VALUES)
+
+
+def section(name):
+    if name not in SCHEMA_KEYS:
+        return value(name)
+    keyed = entries(SCHEMA_KEYS[name], value)
+    if name == "trajectory":
+        # mostly one kind with keys of that kind only
+        keyed = mostly(
+            st.sampled_from(sorted(config._TRAJECTORY_DEFAULTS)).flatmap(
+                lambda kind: entries(config._TRAJECTORY_DEFAULTS[kind], value).map(
+                    lambda d: {**d, "kind": kind}
+                )
+            ),
+            keyed,
+        )
+    return mostly(keyed, VALUES)
+
+
+# every document gets a trajectory section, so that accepted ones build
+# references of each kind
+DOCUMENTS = st.tuples(entries(set(SCHEMA_KEYS) | {"plant"}, section), section("trajectory")).map(
+    lambda parts: {**parts[0], "trajectory": parts[1]}
+)
+
+
+class TestFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(DOCUMENTS)
+    def test_only_config_errors_escape(self, doc):
+        # a document either resolves or raises ConfigError, and so does
+        # building the reference of one that resolved
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        try:
+            assert len(cfg.trajectory()) >= 1
+        except ConfigError:
+            pass

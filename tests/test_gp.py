@@ -411,6 +411,22 @@ class TestBlasThreads:
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
 
+    def test_held_out_error_predicts_on_one_thread(self, two_blas_threads, monkeypatch):
+        seen = []
+        predict_batch = gp.predict
+
+        def recording(*args, **kwargs):
+            seen.append(blas_thread_counts())
+            return predict_batch(*args, **kwargs)
+
+        rng = np.random.default_rng(39)
+        w, z = make_problem(rng, 10)
+        model = manual_model(w, z, np.zeros(6), 0.0, math.log(0.1))
+        monkeypatch.setattr(gp, "predict", recording)
+        held_out_error(model, w, z)
+        assert seen == [[1] * len(two_blas_threads)]
+        assert blas_thread_counts() == two_blas_threads
+
 
 class TestHeldOutError:
     def test_mean_is_average_of_per_point_norms(self):
