@@ -199,6 +199,11 @@ def cmd_train(dataset_paths: list[str], cfg: ExperimentConfig, out: str,
             "final_log_likelihood": -info["final_nll"],
             "iterations": info["starts"][info["chosen_start"]]["iterations"],
             "chosen_start": info["chosen_start"],
+            "jitter": info["jitter"],
+            "starts": [
+                {key: start[key] for key in ("iterations", "evaluations", "rejected_probes")}
+                for start in info["starts"]
+            ],
         }
         for j, info in enumerate(model.report["outputs"])
     ]

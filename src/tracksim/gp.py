@@ -11,7 +11,12 @@ Hyperparameters live in log space and are chosen by maximizing the exact
 log marginal likelihood with analytic gradients under a bounded
 quasi-Newton optimizer, from a data-scaled start plus seeded random
 restarts. Inputs and targets are standardized internally; the stored
-transform is inverted at prediction time.
+transform is inverted at prediction time. The optimizations, one per
+(output, start) pair, are independent: on a machine with two or more
+usable CPUs, fits of _PARALLEL_MIN_N samples or more run them in a pool
+of forked worker processes that ends with the fit. The result is merged
+in the serial order and is the serial fit's to the bit, so the model
+file has the same bytes on one CPU or several.
 
 The fit, the factorizations and held_out_error's batched prediction run
 their BLAS and LAPACK calls on one OpenBLAS thread, whatever
@@ -56,6 +61,19 @@ JITTER_REL_MAX = 1e-4
 BOUND_LOG_LENGTHSCALE = (math.log(1e-3), math.log(1e4))
 BOUND_LOG_SIGNAL_VAR = (math.log(1e-6), math.log(1e6))
 BOUND_LOG_NOISE_VAR = (math.log(1e-12), math.log(1e3))
+
+
+# Training sets smaller than this are fitted serially, because starting
+# the worker pool costs about as much as running the optimizations side
+# by side saves. Measured on 2 CPUs, medians of 8 fits of the clean
+# figure-8 data (restarts 1), serial against pool: 0.29 s vs 0.31 s at
+# N=100, 0.38 s vs 0.32 s at N=150, 0.79 s vs 0.51 s at N=200.
+_PARALLEL_MIN_N = 150
+
+# The cgroup v2 CPU quota of this process, "<quota> <period>" or
+# "max <period>". A container held to one CPU's time still lists every
+# host CPU in its affinity mask, so the mask alone overstates the CPUs.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
 
 
 class ConditioningError(RuntimeError):
@@ -340,10 +358,15 @@ def _refresh_caches(model: GpModel) -> None:
     model.standardized = xs
 
 
-def _optimize_output(
+def _bounds(d: int) -> list[tuple[float, float]]:
+    return [BOUND_LOG_LENGTHSCALE] * d + [BOUND_LOG_SIGNAL_VAR] + [BOUND_LOG_NOISE_VAR]
+
+
+def _starts(
     xs: np.ndarray, zs_col: np.ndarray, config: FitConfig, seed_key: list
-) -> tuple[np.ndarray, float, dict]:
-    """Maximize one output's marginal likelihood; returns (theta, nll, info)."""
+) -> list[np.ndarray]:
+    """One output's optimizer starts: the data-scaled base start, then
+    config.restarts seeded draws around it, all clipped to the bounds."""
     n, d = xs.shape
     rng = np.random.default_rng(seed_key)
     base = np.concatenate([np.zeros(d), [0.0], [math.log(0.01)]])
@@ -353,57 +376,149 @@ def _optimize_output(
     if var_z > 0.0:
         base[d] = math.log(var_z)
         base[d + 1] = math.log(0.01 * var_z)
-    bounds = (
-        [BOUND_LOG_LENGTHSCALE] * d + [BOUND_LOG_SIGNAL_VAR] + [BOUND_LOG_NOISE_VAR]
-    )
+    bounds = _bounds(d)
     starts = [base]
     for _ in range(config.restarts):
         starts.append(base + rng.normal(0.0, config.restart_spread, size=d + 2))
-    starts = [np.clip(s, [b[0] for b in bounds], [b[1] for b in bounds]) for s in starts]
+    return [np.clip(s, [b[0] for b in bounds], [b[1] for b in bounds]) for s in starts]
+
+
+@_single_blas_thread()
+def _run_start(
+    xs: np.ndarray, zs_col: np.ndarray, start: np.ndarray, config: FitConfig
+) -> tuple[np.ndarray, dict]:
+    """One L-BFGS-B run of one output from one start; returns (theta, info)."""
+    rejected = 0
 
     def objective(theta):
+        nonlocal rejected
         try:
             return nll_and_grad(theta, xs, zs_col)
         except ConditioningError:
             # unfactorizable probe: send the line search back
+            rejected += 1
             return 1e25, np.zeros_like(theta)
 
+    trace: list[float] = []
+
+    def callback(intermediate_result):
+        # the objective at each accepted iterate
+        trace.append(float(intermediate_result.fun))
+
+    result = minimize(
+        objective,
+        start,
+        jac=True,
+        method="L-BFGS-B",
+        bounds=_bounds(xs.shape[1]),
+        callback=callback,
+        options={"maxiter": config.max_iter, "gtol": config.grad_tol},
+    )
+    info = {
+        "nll": float(result.fun),
+        "iterations": int(result.nit),
+        "evaluations": int(result.nfev),
+        "rejected_probes": rejected,
+        "objective_trace": trace,
+    }
+    return np.array(result.x), info
+
+
+def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, float, dict]:
+    """The run with the lowest finite NLL, the first one on ties;
+    returns (theta, nll, info)."""
     best = None
-    infos = []
-    for idx, start in enumerate(starts):
-        trace: list[float] = []
-
-        def callback(intermediate_result):
-            # the objective at each accepted iterate
-            trace.append(float(intermediate_result.fun))
-
-        result = minimize(
-            objective,
-            start,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            callback=callback,
-            options={"maxiter": config.max_iter, "gtol": config.grad_tol},
-        )
-        infos.append(
-            {
-                "start": idx,
-                "nll": float(result.fun),
-                "iterations": int(result.nit),
-                "objective_trace": trace,
-            }
-        )
-        if np.isfinite(result.fun) and (best is None or result.fun < best[1]):
-            best = (np.array(result.x), float(result.fun), idx)
+    for idx, (_, info) in enumerate(runs):
+        info["start"] = idx
+        if np.isfinite(info["nll"]) and (best is None or info["nll"] < runs[best][1]["nll"]):
+            best = idx
     if best is None:
         raise ConditioningError("every optimizer start ended non-finite")
-    info = {
-        "chosen_start": best[2],
-        "final_nll": best[1],
-        "starts": infos,
+    theta, nll = runs[best][0], runs[best][1]["nll"]
+    return theta, nll, {
+        "chosen_start": best,
+        "final_nll": nll,
+        "starts": [info for _, info in runs],
     }
-    return best[0], best[1], info
+
+
+def _optimize_output(
+    xs: np.ndarray, zs_col: np.ndarray, config: FitConfig, seed_key: list
+) -> tuple[np.ndarray, float, dict]:
+    """Maximize one output's marginal likelihood from each start in turn;
+    returns (theta, nll, info)."""
+    starts = _starts(xs, zs_col, config, seed_key)
+    return _pick_best([_run_start(xs, zs_col, s, config) for s in starts])
+
+
+# The fit problem a worker process serves, set by the pool's initializer.
+# A forked worker receives the initializer's arguments as the parent's
+# own objects, not as pickled copies: the fit's last bits changed when
+# the training arrays went through pickle, and these must not.
+_worker_problem: Optional[tuple] = None
+
+
+def _init_worker(xs, zs, starts, config) -> None:
+    global _worker_problem
+    _worker_problem = (xs, zs, starts, config)
+
+
+def _run_job(j: int, idx: int) -> tuple[np.ndarray, dict]:
+    xs, zs, starts, config = _worker_problem
+    return _run_start(xs, zs[:, j], starts[j][idx], config)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, capped by the
+    whole CPUs of its cgroup v2 quota when that file is readable."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    try:
+        with open(_CPU_MAX) as fh:
+            quota, period = fh.read().split()[:2]
+        if quota != "max":
+            cpus = min(cpus, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):
+        pass
+    return cpus
+
+
+def _optimize_outputs(xs: np.ndarray, zs: np.ndarray, config: FitConfig) -> list[tuple]:
+    """(theta, nll, info) of every output.
+
+    Every (output, start) pair is an independent optimization. With two
+    or more usable CPUs and at least _PARALLEL_MIN_N samples they run as
+    one job each in a pool of forked workers, and the results are merged
+    in the serial order, so the outcome is the serial fit's to the bit.
+    """
+    n, m = zs.shape
+    workers = min(_usable_cpus(), m * (config.restarts + 1))
+    if n < _PARALLEL_MIN_N or workers < 2:
+        return [_optimize_output(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
+    # imported here, as only a parallel fit needs them and every command imports gp
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
+    # fork, not spawn or forkserver: those start every pool by importing
+    # numpy and scipy again, which eats the saving (N=500 clean fit on
+    # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
+    # serial about 3.4 s), and they pickle the training arrays. Forking
+    # after OpenBLAS started its threads is safe: OpenBLAS stops them in
+    # its own at-fork handler, and the pool forks all its workers before
+    # it starts a thread of its own, so Python 3.12's warning about
+    # forking a multi-threaded process does not fire.
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(xs, zs, starts, config),
+    )
+    try:
+        jobs = [[pool.submit(_run_job, j, idx) for idx in range(len(starts[j]))] for j in range(m)]
+        return [_pick_best([job.result() for job in output]) for output in jobs]
+    finally:
+        # also when a job raised: drop the queued jobs and join every worker
+        pool.shutdown(cancel_futures=True)
 
 
 @_single_blas_thread()
@@ -439,8 +554,7 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
     zs = (z - target_mean) / target_std
     d = w.shape[1]
     per_output = []
-    for j in range(zs.shape[1]):
-        theta, _, info = _optimize_output(xs, zs[:, j], config, [config.seed, j])
+    for theta, _, info in _optimize_outputs(xs, zs, config):
         per_output.append(info)
         model.outputs.append(
             OutputModel(
@@ -455,6 +569,8 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
         "outputs": per_output,
     }
     _refresh_caches(model)
+    for info, out in zip(per_output, model.outputs):
+        info["jitter"] = out.jitter
     return model
 
 

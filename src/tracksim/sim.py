@@ -50,6 +50,20 @@ TRAJECTORY_KINDS = ("figure8", "circle", "waypoints")
 # enough that chord error is far below the waypoint-hit tolerance
 SPLINE_SPACING = 1e-3
 
+# longest reference the builders will sample: 5,000 s at the default
+# 20 Hz, and about 40 MB of reference points, checked before any sample
+# is built so that a tiny speed or sample time cannot exhaust memory
+MAX_REFERENCE_SAMPLES = 100_000
+
+# farthest a reference may reach from the origin, in meters; far enough
+# for any vehicle run, and near enough that the reference speeds and the
+# error sums over MAX_REFERENCE_SAMPLES steps stay finite floats
+MAX_REFERENCE_EXTENT = 1e6
+
+# most points a waypoint spline is traced with: a 1 km path at
+# SPLINE_SPACING, 16 MB of points
+MAX_SPLINE_POINTS = 1_000_000
+
 
 class NumericsError(RuntimeError):
     """Rollout state became non-finite (diverged loop or bad config)."""
@@ -79,10 +93,21 @@ class ReferenceTrajectory:
 
 
 def _trajectory_from_positions(
-    kind: str, positions: np.ndarray, sample_time: float
+    kind: str, positions: np.ndarray, sample_time: float, size_key: str
 ) -> ReferenceTrajectory:
-    """Build M reference points from M+2 positions (forward deltas)."""
+    """Build M reference points from M+2 positions (forward deltas).
+
+    size_key names the parameter that scales the positions, for the
+    error raised when they reach beyond MAX_REFERENCE_EXTENT.
+    """
+    if not np.max(np.abs(positions)) <= MAX_REFERENCE_EXTENT:
+        raise ValueError(
+            f"{size_key} puts the reference more than {MAX_REFERENCE_EXTENT:g} m "
+            "from the origin"
+        )
     deltas = np.diff(positions, axis=0)
+    if not math.isfinite(float(np.max(np.abs(deltas))) / sample_time):
+        raise ValueError(f"sample_time {sample_time} is too small: the reference speeds overflow")
     samples = tuple(
         ReferencePoint(
             positions[k, 0],
@@ -107,6 +132,11 @@ def _angle_grid(period_steps: int, laps: int) -> np.ndarray:
         raise ValueError(f"period_steps must be at least 4, got {period_steps}")
     if laps < 1:
         raise ValueError(f"laps must be at least 1, got {laps}")
+    if period_steps * laps + 1 > MAX_REFERENCE_SAMPLES:
+        raise ValueError(
+            f"period_steps {period_steps} times laps {laps} asks for "
+            f"{period_steps * laps + 1} samples, more than {MAX_REFERENCE_SAMPLES}"
+        )
     return 2.0 * math.pi * np.arange(period_steps * laps + 3) / period_steps
 
 
@@ -126,7 +156,7 @@ def make_figure8(
     theta = _angle_grid(period_steps, laps)
     s = np.sin(theta)
     positions = amplitude * np.stack([s, s * np.cos(theta)], axis=1)
-    return _trajectory_from_positions("figure8", positions, sample_time)
+    return _trajectory_from_positions("figure8", positions, sample_time, "amplitude")
 
 
 def make_circle(
@@ -140,7 +170,7 @@ def make_circle(
         raise ValueError(f"radius must be positive, got {radius}")
     theta = _angle_grid(period_steps, laps)
     positions = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return _trajectory_from_positions("circle", positions, sample_time)
+    return _trajectory_from_positions("circle", positions, sample_time, "radius")
 
 
 def catmull_rom_point(
@@ -204,12 +234,19 @@ def path_spline(
     if np.any(gaps < 1e-12):
         raise ValueError("consecutive waypoints coincide")
     control = np.vstack([2.0 * pts[0] - pts[1], pts, 2.0 * pts[-1] - pts[-2]])
+    counts = [
+        max(8, int(math.ceil(float(np.linalg.norm(p2 - p1)) / spacing)))
+        for p1, p2 in zip(pts[:-1], pts[1:])
+    ]
+    if sum(counts) > MAX_SPLINE_POINTS:
+        raise ValueError(
+            f"points: tracing the path every {spacing} m takes {sum(counts)} "
+            f"points, more than {MAX_SPLINE_POINTS}"
+        )
     dense = [pts[0]]
     junction_idx = [0]
-    for seg in range(pts.shape[0] - 1):
+    for seg, n in enumerate(counts):
         p0, p1, p2, p3 = control[seg : seg + 4]
-        chord = float(np.linalg.norm(p2 - p1))
-        n = max(8, int(math.ceil(chord / spacing)))
         u = np.arange(1, n + 1) / n
         dense.extend(catmull_rom_point(p0, p1, p2, p3, u[:, None]))
         junction_idx.append(len(dense) - 1)
@@ -273,10 +310,15 @@ def make_waypoint_path(
     spline = path_spline(points)
     total, s_of_t = _ramp_profile(spline.length, cruise_speed, ramp_time)
     steps = int(math.ceil(total / sample_time))
+    if steps + 1 > MAX_REFERENCE_SAMPLES:
+        raise ValueError(
+            f"cruise_speed {cruise_speed}, ramp_time {ramp_time} and sample_time "
+            f"{sample_time} ask for {steps + 1} samples, more than {MAX_REFERENCE_SAMPLES}"
+        )
     times = np.arange(steps + 3) * sample_time
     s = np.array([s_of_t(float(t)) for t in times])
     positions = spline.point_at(s)
-    return _trajectory_from_positions("waypoints", positions, sample_time)
+    return _trajectory_from_positions("waypoints", positions, sample_time, "points")
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,34 @@ class TestConfigErrors:
             ({"trajectory": {"kind": "waypoints", "ramp_time": 1e308}}, "trajectory"),
             # a value of the wrong type, unhashable, used to escape as TypeError
             ({"trajectory": {"kind": ["figure8"]}}, "trajectory.kind"),
+            # finite, but the reference deltas overflow to infinity
+            ({"trajectory": {"kind": "figure8", "amplitude": 1.0e308, "period_steps": 40}},
+             "amplitude"),
+            # finite, but the error sums over the rollout overflow
+            ({"trajectory": {"kind": "figure8", "amplitude": 1.0e307, "period_steps": 40}},
+             "amplitude"),
+            ({"vehicle": {"sample_time": 1.0e-310}}, "sample_time"),
         ],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, key):
         cfg = tiny_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "trajectory, key",
+        [
+            ({"kind": "waypoints", "cruise_speed": 1e-3}, "cruise_speed"),
+            ({"kind": "waypoints", "cruise_speed": 1e-6}, "cruise_speed"),
+            ({"kind": "figure8", "period_steps": 100_000}, "period_steps"),
+            ({"kind": "circle", "period_steps": 50_000, "laps": 2}, "laps"),
+            # the dense spline the waypoint path is traced with has its own cap
+            ({"kind": "waypoints", "points": [[0.0, 0.0], [1e5, 0.0]], "cruise_speed": 1e3},
+             "points"),
+        ],
+    )
+    def test_reference_over_the_sample_cap_rejected(self, tmp_path, capsys, trajectory, key):
+        cfg = tiny_config(tmp_path, trajectory=trajectory)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
 
@@ -313,6 +337,37 @@ class TestTrain:
             )
             digests.append(sha256(out / "model.json"))
         assert digests[0] == digests[1]
+
+    def test_report_surfaces_fit_counters(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        ds = self.fixture_dataset(tmp_path, cfg)
+        out = tmp_path / "model"
+        assert main(["train", str(ds), "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "train_report.json").read_text())
+        fitted = json.loads((out / "model.json").read_text())["report"]["outputs"]
+        for row, info in zip(report["outputs"], fitted):
+            assert row["jitter"] == info["jitter"] > 0.0
+            assert [s["evaluations"] for s in row["starts"]] == [
+                s["evaluations"] for s in info["starts"]
+            ]
+            assert all(s["evaluations"] >= s["iterations"] for s in row["starts"])
+            assert [s["rejected_probes"] for s in row["starts"]] == [0, 0]
+
+    def test_conditioning_error_in_a_worker_exits_3(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        ds = self.fixture_dataset(tmp_path, cfg)
+        parent, minimize = os.getpid(), gp.minimize
+
+        def failing_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise gp.ConditioningError("raised in a worker")
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
+        monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(gp, "minimize", failing_in_workers)
+        assert main(["train", str(ds), "--config", cfg, "--out", str(tmp_path / "m")]) == 3
 
     def test_single_sample_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -253,13 +253,14 @@ SCHEMA_KEYS = {
     "evaluation": set(config._EVALUATION_DEFAULTS),
 }
 
-# Integers stay small and positive floats stay at 0.1 or more, so that no
-# accepted document asks for a reference of more than a few thousand samples.
+# Mostly small numbers, so that about one document in seven resolves, plus
+# extremes that the reference sample cap and extent bound must turn away.
 NUMBERS = st.one_of(
     st.integers(-3, 12),
     st.sampled_from([math.nan, math.inf, -math.inf]),
     st.floats(-10.0, 0.0),
     st.floats(0.1, 10.0),
+    st.sampled_from([5e-324, 1e-300, 1e-6, 1e-3, 1e6, 1e300, 1.7e308, 10**6, 10**12]),
 )
 VALUES = st.recursive(
     NUMBERS | st.booleans() | st.none() | st.text(max_size=4),

@@ -6,7 +6,13 @@ np.linalg.solve of the full noisy kernel system built independently of
 the model's Cholesky cache.
 """
 
+import concurrent.futures
+import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -426,6 +432,200 @@ class TestBlasThreads:
         held_out_error(model, w, z)
         assert seen == [[1] * len(two_blas_threads)]
         assert blas_thread_counts() == two_blas_threads
+
+
+@pytest.fixture
+def serial_fit(monkeypatch):
+    """Fit every problem size in this process."""
+    monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 10**9)
+
+
+def force_pool(monkeypatch, tmp_path):
+    """Fit every problem size in forked workers, as on a two-CPU machine
+    with no CPU quota."""
+    monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
+    monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def forced_pool(monkeypatch, tmp_path):
+    force_pool(monkeypatch, tmp_path)
+
+
+def refuse_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+
+def model_bytes(model):
+    return json.dumps(model_to_dict(model), sort_keys=True)
+
+
+# Run in a fresh interpreter, so that no thread of the test runner counts
+# and the at-fork hook ends with the process.
+FORK_PROBE = """
+import json, os, sys, warnings
+import numpy as np
+from tracksim import gp
+
+def os_thread_count():
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rsplit(")", 1)[1].split()[17])
+
+after_fork = []
+os.register_at_fork(after_in_parent=lambda: after_fork.append(os_thread_count()))
+gp._PARALLEL_MIN_N = 0
+gp._CPU_MAX = os.devnull
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(65)
+w = rng.normal(0.0, 1.0, size=(20, 6))
+z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+forks = [str(c.message) for c in caught if "fork" in str(c.message)]
+print(json.dumps({"after_fork": after_fork, "fork_warnings": forks}))
+"""
+
+
+class TestParallelFit:
+    def test_pool_gives_the_serial_model_bytes(self, monkeypatch, tmp_path):
+        # at this size the fit's last bits changed when the workers got the
+        # training arrays through pickle instead of inheriting them
+        rng = np.random.default_rng(61)
+        w, z = make_problem(rng, 30)
+        config = FitConfig(max_iter=40, restarts=2, seed=6)
+        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 10**9)
+        serial = model_bytes(fit(w, z, config))
+        force_pool(monkeypatch, tmp_path)
+        assert model_bytes(fit(w, z, config)) == serial
+
+    def test_worker_conditioning_error_reaches_the_caller(self, forced_pool, monkeypatch):
+        parent, minimize = os.getpid(), gp.minimize
+
+        def failing_in_workers(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ConditioningError("raised in a worker")
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", failing_in_workers)
+        rng = np.random.default_rng(62)
+        w, z = make_problem(rng, 20)
+        with pytest.raises(ConditioningError, match="raised in a worker"):
+            fit(w, z, FitConfig(max_iter=10, restarts=1))
+        assert multiprocessing.active_children() == []
+
+    def test_one_usable_cpu_starts_no_worker(self, forced_pool, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        refuse_pool(monkeypatch)
+        rng = np.random.default_rng(63)
+        w, z = make_problem(rng, 20)
+        model = fit(w, z, FitConfig(max_iter=10, restarts=1))
+        assert len(model.outputs) == 2
+
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        ("100000 100000\n", 1), ("150000 100000\n", 1), ("200000 100000\n", 2),
+        ("max 100000\n", 2), ("", 2),
+    ])
+    def test_cpu_quota_caps_the_usable_cpus(self, forced_pool, monkeypatch, tmp_path,
+                                            cpu_max, cpus):
+        quota = tmp_path / "cpu.max"
+        quota.write_text(cpu_max)
+        monkeypatch.setattr(gp, "_CPU_MAX", str(quota))
+        assert gp._usable_cpus() == cpus
+
+    def test_one_cpu_quota_starts_no_worker(self, forced_pool, monkeypatch, tmp_path):
+        quota = tmp_path / "cpu.max"
+        quota.write_text("100000 100000\n")
+        monkeypatch.setattr(gp, "_CPU_MAX", str(quota))
+        refuse_pool(monkeypatch)
+        rng = np.random.default_rng(69)
+        w, z = make_problem(rng, 20)
+        assert len(fit(w, z, FitConfig(max_iter=10, restarts=1)).outputs) == 2
+
+    def test_usable_cpus_size_the_pool(self, monkeypatch, tmp_path):
+        # run under `taskset -c 0` this checks the real one-CPU fallback
+        sizes = []
+        pool = concurrent.futures.ProcessPoolExecutor
+
+        def recording(workers, **kwargs):
+            sizes.append(workers)
+            return pool(workers, **kwargs)
+
+        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
+        monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+        rng = np.random.default_rng(68)
+        w, z = make_problem(rng, 20)
+        fit(w, z, FitConfig(max_iter=10, restarts=1))
+        cpus = len(os.sched_getaffinity(0))
+        assert sizes == ([] if cpus == 1 else [min(cpus, 4)])
+
+    def test_workers_fit_on_one_blas_thread(self, two_blas_threads, forced_pool,
+                                            monkeypatch, tmp_path):
+        log = tmp_path / "threads.jsonl"
+        nll = gp.nll_and_grad
+
+        def recording(*args):
+            with open(log, "a") as fh:
+                fh.write(json.dumps([os.getpid(), blas_thread_counts()]) + "\n")
+            return nll(*args)
+
+        monkeypatch.setattr(gp, "nll_and_grad", recording)
+        rng = np.random.default_rng(64)
+        w, z = make_problem(rng, 20)
+        fit(w, z, FitConfig(max_iter=10, restarts=1))
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows and os.getpid() not in {pid for pid, _ in rows}
+        assert all(counts == [1] * len(two_blas_threads) for _, counts in rows)
+        assert blas_thread_counts() == two_blas_threads
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs Linux /proc")
+    def test_pool_forks_a_single_threaded_process(self):
+        # Python 3.12 warns when it forks a process that has other threads;
+        # OpenBLAS stops its own threads in its at-fork handler, so the
+        # parent is down to one thread right after each fork
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", FORK_PROBE], env=dict(os.environ, PYTHONPATH=path),
+            check=True, capture_output=True, text=True,
+        )
+        probe = json.loads(proc.stdout)
+        assert probe["after_fork"][:2] == [1, 1]
+        assert probe["fork_warnings"] == []
+
+
+class TestFitReport:
+    def test_counters_match_the_objective_calls(self, serial_fit, monkeypatch):
+        calls = []
+        nll = gp.nll_and_grad
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 2:  # the first line-search probe of the first start
+                raise ConditioningError("probe rejected")
+            return nll(*args)
+
+        monkeypatch.setattr(gp, "nll_and_grad", flaky)
+        rng = np.random.default_rng(66)
+        w, z = make_problem(rng, 20)
+        model = fit(w, z, FitConfig(max_iter=30, restarts=1, seed=2))
+        starts = [s for out in model.report["outputs"] for s in out["starts"]]
+        assert [s["rejected_probes"] for s in starts] == [1, 0, 0, 0]
+        assert sum(s["evaluations"] for s in starts) == len(calls)
+
+    def test_jitter_is_the_base_level_of_the_fitted_matrix(self):
+        rng = np.random.default_rng(67)
+        w, z = make_problem(rng, 20)
+        model = fit(w, z, FitConfig(max_iter=30, restarts=0, seed=2))
+        for info, out in zip(model.report["outputs"], model.outputs):
+            mean_diag = out.kernel.signal_variance + out.noise_variance
+            assert info["jitter"] == out.jitter
+            assert math.isclose(out.jitter, gp.JITTER_REL_INIT * mean_diag, rel_tol=1e-12)
 
 
 class TestHeldOutError:
