@@ -18,6 +18,10 @@ of forked worker processes that ends with the fit. The result is merged
 in the serial order and is the serial fit's to the bit, so the model
 file has the same bytes on one CPU or several.
 
+scipy loads scipy.linalg and scipy.optimize on first use, so a command
+that never factors or fits a GP never imports them; a parallel fit loads
+scipy.optimize before its pool forks, so no worker imports it again.
+
 The fit, the factorizations and held_out_error's batched prediction run
 their BLAS and LAPACK calls on one OpenBLAS thread, whatever
 OPENBLAS_NUM_THREADS says, and restore the previous thread count
@@ -43,9 +47,6 @@ from typing import Optional
 
 import numpy as np
 import scipy
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.linalg.lapack import dpotri
-from scipy.optimize import minimize
 
 KERNEL_KIND = "squared_exponential_ard"
 MODEL_FORMAT = "tracksim-gp"
@@ -207,8 +208,9 @@ class FitConfig:
     max_train: int = 1000
 
     def __post_init__(self) -> None:
-        for name, low in (("max_iter", 1), ("restarts", 0), ("restart_spread", 0.0),
-                          ("max_train", 1)):
+        # a GP needs two samples to fit, as train demands of its dataset
+        for name, low in (("max_iter", 1), ("grad_tol", 0.0), ("restarts", 0),
+                          ("restart_spread", 0.0), ("max_train", 2)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
 
@@ -233,7 +235,7 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
             k_noisy.flat[:: n + 1] += jitter - applied
             applied = jitter
             try:
-                return cholesky(k_noisy, lower=True), jitter
+                return scipy.linalg.cholesky(k_noisy, lower=True), jitter
             except np.linalg.LinAlgError:
                 pass
             if rel >= JITTER_REL_MAX:
@@ -248,9 +250,9 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _spd_inverse_from_cholesky(l: np.ndarray) -> np.ndarray:
     """Full inverse of L L' from its lower factor (LAPACK dpotri)."""
-    tri, info = dpotri(l, lower=1)
+    tri, info = scipy.linalg.lapack.dpotri(l, lower=1)
     if info != 0:
-        return cho_solve((l, True), np.eye(l.shape[0]))
+        return scipy.linalg.cho_solve((l, True), np.eye(l.shape[0]))
     # L comes from potrf with its upper triangle zeroed and dpotri writes
     # only the lower one, so the mirror is tri + tri' with the diagonal
     # counted once
@@ -277,7 +279,7 @@ def nll_and_grad(
     k.flat[:: n + 1] += noise_var
     l, _ = _chol_with_jitter(k)
     k.flat[:: n + 1] = diag
-    alpha = cho_solve((l, True), targets)
+    alpha = scipy.linalg.cho_solve((l, True), targets)
     nll = (
         0.5 * float(targets @ alpha)
         + float(np.sum(np.log(np.diag(l))))
@@ -354,7 +356,7 @@ def _refresh_caches(model: GpModel) -> None:
         k_noisy = kernel_matrix(out.kernel, xs, xs)
         k_noisy.flat[:: n + 1] += out.noise_variance
         out.chol, out.jitter = _chol_with_jitter(k_noisy)
-        out.alpha = cho_solve((out.chol, True), zs[:, j])
+        out.alpha = scipy.linalg.cho_solve((out.chol, True), zs[:, j])
     model.standardized = xs
 
 
@@ -405,7 +407,7 @@ def _run_start(
         # the objective at each accepted iterate
         trace.append(float(intermediate_result.fun))
 
-    result = minimize(
+    result = scipy.optimize.minimize(
         objective,
         start,
         jac=True,
@@ -497,6 +499,8 @@ def _optimize_outputs(xs: np.ndarray, zs: np.ndarray, config: FitConfig) -> list
     # imported here, as only a parallel fit needs them and every command imports gp
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    # the parent never calls minimize here, so without this every worker would import it
+    import scipy.optimize  # noqa: F401
 
     starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
     # fork, not spawn or forkserver: those start every pool by importing
@@ -604,7 +608,7 @@ def predict(
         mean_s = ks @ out.alpha
         means[:, j] = mean_s * model.target_std[j] + model.target_mean[j]
         if variance:
-            v = solve_triangular(out.chol, ks.T, lower=True)
+            v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
             latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
             var_s = latent + out.noise_variance
             variances[:, j] = var_s * model.target_std[j] ** 2

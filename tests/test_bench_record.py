@@ -1,0 +1,67 @@
+"""Tests for tools/bench_record.py's verdict on the runs it records.
+
+The benchmark itself is replaced by a stub result per run, so these
+tests check only how the recorder reacts to broken runs.
+"""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+spec = importlib.util.spec_from_file_location(
+    "bench_record", os.path.join(ROOT, "tools", "bench_record.py"))
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+    DECLARED = json.load(fh)
+
+
+def stub_result(exit_code=0, correct=True, failed=0):
+    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in DECLARED["end_to_end"]}
+    return {"exit_code": exit_code, "correct": correct, "attempted": 3, "failed": failed,
+            "metrics": metrics}
+
+
+@pytest.fixture
+def record(monkeypatch, tmp_path):
+    """Run the recorder on stub sides; returns (exit code, stderr, record)."""
+    def run(broken):
+        def run_once(checkout, workload, seed, seconds):
+            pair = seed - 301
+            return broken.get((workload, os.path.basename(checkout), pair), stub_result())
+
+        monkeypatch.setattr(bench_record, "export", lambda spec, dest: {"revision": spec})
+        monkeypatch.setattr(bench_record, "environment", lambda checkout: {})
+        monkeypatch.setattr(bench_record, "run_once", run_once)
+        out = tmp_path / "bench.json"
+        code = bench_record.main(["--base", "a", "--change", "b", "--out", str(out),
+                                  "--pairs", "2"])
+        return code, json.loads(out.read_text())
+
+    return run
+
+
+def test_clean_runs_exit_zero(record):
+    code, written = record({})
+    assert code == 0
+    assert all(w["all_correct"] for w in written["workloads"].values())
+
+
+@pytest.mark.parametrize("result, shown", [
+    (stub_result(exit_code=1), "exit code 1"),
+    (stub_result(correct=False), "correct False"),
+    (stub_result(failed=2), "2 failed operations"),
+])
+def test_broken_run_exits_one_and_is_named(record, capsys, result, shown):
+    workload = DECLARED["workloads"][1]["name"]
+    code, written = record({(workload, "change", 1): result})
+    assert code == 1
+    assert workload in written["workloads"]  # the file is written first
+    err = capsys.readouterr().err
+    assert f"broken run: {workload} change pair 1: " in err
+    assert shown in err
+    assert err.count("broken run:") == 1

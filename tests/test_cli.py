@@ -2,10 +2,11 @@
 
 Everything runs in-process through main(argv), on deliberately small
 trajectories so the whole file stays fast; only the BLAS thread-count
-test starts subprocesses, since OpenBLAS reads OPENBLAS_NUM_THREADS when
-it loads. The determinism tests compare file bytes across reruns:
-reports embed no timestamps, so identical config and seed must mean
-identical artifacts.
+test and the import test start subprocesses, since OpenBLAS reads
+OPENBLAS_NUM_THREADS when it loads and a module stays in sys.modules
+once any test imported it. The determinism tests compare file bytes
+across reruns: reports embed no timestamps, so identical config and seed
+must mean identical artifacts.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 import yaml
 
 from tracksim import gp
@@ -149,6 +151,9 @@ class TestConfigErrors:
             ({"evaluation": {"seeds": [50, -2]}}, "evaluation.seeds[1]"),
             # the restart draws' standard deviation must not be negative either
             ({"gp": dict(FAST_GP, restart_spread=-0.5)}, "restart_spread"),
+            # nor the gradient tolerance, and a fit needs two samples
+            ({"gp": dict(FAST_GP, grad_tol=-1.0)}, "grad_tol"),
+            ({"gp": dict(FAST_GP, max_train=1)}, "max_train"),
         ],
     )
     def test_negative_config_seed_rejected(self, tmp_path, capsys, overrides, key):
@@ -356,7 +361,7 @@ class TestTrain:
     def test_conditioning_error_in_a_worker_exits_3(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)
         ds = self.fixture_dataset(tmp_path, cfg)
-        parent, minimize = os.getpid(), gp.minimize
+        parent, minimize = os.getpid(), scipy.optimize.minimize
 
         def failing_in_workers(*args, **kwargs):
             if os.getpid() != parent:
@@ -366,7 +371,7 @@ class TestTrain:
         monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
         monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(gp, "minimize", failing_in_workers)
+        monkeypatch.setattr(scipy.optimize, "minimize", failing_in_workers)
         assert main(["train", str(ds), "--config", cfg, "--out", str(tmp_path / "m")]) == 3
 
     def test_single_sample_rejected(self, tmp_path):
@@ -480,3 +485,48 @@ class TestEvaluate:
         cfg = tiny_config(tmp_path)
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path),
                      "--model", str(path)]) == 4
+
+
+# Run one command in a fresh interpreter, then name the scipy submodules
+# it left in sys.modules.
+IMPORT_PROBE = """
+import json, sys
+from tracksim.cli import main
+code = main(sys.argv[1:])
+loaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
+print(json.dumps({"exit": code, "loaded": loaded}))
+"""
+
+
+@pytest.fixture(scope="module")
+def pipeline_dir(tmp_path_factory):
+    """Configs for both slots, one collected dataset and a model trained on it."""
+    root = tmp_path_factory.mktemp("pipeline")
+    tiny_config(root)
+    tiny_config(root, controller={"slot": "gp"}, name="gp.yaml")
+    assert main(["collect", "--config", str(root / "cfg.yaml"), "--out", str(root / "d")]) == 0
+    assert main(["train", str(root / "d" / "dataset.csv"), "--config", str(root / "cfg.yaml"),
+                 "--out", str(root / "m")]) == 0
+    return root
+
+
+class TestImports:
+    @pytest.mark.parametrize("argv, absent", [
+        (["gains-check", "--config", "cfg.yaml"], ["scipy.linalg", "scipy.optimize"]),
+        (["collect", "--config", "cfg.yaml", "--out", "c"], ["scipy.linalg", "scipy.optimize"]),
+        (["simulate", "--config", "cfg.yaml", "--out", "s"], ["scipy.linalg", "scipy.optimize"]),
+        (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"],
+         ["scipy.optimize"]),
+        (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"],
+         ["scipy.optimize"]),
+    ], ids=["gains-check", "collect", "simulate", "evaluate", "simulate-gp"])
+    def test_command_loads_only_the_scipy_it_runs(self, pipeline_dir, argv, absent):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, *argv], cwd=pipeline_dir,
+            env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True, text=True,
+        )
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["exit"] == 0
+        assert not set(absent) & set(probe["loaded"])

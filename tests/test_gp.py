@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from tracksim import gp
 from tracksim.gp import (
@@ -491,6 +492,42 @@ print(json.dumps({"after_fork": after_fork, "fork_warnings": forks}))
 """
 
 
+# Run in a fresh interpreter, where nothing has loaded scipy.optimize yet;
+# each worker appends to the file named by argv[1] whether it found
+# scipy.optimize loaded when it started.
+PRELOAD_PROBE = """
+import json, os, sys
+import numpy as np
+from tracksim import gp
+
+init = gp._init_worker
+
+def recording(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(json.dumps("scipy.optimize" in sys.modules) + "\\n")
+    init(*args)
+
+gp._init_worker = recording
+gp._PARALLEL_MIN_N = 0
+gp._CPU_MAX = os.devnull
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(70)
+w = rng.normal(0.0, 1.0, size=(20, 6))
+z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+"""
+
+
+def run_probe(probe, *args):
+    """Run a probe script in a fresh interpreter that imports this tracksim."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *args], env=dict(os.environ, PYTHONPATH=path),
+        check=True, capture_output=True, text=True,
+    )
+
+
 class TestParallelFit:
     def test_pool_gives_the_serial_model_bytes(self, monkeypatch, tmp_path):
         # at this size the fit's last bits changed when the workers got the
@@ -504,14 +541,14 @@ class TestParallelFit:
         assert model_bytes(fit(w, z, config)) == serial
 
     def test_worker_conditioning_error_reaches_the_caller(self, forced_pool, monkeypatch):
-        parent, minimize = os.getpid(), gp.minimize
+        parent, minimize = os.getpid(), scipy.optimize.minimize
 
         def failing_in_workers(*args, **kwargs):
             if os.getpid() != parent:
                 raise ConditioningError("raised in a worker")
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(gp, "minimize", failing_in_workers)
+        monkeypatch.setattr(scipy.optimize, "minimize", failing_in_workers)
         rng = np.random.default_rng(62)
         w, z = make_problem(rng, 20)
         with pytest.raises(ConditioningError, match="raised in a worker"):
@@ -588,15 +625,15 @@ class TestParallelFit:
         # Python 3.12 warns when it forks a process that has other threads;
         # OpenBLAS stops its own threads in its at-fork handler, so the
         # parent is down to one thread right after each fork
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", FORK_PROBE], env=dict(os.environ, PYTHONPATH=path),
-            check=True, capture_output=True, text=True,
-        )
-        probe = json.loads(proc.stdout)
+        probe = json.loads(run_probe(FORK_PROBE).stdout)
         assert probe["after_fork"][:2] == [1, 1]
         assert probe["fork_warnings"] == []
+
+    def test_workers_start_with_scipy_optimize_loaded(self, tmp_path):
+        # the parent loads it before forking, so no worker imports it again
+        log = tmp_path / "preloaded.jsonl"
+        run_probe(PRELOAD_PROBE, str(log))
+        assert [json.loads(line) for line in log.read_text().splitlines()] == [True, True]
 
 
 class TestFitReport:

@@ -20,6 +20,11 @@ recordings of half the pairs each, and the band is the largest relative
 difference between the two halves' medians on either side. It also
 records nproc, the Python, numpy and scipy versions, and the thread
 count and build of each OpenBLAS, as the benchmark reports them.
+
+A broken run does not disappear into the medians: after writing the
+file, the script exits 1 and names the workload, side and pair of every
+run that exited nonzero, reported ``correct: false`` or had failed
+operations.
 """
 
 from __future__ import annotations
@@ -138,6 +143,7 @@ def main(argv=None) -> int:
             "order": "pair i runs the base first when i is even, the change first when odd",
             "workloads": {},
         }
+        broken = []
         for workload in workloads:
             runs = {"base": [], "change": []}
             for i in range(args.pairs):
@@ -148,6 +154,10 @@ def main(argv=None) -> int:
                     print(f"{workload} pair {i} {side}: "
                           + json.dumps({k: v["value"] for k, v in result["metrics"].items()}),
                           file=sys.stderr, flush=True)
+                    if result["exit_code"] != 0 or not result["correct"] or result["failed"]:
+                        broken.append(f"{workload} {side} pair {i}: exit code "
+                                      f"{result['exit_code']}, correct {result['correct']}, "
+                                      f"{result['failed']} failed operations")
             metrics = {}
             for name, direction in better.items():
                 values = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
@@ -176,7 +186,9 @@ def main(argv=None) -> int:
             fh.write("\n")
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    return 0
+    for line in broken:
+        print(f"broken run: {line}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
