@@ -11,12 +11,15 @@ Exit codes form a stable scripting contract:
 
 Reports embed the fully resolved config plus content hashes of their file
 inputs and carry no timestamps, so a rerun with the same config and seed
-at a fixed BLAS thread count produces byte-identical output.
+produces byte-identical output. train, evaluate and a gp-slot simulate
+run on one OpenBLAS thread, so with the wheels' OpenBLAS their files do
+not depend on the thread count either.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,6 +34,7 @@ from .control import InverseModelFn, assert_stable, validate_gains
 from .gp import (
     ConditioningError,
     GpModel,
+    _single_blas_thread,
     atomic_write_text,
     fit,
     held_out_error,
@@ -301,6 +305,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
 
 def cmd_gains_check(cfg: ExperimentConfig) -> int:
     """Print closed-loop pole magnitudes; exit 0 iff the trackers accept them."""
+    cfg.trajectory()  # a reference the run commands reject exits 2 here too
     mags = validate_gains(cfg.gains, cfg.order)
     try:
         assert_stable(cfg.gains, cfg.order)
@@ -354,17 +359,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.seed, args.model)
-        if args.command == "collect":
-            return cmd_collect(cfg, args.out, args.seed)
-        if args.command == "train":
-            return cmd_train(args.dataset, cfg, args.out, args.seed, args.model)
-        if args.command == "evaluate":
-            if args.model is None:
-                raise ConfigError("evaluate requires --model")
-            return cmd_evaluate(cfg, args.out, args.seed, args.model)
-        return cmd_gains_check(cfg)
+        # every GP command runs on one BLAS thread, so its files do not
+        # depend on the thread count; the others are left alone, since
+        # finding the thread controls loads both OpenBLAS copies (~5 ms)
+        gp_command = args.command in ("train", "evaluate") or (
+            args.command == "simulate" and cfg.slot == "gp")
+        with _single_blas_thread() if gp_command else contextlib.nullcontext():
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.out, args.seed, args.model)
+            if args.command == "collect":
+                return cmd_collect(cfg, args.out, args.seed)
+            if args.command == "train":
+                return cmd_train(args.dataset, cfg, args.out, args.seed, args.model)
+            if args.command == "evaluate":
+                if args.model is None:
+                    raise ConfigError("evaluate requires --model")
+                return cmd_evaluate(cfg, args.out, args.seed, args.model)
+            return cmd_gains_check(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -282,6 +282,9 @@ def parse_config(raw: Any) -> ExperimentConfig:
     eval_seeds = tuple(
         _seed(s, f"evaluation.seeds[{i}]") for i, s in enumerate(seeds_raw)
     )
+    # evaluate writes one error file per seed and averages over the seeds
+    if len(set(eval_seeds)) != len(eval_seeds):
+        raise ConfigError(f"evaluation.seeds must not repeat a seed, got {list(eval_seeds)}")
 
     resolved = {
         "vehicle": vehicle,

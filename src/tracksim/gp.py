@@ -11,12 +11,19 @@ Hyperparameters live in log space and are chosen by maximizing the exact
 log marginal likelihood with analytic gradients under a bounded
 quasi-Newton optimizer, from a data-scaled start plus seeded random
 restarts. Inputs and targets are standardized internally; the stored
-transform is inverted at prediction time. The optimizations, one per
-(output, start) pair, are independent: on a machine with two or more
-usable CPUs, fits of _PARALLEL_MIN_N samples or more run them in a pool
-of forked worker processes that ends with the fit. The result is merged
-in the serial order and is the serial fit's to the bit, so the model
-file has the same bytes on one CPU or several.
+transform is inverted at prediction time.
+
+Fitting or loading a model runs _refresh_caches, which keeps per output
+the standardized training inputs divided by that output's lengthscales,
+their squared row norms, the Cholesky factor of the noisy kernel matrix
+and the weight vector. A query then scales only itself and pays for one
+1 x N kernel row, its exp and a dot product per output.
+
+The optimizations, one per (output, start) pair, are independent: on a
+machine with two or more usable CPUs, fits of _PARALLEL_MIN_N samples or
+more run them in a pool of forked worker processes that ends with the
+fit. The result is merged in the serial order and is the serial fit's to
+the bit, so the model file has the same bytes on one CPU or several.
 
 scipy loads scipy.linalg and scipy.optimize on first use, so a command
 that never factors or fits a GP never imports them; a parallel fit loads
@@ -154,10 +161,22 @@ def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     ua = a / kernel.lengthscales
     ub = ua if b is a else b / kernel.lengthscales
+    return _scaled_kernel(kernel, ua, _sq_norms(ua), ub, _sq_norms(ub))
+
+
+def _sq_norms(u: np.ndarray) -> np.ndarray:
+    return np.sum(u**2, axis=1)
+
+
+def _scaled_kernel(
+    kernel: Kernel, ua: np.ndarray, na: np.ndarray, ub: np.ndarray, nb: np.ndarray
+) -> np.ndarray:
+    """kernel_matrix from inputs already divided by the lengthscales,
+    with their squared row norms na and nb."""
     sq = ua @ ub.T
     sq *= -2.0
-    sq += np.sum(ua**2, axis=1)[:, None]
-    sq += np.sum(ub**2, axis=1)[None, :]
+    sq += na[:, None]
+    sq += nb[None, :]
     np.maximum(sq, 0.0, out=sq)
     sq *= -0.5
     np.exp(sq, out=sq)
@@ -308,13 +327,17 @@ def nll_and_grad(
 
 @dataclass
 class OutputModel:
-    """Per-output hyperparameters plus factorization cache."""
+    """Per-output hyperparameters plus the caches predict reads."""
 
     kernel: Kernel
     log_noise_variance: float
     chol: Optional[np.ndarray] = None
     alpha: Optional[np.ndarray] = None
     jitter: float = 0.0
+    # standardized training inputs divided by the lengthscales, and their
+    # squared row norms
+    scaled_inputs: Optional[np.ndarray] = None
+    scaled_sq_norms: Optional[np.ndarray] = None
 
     @property
     def noise_variance(self) -> float:
@@ -333,8 +356,6 @@ class GpModel:
     target_std: np.ndarray
     outputs: list[OutputModel] = field(default_factory=list)
     report: dict = field(default_factory=dict)
-    # standardized training inputs, cached by _refresh_caches for predict
-    standardized: Optional[np.ndarray] = None
 
     def standardized_inputs(self) -> np.ndarray:
         return (self.inputs - self.input_mean) / self.input_std
@@ -347,17 +368,19 @@ def _safe_std(x: np.ndarray) -> np.ndarray:
 
 @_single_blas_thread()
 def _refresh_caches(model: GpModel) -> None:
-    """(Re)build the standardized inputs and each output's Cholesky
-    factor and weight vector."""
+    """(Re)build each output's scaled training inputs with their squared
+    norms, Cholesky factor and weight vector."""
     xs = model.standardized_inputs()
     zs = (model.targets - model.target_mean) / model.target_std
     n = xs.shape[0]
     for j, out in enumerate(model.outputs):
-        k_noisy = kernel_matrix(out.kernel, xs, xs)
+        u = xs / out.kernel.lengthscales
+        norms = _sq_norms(u)
+        k_noisy = _scaled_kernel(out.kernel, u, norms, u, norms)
         k_noisy.flat[:: n + 1] += out.noise_variance
         out.chol, out.jitter = _chol_with_jitter(k_noisy)
         out.alpha = scipy.linalg.cho_solve((out.chol, True), zs[:, j])
-    model.standardized = xs
+        out.scaled_inputs, out.scaled_sq_norms = u, norms
 
 
 def _bounds(d: int) -> list[tuple[float, float]]:
@@ -597,14 +620,14 @@ def predict(
         )
     if not np.all(np.isfinite(w2)):
         raise ValueError("prediction query contains non-finite values")
-    xs = model.standardized
     ws = (w2 - model.input_mean) / model.input_std
     means = np.empty((w2.shape[0], len(model.outputs)))
     variances = np.empty_like(means) if variance else None
     for j, out in enumerate(model.outputs):
-        if xs is None or out.chol is None or out.alpha is None:
+        if any(c is None for c in (out.chol, out.alpha, out.scaled_inputs, out.scaled_sq_norms)):
             raise RuntimeError("model caches missing; fit or load the model first")
-        ks = kernel_matrix(out.kernel, ws, xs)
+        uq = ws / out.kernel.lengthscales
+        ks = _scaled_kernel(out.kernel, uq, _sq_norms(uq), out.scaled_inputs, out.scaled_sq_norms)
         mean_s = ks @ out.alpha
         means[:, j] = mean_s * model.target_std[j] + model.target_mean[j]
         if variance:

@@ -7,6 +7,8 @@ verdict per gating property.
 
 import pytest
 
+from tracksim import gp
+
 
 def pytest_configure(config):
     config.addinivalue_line(
@@ -35,3 +37,23 @@ def pytest_runtest_logreport(report):
     if report.when == "call" or (report.when == "setup" and not report.passed):
         verdict = "PASS" if report.passed else "FAIL"
         print(f"\nACCEPTANCE {ident} {verdict}: {title}", flush=True)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in gp._bundled_openblas()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Set every bundled OpenBLAS to two threads for the test, then back."""
+    libs = gp._bundled_openblas()
+    if not libs:
+        pytest.skip("numpy and scipy bundle no OpenBLAS here")
+    before = blas_thread_counts()
+    for _, put in libs:
+        put(2)
+    try:
+        yield blas_thread_counts()
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)

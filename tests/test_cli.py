@@ -2,7 +2,7 @@
 
 Everything runs in-process through main(argv), on deliberately small
 trajectories so the whole file stays fast; only the BLAS thread-count
-test and the import test start subprocesses, since OpenBLAS reads
+tests and the import test start subprocesses, since OpenBLAS reads
 OPENBLAS_NUM_THREADS when it loads and a module stays in sys.modules
 once any test imported it. The determinism tests compare file bytes
 across reruns: reports embed no timestamps, so identical config and seed
@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 import yaml
+from conftest import blas_thread_counts
 
-from tracksim import gp
+from tracksim import cli, gp
 from tracksim.cli import main
 from tracksim.gp import FitConfig, fit, held_out_error, load_model, save_model
 from tracksim.sim import load_dataset, load_log
@@ -81,6 +82,23 @@ class TestGainsCheck:
         assert main(["gains-check", "--config", cfg]) == 1
         assert "UNSTABLE" in capsys.readouterr().out
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("trajectory", [
+        {"kind": "figure8", "amplitude": -1.0},
+        {"kind": "figure8", "period_steps": 2},
+        {"kind": "figure8", "laps": 0},
+        {"kind": "circle", "radius": 0.0},
+        {"kind": "waypoints", "cruise_speed": 0.0},
+        {"kind": "waypoints", "points": [[0, 0], [0, 0]]},
+    ], ids=["amplitude", "period_steps", "laps", "radius", "cruise_speed", "points"])
+    def test_rejects_the_references_the_run_commands_reject(self, tmp_path, capsys,
+                                                            trajectory):
+        cfg = write_config(tmp_path, {"trajectory": trajectory})
+        assert main(["collect", "--config", cfg, "--out", str(tmp_path / "c")]) == 2
+        rejected = capsys.readouterr().err
+        assert rejected.startswith("config error: trajectory: ")
+        assert main(["gains-check", "--config", cfg]) == 2
+        assert capsys.readouterr().err == rejected
 
 
 class TestConfigErrors:
@@ -498,6 +516,13 @@ print(json.dumps({"exit": code, "loaded": loaded}))
 """
 
 
+def subprocess_env(**extra):
+    """The environment with this checkout's sources first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """Configs for both slots, one collected dataset and a model trained on it."""
@@ -521,12 +546,59 @@ class TestImports:
          ["scipy.optimize"]),
     ], ids=["gains-check", "collect", "simulate", "evaluate", "simulate-gp"])
     def test_command_loads_only_the_scipy_it_runs(self, pipeline_dir, argv, absent):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-c", IMPORT_PROBE, *argv], cwd=pipeline_dir,
-            env=dict(os.environ, PYTHONPATH=path), check=True, capture_output=True, text=True,
+            env=subprocess_env(), check=True, capture_output=True, text=True,
         )
         probe = json.loads(proc.stdout.splitlines()[-1])
         assert probe["exit"] == 0
         assert not set(absent) & set(probe["loaded"])
+
+
+GP_COMMANDS = {
+    "evaluate": ["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"],
+    "simulate-gp": ["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"],
+}
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("argv, pinned", [
+        (["gains-check", "--config", "cfg.yaml"], False),
+        (["collect", "--config", "cfg.yaml", "--out", "c"], False),
+        (["simulate", "--config", "cfg.yaml", "--out", "s"], False),
+        (["train", "d/dataset.csv", "--config", "cfg.yaml", "--out", "t"], True),
+        (GP_COMMANDS["evaluate"], True),
+        (GP_COMMANDS["simulate-gp"], True),
+    ], ids=["gains-check", "collect", "simulate", "train", "evaluate", "simulate-gp"])
+    def test_only_gp_commands_run_on_one_thread(self, pipeline_dir, two_blas_threads,
+                                                monkeypatch, argv, pinned):
+        # record the thread counts where each command starts its work
+        seen = []
+        for name in ("validate_gains", "rollout", "load_dataset"):
+            def recording(*args, _fn=getattr(cli, name), **kwargs):
+                seen.append(blas_thread_counts())
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(cli, name, recording)
+        monkeypatch.chdir(pipeline_dir)
+        assert main(argv) == 0
+        expected = [1] * len(two_blas_threads) if pinned else two_blas_threads
+        assert seen and all(counts == expected for counts in seen)
+        assert blas_thread_counts() == two_blas_threads
+
+    def test_gp_command_files_identical_across_thread_counts(self, pipeline_dir, tmp_path):
+        if not gp._bundled_openblas():
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        digests = {}
+        for threads in ("1", "2"):
+            for name, argv in GP_COMMANDS.items():
+                out = tmp_path / f"{name}{threads}"
+                subprocess.run(
+                    [sys.executable, "-m", "tracksim.cli", *argv[:-1], str(out)],
+                    cwd=pipeline_dir, env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+                    check=True, capture_output=True,
+                )
+                digests.setdefault(threads, {}).update(
+                    {f"{name}/{p.name}": sha256(p) for p in out.iterdir()})
+        # the error CSV and report of evaluate, the log and metrics of simulate
+        assert len(digests["1"]) == 4
+        assert digests["1"] == digests["2"]

@@ -199,6 +199,12 @@ class TestEvaluation:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config({"evaluation": {"seeds": [1.5]}})
 
+    def test_repeated_seed_rejected(self):
+        # evaluate would run the seed twice, overwrite its error file and
+        # count it twice in the aggregate means
+        with pytest.raises(ConfigError, match=r"evaluation\.seeds must not repeat"):
+            parse_config({"evaluation": {"seeds": [1, 1]}})
+
 
 class TestContentHash:
     def test_equal_configs_equal_hash(self):

@@ -16,7 +16,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
+from conftest import blas_thread_counts
 
 from tracksim import gp
 from tracksim.gp import (
@@ -276,6 +278,60 @@ class TestPrediction:
             predict(model, np.full(6, np.nan))
 
 
+class TestPredictionCaches:
+    def uncached_predict(self, model, w):
+        """predict written against kernel_matrix, with nothing cached but
+        the factor and weights."""
+        ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
+        xs = model.standardized_inputs()
+        means, variances = [], []
+        for j, out in enumerate(model.outputs):
+            ks = kernel_matrix(out.kernel, ws, xs)
+            means.append((ks @ out.alpha) * model.target_std[j] + model.target_mean[j])
+            v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
+            latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
+            variances.append((latent + out.noise_variance) * model.target_std[j] ** 2)
+        return np.column_stack(means), np.column_stack(variances)
+
+    def test_same_bits_as_the_uncached_kernel(self):
+        rng = np.random.default_rng(28)
+        w, z = make_problem(rng, 40)
+        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02))
+        model.input_mean, model.input_std = w.mean(axis=0), w.std(axis=0)
+        _refresh_caches(model)
+        queries = rng.normal(size=(9, 6))
+        mean, var = predict(model, queries)
+        mean_o, var_o = self.uncached_predict(model, queries)
+        assert np.array_equal(mean, mean_o) and np.array_equal(var, var_o)
+        for q in queries:
+            m1, v1 = predict(model, q)
+            mean_only, _ = predict(model, q, variance=False)
+            m_q, v_q = self.uncached_predict(model, q)
+            assert np.array_equal(m1, m_q[0]) and np.array_equal(v1, v_q[0])
+            assert np.array_equal(mean_only, m_q[0])
+
+    def test_fit_and_load_fill_the_caches(self):
+        rng = np.random.default_rng(29)
+        w, z = make_problem(rng, 20)
+        fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
+        for model in (fitted, loaded):
+            xs = model.standardized_inputs()
+            for out in model.outputs:
+                scaled = xs / out.kernel.lengthscales
+                assert np.array_equal(out.scaled_inputs, scaled)
+                assert np.array_equal(out.scaled_sq_norms, np.sum(scaled**2, axis=1))
+
+    @pytest.mark.parametrize("cache", ["chol", "alpha", "scaled_inputs", "scaled_sq_norms"])
+    def test_missing_cache_raises(self, cache):
+        rng = np.random.default_rng(30)
+        w, z = make_problem(rng, 8)
+        model = manual_model(w, z, np.zeros(6), 0.0, math.log(0.1))
+        setattr(model.outputs[1], cache, None)
+        with pytest.raises(RuntimeError, match="caches missing"):
+            predict(model, w[0], variance=False)
+
+
 class TestFit:
     def test_learns_smooth_inverse_map(self):
         rng = np.random.default_rng(31)
@@ -354,26 +410,6 @@ class TestFit:
             Dataset(np.zeros((3, 6)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="finite"):
             Dataset(np.full((3, 6), np.nan), np.zeros((3, 2)))
-
-
-def blas_thread_counts():
-    return [get() for get, _ in gp._bundled_openblas()]
-
-
-@pytest.fixture
-def two_blas_threads():
-    """Set every bundled OpenBLAS to two threads for the test, then back."""
-    libs = gp._bundled_openblas()
-    if not libs:
-        pytest.skip("numpy and scipy bundle no OpenBLAS here")
-    before = blas_thread_counts()
-    for _, put in libs:
-        put(2)
-    try:
-        yield blas_thread_counts()
-    finally:
-        for (_, put), count in zip(libs, before):
-            put(count)
 
 
 class TestBlasThreads:
