@@ -10,6 +10,7 @@ alone.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import sys
 from dataclasses import dataclass, fields
@@ -62,20 +63,24 @@ _CONTROLLER_DEFAULTS = {"order": 2, "slot": "nominal"}
 
 _GAINS_DEFAULTS = {"kp": [0.1, 0.1], "kd": [0.3, 0.3]}
 
-_TRAJECTORY_DEFAULTS: dict[str, dict[str, Any]] = {
-    "figure8": {"amplitude": 2.0, "period_steps": 800, "laps": 1},
-    "circle": {"radius": 1.5, "period_steps": 800, "laps": 1},
-    "waypoints": {
-        "points": [[0.0, 0.0], [1.5, 0.6], [2.5, -0.4], [3.5, 0.8], [4.5, 0.0]],
-        "cruise_speed": 0.3,
-        "ramp_time": 2.0,
-    },
-}
-
 _TRAJECTORY_BUILDERS = {
     "figure8": make_figure8,
     "circle": make_circle,
     "waypoints": make_waypoint_path,
+}
+
+# the one builder parameter without a default of its own
+_DEFAULT_WAYPOINTS = [[0.0, 0.0], [1.5, 0.6], [2.5, -0.4], [3.5, 0.8], [4.5, 0.0]]
+
+# each kind's keys and defaults are its builder's parameters but
+# sample_time, which the vehicle block sets
+_TRAJECTORY_DEFAULTS: dict[str, dict[str, Any]] = {
+    kind: {
+        name: _DEFAULT_WAYPOINTS if name == "points" else p.default
+        for name, p in inspect.signature(build).parameters.items()
+        if name != "sample_time"
+    }
+    for kind, build in _TRAJECTORY_BUILDERS.items()
 }
 
 _EVALUATION_DEFAULTS = {"seeds": [50, 51, 52]}

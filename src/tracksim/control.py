@@ -161,8 +161,6 @@ def second_order_step(
 class FirstOrderTracker:
     """Stateless first-order tracker; rejects unstable gains up front."""
 
-    order = 1
-
     def __init__(self, gains: Gains, params: VehicleParams):
         assert_stable(gains, 1)
         self.gains = gains
@@ -185,8 +183,6 @@ class SecondOrderTracker:
     sample. The vehicle is assumed at rest on the first step (zero delta,
     reference held still).
     """
-
-    order = 2
 
     def __init__(
         self,

@@ -13,23 +13,26 @@ quasi-Newton optimizer, from a data-scaled start plus seeded random
 restarts. Inputs and targets are standardized internally; the stored
 transform is inverted at prediction time.
 
-Fitting or loading a model runs _refresh_caches, which keeps per output
-the standardized training inputs divided by that output's lengthscales,
-their squared row norms, the Cholesky factor of the noisy kernel matrix
-and the weight vector. A query then scales only itself and pays for one
-1 x N kernel row, its exp and a dot product per output.
+A fitted or loaded model is complete from the start: _output_model
+builds each output at once from its hyperparameters and the standardized
+training data, with the training inputs divided by that output's
+lengthscales, their squared row norms, the Cholesky factor of the noisy
+kernel matrix, its jitter and the weight vector. A query then scales
+only itself and pays for one 1 x N kernel row, its exp and a dot product
+per output.
 
-The optimizations, one per (output, start) pair, are independent: on a
-machine with two or more usable CPUs, fits of _PARALLEL_MIN_N samples or
-more run them in a pool of forked worker processes that ends with the
-fit. The result is merged in the serial order and is the serial fit's to
-the bit, so the model file has the same bytes on one CPU or several.
+The optimizations, one per (output, start) pair, are independent jobs
+of one list: on a machine with two or more usable CPUs, fits of
+_PARALLEL_MIN_N samples or more run the list in a pool of forked worker
+processes that ends with the fit, otherwise in the process itself. The
+results are merged per output in list order either way, so the model
+file has the same bytes on one CPU or several.
 
 scipy loads scipy.linalg and scipy.optimize on first use, so a command
 that never factors or fits a GP never imports them; a parallel fit loads
 scipy.optimize before its pool forks, so no worker imports it again.
 
-The fit, the factorizations and held_out_error's batched prediction run
+The fit, model_from_dict and held_out_error's batched prediction run
 their BLAS and LAPACK calls on one OpenBLAS thread, whatever
 OPENBLAS_NUM_THREADS says, and restore the previous thread count
 afterwards. Threaded reductions sum in another order, which made the
@@ -49,7 +52,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -325,23 +328,38 @@ def nll_and_grad(
     return nll, grad
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputModel:
-    """Per-output hyperparameters plus the caches predict reads."""
+    """One output's hyperparameters plus what predict reads of it: the
+    standardized training inputs divided by the lengthscales, their
+    squared row norms, the Cholesky factor of the noisy kernel matrix,
+    the jitter that factorization needed and the weight vector."""
 
     kernel: Kernel
     log_noise_variance: float
-    chol: Optional[np.ndarray] = None
-    alpha: Optional[np.ndarray] = None
-    jitter: float = 0.0
-    # standardized training inputs divided by the lengthscales, and their
-    # squared row norms
-    scaled_inputs: Optional[np.ndarray] = None
-    scaled_sq_norms: Optional[np.ndarray] = None
+    scaled_inputs: np.ndarray
+    scaled_sq_norms: np.ndarray
+    chol: np.ndarray
+    jitter: float
+    alpha: np.ndarray
 
     @property
     def noise_variance(self) -> float:
         return math.exp(self.log_noise_variance)
+
+
+def _output_model(
+    kernel: Kernel, log_noise_variance: float, xs: np.ndarray, zs_col: np.ndarray
+) -> OutputModel:
+    """The complete model of one output, from its hyperparameters, the
+    standardized training inputs and its standardized target column."""
+    u = xs / kernel.lengthscales
+    norms = _sq_norms(u)
+    k_noisy = _scaled_kernel(kernel, u, norms, u, norms)
+    k_noisy.flat[:: xs.shape[0] + 1] += math.exp(log_noise_variance)
+    chol, jitter = _chol_with_jitter(k_noisy)
+    alpha = scipy.linalg.cho_solve((chol, True), zs_col)
+    return OutputModel(kernel, log_noise_variance, u, norms, chol, jitter, alpha)
 
 
 @dataclass
@@ -354,33 +372,13 @@ class GpModel:
     input_std: np.ndarray
     target_mean: np.ndarray
     target_std: np.ndarray
-    outputs: list[OutputModel] = field(default_factory=list)
-    report: dict = field(default_factory=dict)
-
-    def standardized_inputs(self) -> np.ndarray:
-        return (self.inputs - self.input_mean) / self.input_std
+    outputs: list[OutputModel]
+    report: dict
 
 
 def _safe_std(x: np.ndarray) -> np.ndarray:
     std = x.std(axis=0)
     return np.where(std > 0.0, std, 1.0)
-
-
-@_single_blas_thread()
-def _refresh_caches(model: GpModel) -> None:
-    """(Re)build each output's scaled training inputs with their squared
-    norms, Cholesky factor and weight vector."""
-    xs = model.standardized_inputs()
-    zs = (model.targets - model.target_mean) / model.target_std
-    n = xs.shape[0]
-    for j, out in enumerate(model.outputs):
-        u = xs / out.kernel.lengthscales
-        norms = _sq_norms(u)
-        k_noisy = _scaled_kernel(out.kernel, u, norms, u, norms)
-        k_noisy.flat[:: n + 1] += out.noise_variance
-        out.chol, out.jitter = _chol_with_jitter(k_noisy)
-        out.alpha = scipy.linalg.cho_solve((out.chol, True), zs[:, j])
-        out.scaled_inputs, out.scaled_sq_norms = u, norms
 
 
 def _bounds(d: int) -> list[tuple[float, float]]:
@@ -408,11 +406,12 @@ def _starts(
     return [np.clip(s, [b[0] for b in bounds], [b[1] for b in bounds]) for s in starts]
 
 
-@_single_blas_thread()
-def _run_start(
-    xs: np.ndarray, zs_col: np.ndarray, start: np.ndarray, config: FitConfig
-) -> tuple[np.ndarray, dict]:
-    """One L-BFGS-B run of one output from one start; returns (theta, info)."""
+def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
+    """Job (j, idx) of the fit problem (xs, zs, starts, config): one
+    L-BFGS-B run of output j from its start idx; returns (theta, info)."""
+    xs, zs, starts, config = problem
+    j, idx = job
+    zs_col = zs[:, j]
     rejected = 0
 
     def objective(theta):
@@ -432,7 +431,7 @@ def _run_start(
 
     result = scipy.optimize.minimize(
         objective,
-        start,
+        starts[j][idx],
         jac=True,
         method="L-BFGS-B",
         bounds=_bounds(xs.shape[1]),
@@ -449,9 +448,9 @@ def _run_start(
     return np.array(result.x), info
 
 
-def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, float, dict]:
+def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, dict]:
     """The run with the lowest finite NLL, the first one on ties;
-    returns (theta, nll, info)."""
+    returns (theta, info)."""
     best = None
     for idx, (_, info) in enumerate(runs):
         info["start"] = idx
@@ -459,21 +458,11 @@ def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, float, 
             best = idx
     if best is None:
         raise ConditioningError("every optimizer start ended non-finite")
-    theta, nll = runs[best][0], runs[best][1]["nll"]
-    return theta, nll, {
+    return runs[best][0], {
         "chosen_start": best,
-        "final_nll": nll,
+        "final_nll": runs[best][1]["nll"],
         "starts": [info for _, info in runs],
     }
-
-
-def _optimize_output(
-    xs: np.ndarray, zs_col: np.ndarray, config: FitConfig, seed_key: list
-) -> tuple[np.ndarray, float, dict]:
-    """Maximize one output's marginal likelihood from each start in turn;
-    returns (theta, nll, info)."""
-    starts = _starts(xs, zs_col, config, seed_key)
-    return _pick_best([_run_start(xs, zs_col, s, config) for s in starts])
 
 
 # The fit problem a worker process serves, set by the pool's initializer.
@@ -483,14 +472,13 @@ def _optimize_output(
 _worker_problem: Optional[tuple] = None
 
 
-def _init_worker(xs, zs, starts, config) -> None:
+def _init_worker(problem: tuple) -> None:
     global _worker_problem
-    _worker_problem = (xs, zs, starts, config)
+    _worker_problem = problem
 
 
-def _run_job(j: int, idx: int) -> tuple[np.ndarray, dict]:
-    xs, zs, starts, config = _worker_problem
-    return _run_start(xs, zs[:, j], starts[j][idx], config)
+def _run_worker_job(job: tuple[int, int]) -> tuple[np.ndarray, dict]:
+    return _run_start(_worker_problem, job)
 
 
 def _usable_cpus() -> int:
@@ -507,45 +495,52 @@ def _usable_cpus() -> int:
     return cpus
 
 
-def _optimize_outputs(xs: np.ndarray, zs: np.ndarray, config: FitConfig) -> list[tuple]:
-    """(theta, nll, info) of every output.
+def _optimize_outputs(
+    xs: np.ndarray, zs: np.ndarray, config: FitConfig
+) -> list[tuple[np.ndarray, dict]]:
+    """(theta, info) of every output.
 
-    Every (output, start) pair is an independent optimization. With two
-    or more usable CPUs and at least _PARALLEL_MIN_N samples they run as
-    one job each in a pool of forked workers, and the results are merged
-    in the serial order, so the outcome is the serial fit's to the bit.
+    Every (output, start) pair is one independent job of a flat list.
+    With two or more usable CPUs and at least _PARALLEL_MIN_N samples the
+    list runs in a pool of forked workers, otherwise in this process; the
+    results are merged per output in list order, so the outcome is the
+    same to the bit either way.
     """
     n, m = zs.shape
-    workers = min(_usable_cpus(), m * (config.restarts + 1))
-    if n < _PARALLEL_MIN_N or workers < 2:
-        return [_optimize_output(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
-    # imported here, as only a parallel fit needs them and every command imports gp
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # the parent never calls minimize here, so without this every worker would import it
-    import scipy.optimize  # noqa: F401
-
     starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
-    # fork, not spawn or forkserver: those start every pool by importing
-    # numpy and scipy again, which eats the saving (N=500 clean fit on
-    # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
-    # serial about 3.4 s), and they pickle the training arrays. Forking
-    # after OpenBLAS started its threads is safe: OpenBLAS stops them in
-    # its own at-fork handler, and the pool forks all its workers before
-    # it starts a thread of its own, so Python 3.12's warning about
-    # forking a multi-threaded process does not fire.
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(xs, zs, starts, config),
-    )
-    try:
-        jobs = [[pool.submit(_run_job, j, idx) for idx in range(len(starts[j]))] for j in range(m)]
-        return [_pick_best([job.result() for job in output]) for output in jobs]
-    finally:
-        # also when a job raised: drop the queued jobs and join every worker
-        pool.shutdown(cancel_futures=True)
+    problem = (xs, zs, starts, config)
+    jobs = [(j, idx) for j in range(m) for idx in range(len(starts[j]))]
+    workers = min(_usable_cpus(), len(jobs))
+    if n < _PARALLEL_MIN_N or workers < 2:
+        runs = [_run_start(problem, job) for job in jobs]
+    else:
+        # imported here, as only a parallel fit needs them and every command imports gp
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        # the parent never calls minimize here, so without this every worker would import it
+        import scipy.optimize  # noqa: F401
+
+        # fork, not spawn or forkserver: those start every pool by importing
+        # numpy and scipy again, which eats the saving (N=500 clean fit on
+        # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
+        # serial about 3.4 s), and they pickle the training arrays. Forking
+        # after OpenBLAS started its threads is safe: OpenBLAS stops them in
+        # its own at-fork handler, and the pool forks all its workers before
+        # it starts a thread of its own, so Python 3.12's warning about
+        # forking a multi-threaded process does not fire. The workers
+        # inherit the parent's single BLAS thread.
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(problem,),
+        )
+        try:
+            runs = list(pool.map(_run_worker_job, jobs))
+        finally:
+            # also when a job raised: drop the queued jobs and join every worker
+            pool.shutdown(cancel_futures=True)
+    return [_pick_best([run for (k, _), run in zip(jobs, runs) if k == j]) for j in range(m)]
 
 
 @_single_blas_thread()
@@ -565,40 +560,24 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
             pick_rng.choice(len(data), size=config.max_train, replace=False)
         )
         w, z = w[idx], z[idx]
-    input_mean = w.mean(axis=0)
-    input_std = _safe_std(w)
-    target_mean = z.mean(axis=0)
-    target_std = _safe_std(z)
-    model = GpModel(
-        inputs=w,
-        targets=z,
-        input_mean=input_mean,
-        input_std=input_std,
-        target_mean=target_mean,
-        target_std=target_std,
-    )
-    xs = model.standardized_inputs()
+    input_mean, input_std = w.mean(axis=0), _safe_std(w)
+    target_mean, target_std = z.mean(axis=0), _safe_std(z)
+    xs = (w - input_mean) / input_std
     zs = (z - target_mean) / target_std
     d = w.shape[1]
-    per_output = []
-    for theta, _, info in _optimize_outputs(xs, zs, config):
+    outputs, per_output = [], []
+    for j, (theta, info) in enumerate(_optimize_outputs(xs, zs, config)):
+        out = _output_model(Kernel(theta[:d], float(theta[d])), float(theta[d + 1]), xs, zs[:, j])
+        info["jitter"] = out.jitter
+        outputs.append(out)
         per_output.append(info)
-        model.outputs.append(
-            OutputModel(
-                kernel=Kernel(theta[:d], float(theta[d])),
-                log_noise_variance=float(theta[d + 1]),
-            )
-        )
-    model.report = {
+    report = {
         "n_train": int(w.shape[0]),
         "restarts": config.restarts,
         "max_iter": config.max_iter,
         "outputs": per_output,
     }
-    _refresh_caches(model)
-    for info, out in zip(per_output, model.outputs):
-        info["jitter"] = out.jitter
-    return model
+    return GpModel(w, z, input_mean, input_std, target_mean, target_std, outputs, report)
 
 
 def predict(
@@ -624,8 +603,6 @@ def predict(
     means = np.empty((w2.shape[0], len(model.outputs)))
     variances = np.empty_like(means) if variance else None
     for j, out in enumerate(model.outputs):
-        if any(c is None for c in (out.chol, out.alpha, out.scaled_inputs, out.scaled_sq_norms)):
-            raise RuntimeError("model caches missing; fit or load the model first")
         uq = ws / out.kernel.lengthscales
         ks = _scaled_kernel(out.kernel, uq, _sq_norms(uq), out.scaled_inputs, out.scaled_sq_norms)
         mean_s = ks @ out.alpha
@@ -684,6 +661,7 @@ def model_to_dict(model: GpModel) -> dict:
     }
 
 
+@_single_blas_thread()
 def model_from_dict(payload: dict) -> GpModel:
     for key in ("format", "kernel_kind", "inputs", "targets", "standardization", "outputs"):
         if key not in payload:
@@ -702,31 +680,27 @@ def model_from_dict(payload: dict) -> GpModel:
             f"match stored inputs {inputs.shape}"
         )
     std = payload["standardization"]
-    model = GpModel(
-        inputs=inputs,
-        targets=targets,
-        input_mean=np.asarray(std["input_mean"], dtype=float),
-        input_std=np.asarray(std["input_std"], dtype=float),
-        target_mean=np.asarray(std["target_mean"], dtype=float),
-        target_std=np.asarray(std["target_std"], dtype=float),
-        report=payload.get("report", {}),
-    )
-    if model.input_mean.shape != (inputs.shape[1],):
+    input_mean = np.asarray(std["input_mean"], dtype=float)
+    input_std = np.asarray(std["input_std"], dtype=float)
+    target_mean = np.asarray(std["target_mean"], dtype=float)
+    target_std = np.asarray(std["target_std"], dtype=float)
+    if input_mean.shape != (inputs.shape[1],):
         raise ValueError("standardization constants do not match input dim")
-    for out in payload["outputs"]:
-        model.outputs.append(
-            OutputModel(
-                kernel=Kernel(
-                    np.asarray(out["log_lengthscales"], dtype=float),
-                    float(out["log_signal_variance"]),
-                ),
-                log_noise_variance=float(out["log_noise_variance"]),
-            )
-        )
-    if len(model.outputs) != targets.shape[1]:
+    if len(payload["outputs"]) != targets.shape[1]:
         raise ValueError("output blocks do not match target dim")
-    _refresh_caches(model)
-    return model
+    xs = (inputs - input_mean) / input_std
+    zs = (targets - target_mean) / target_std
+    outputs = [
+        _output_model(
+            Kernel(np.asarray(out["log_lengthscales"], dtype=float), float(out["log_signal_variance"])),
+            float(out["log_noise_variance"]),
+            xs,
+            zs[:, j],
+        )
+        for j, out in enumerate(payload["outputs"])
+    ]
+    return GpModel(inputs, targets, input_mean, input_std, target_mean, target_std, outputs,
+                   payload.get("report", {}))
 
 
 def atomic_write_text(path: str, text: str) -> None:

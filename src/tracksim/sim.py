@@ -459,7 +459,6 @@ class RolloutLog:
     step k, the filtered track speeds, and the slip state.
     """
 
-    sample_time: float
     ref_x: np.ndarray
     ref_y: np.ndarray
     x: np.ndarray
@@ -491,7 +490,7 @@ class RolloutLog:
 
 
 # the per-step columns, in LOG_COLUMNS order after "t"
-_LOG_FIELDS = tuple(f.name for f in fields(RolloutLog) if f.name != "sample_time")
+_LOG_FIELDS = tuple(f.name for f in fields(RolloutLog))
 
 
 def rollout(
@@ -510,8 +509,8 @@ def rollout(
     sample with heading taken from the first nonzero reference delta,
     and the vehicle is at rest. Deterministic given the seed.
 
-    Raises NumericsError if the state ever goes non-finite, and
-    ValueError for inconsistent arguments (slip plant without a world,
+    Raises NumericsError if the state ever goes non-finite or overflows,
+    and ValueError for inconsistent arguments (slip plant without a world,
     learned inverse with a first-order law, unstable gains).
     """
     if plant not in ("nominal", "slip"):
@@ -549,11 +548,12 @@ def rollout(
         pose_b = machine.offset_pose()
         center = machine.center()
         # the pose, delta, and command types reject non-finite values, so
-        # divergence surfaces as ValueError inside the step
+        # divergence surfaces as ValueError inside the step; a float power
+        # that overflows (a large slip exponent) raises OverflowError
         try:
             cmd = tracker.command(ref, pose_b)
             step = machine.step(cmd)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise NumericsError(
                 f"loop state went non-finite at step {k}: {exc}"
             ) from exc
@@ -567,7 +567,7 @@ def rollout(
             math.hypot(ref.x - pose_b.x, ref.y - pose_b.y),
         ))
         tracker.observe(delta)
-    return RolloutLog(traj.sample_time, *np.array(rows).T.copy())
+    return RolloutLog(*np.array(rows).T.copy())
 
 
 def learned_inverse(model: GpModel) -> InverseModelFn:
@@ -697,8 +697,8 @@ def save_log(log: RolloutLog, path: str) -> None:
     write_csv(path, LOG_COLUMNS, zip(range(len(log)), *columns))
 
 
-def load_log(path: str, sample_time: float = 0.05) -> RolloutLog:
-    return RolloutLog(sample_time, *read_csv(path, LOG_COLUMNS)[:, 1:].T.copy())
+def load_log(path: str) -> RolloutLog:
+    return RolloutLog(*read_csv(path, LOG_COLUMNS)[:, 1:].T.copy())
 
 
 DATASET_COLUMNS = ("w1", "w2", "w3", "w4", "w5", "w6", "z1", "z2")

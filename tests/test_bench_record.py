@@ -34,7 +34,17 @@ def record(monkeypatch, tmp_path):
             pair = seed - 301
             return broken.get((workload, os.path.basename(checkout), pair), stub_result())
 
-        monkeypatch.setattr(bench_record, "export", lambda spec, dest: {"revision": spec})
+        def export(spec, dest):
+            # base: one module of 3 lines; change: two modules, 4 lines in all
+            package = os.path.join(dest, "src", "tracksim")
+            os.makedirs(package)
+            modules = {"base": ["a\nb\nc\n"], "change": ["a\n", "b\nc\nd\n"]}
+            for i, text in enumerate(modules[os.path.basename(dest)]):
+                with open(os.path.join(package, f"m{i}.py"), "w") as fh:
+                    fh.write(text)
+            return {"revision": spec}
+
+        monkeypatch.setattr(bench_record, "export", export)
         monkeypatch.setattr(bench_record, "environment", lambda checkout: {})
         monkeypatch.setattr(bench_record, "run_once", run_once)
         out = tmp_path / "bench.json"
@@ -49,6 +59,11 @@ def test_clean_runs_exit_zero(record):
     code, written = record({})
     assert code == 0
     assert all(w["all_correct"] for w in written["workloads"].values())
+
+
+def test_records_each_sides_source_line_count(record):
+    _, written = record({})
+    assert written["src_lines"] == {"base": 3, "change": 4}
 
 
 @pytest.mark.parametrize("result, shown", [

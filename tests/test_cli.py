@@ -195,6 +195,18 @@ class TestConfigErrors:
             main(["teleport", "--config", "x"])
 
 
+class TestNumericsErrors:
+    @pytest.mark.parametrize("command", ["simulate", "collect"])
+    def test_overflowing_slip_ratio_exits_3(self, tmp_path, capsys, command):
+        # |v_l / v_r| ** n overflows a float for a huge slip exponent
+        cfg = tiny_config(tmp_path, plant="slip",
+                          world={"n": 1.0e300, "base_slip": 0.1, "alpha": 0.61})
+        out = tmp_path / "run"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "numeric error: loop state went non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_nominal_run_writes_artifacts(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)

@@ -185,6 +185,16 @@ class TestTrajectory:
         with pytest.raises(ConfigError, match="trajectory"):
             cfg.trajectory()
 
+    @pytest.mark.parametrize("kind", ["figure8", "circle", "waypoints"])
+    def test_default_reference_is_the_builders(self, kind):
+        cfg = parse_config({"trajectory": {"kind": kind}})
+        # the builder on its own defaults; only the waypoints have none
+        args = [cfg.resolved["trajectory"]["points"]] if kind == "waypoints" else []
+        want = config._TRAJECTORY_BUILDERS[kind](*args, sample_time=cfg.params.sample_time)
+        got = cfg.trajectory()
+        assert got.kind == want.kind and got.sample_time == want.sample_time
+        assert got.samples == want.samples
+
 
 class TestEvaluation:
     def test_seeds_override(self):

@@ -27,9 +27,8 @@ from tracksim.gp import (
     FitConfig,
     GpModel,
     Kernel,
-    OutputModel,
     _chol_with_jitter,
-    _refresh_caches,
+    _output_model,
     fit,
     held_out_error,
     kernel_matrix,
@@ -63,26 +62,21 @@ def make_problem(rng, n, d=6, noise=0.05):
     return w, z
 
 
-def manual_model(w, z, log_ls, log_sf2, log_sn2):
-    """Model with pinned hyperparameters and identity standardization."""
-    d = w.shape[1]
-    model = GpModel(
-        inputs=w,
-        targets=z,
-        input_mean=np.zeros(d),
-        input_std=np.ones(d),
-        target_mean=np.zeros(z.shape[1]),
-        target_std=np.ones(z.shape[1]),
-    )
-    for _ in range(z.shape[1]):
-        model.outputs.append(
-            OutputModel(
-                kernel=Kernel(np.asarray(log_ls, dtype=float), log_sf2),
-                log_noise_variance=log_sn2,
-            )
-        )
-    _refresh_caches(model)
-    return model
+def manual_model(w, z, log_ls, log_sf2, log_sn2, input_mean=None, input_std=None):
+    """Model with pinned hyperparameters and identity target
+    standardization; the input standardization is the identity unless
+    given."""
+    d, m = w.shape[1], z.shape[1]
+    input_mean = np.zeros(d) if input_mean is None else input_mean
+    input_std = np.ones(d) if input_std is None else input_std
+    xs = (w - input_mean) / input_std
+    kernel = Kernel(np.asarray(log_ls, dtype=float), log_sf2)
+    outputs = [_output_model(kernel, log_sn2, xs, z[:, j]) for j in range(m)]
+    return GpModel(w, z, input_mean, input_std, np.zeros(m), np.ones(m), outputs, {})
+
+
+def standardized_inputs(model):
+    return (model.inputs - model.input_mean) / model.input_std
 
 
 class TestKernel:
@@ -283,7 +277,7 @@ class TestPredictionCaches:
         """predict written against kernel_matrix, with nothing cached but
         the factor and weights."""
         ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
-        xs = model.standardized_inputs()
+        xs = standardized_inputs(model)
         means, variances = [], []
         for j, out in enumerate(model.outputs):
             ks = kernel_matrix(out.kernel, ws, xs)
@@ -296,9 +290,8 @@ class TestPredictionCaches:
     def test_same_bits_as_the_uncached_kernel(self):
         rng = np.random.default_rng(28)
         w, z = make_problem(rng, 40)
-        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02))
-        model.input_mean, model.input_std = w.mean(axis=0), w.std(axis=0)
-        _refresh_caches(model)
+        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
+                             input_mean=w.mean(axis=0), input_std=w.std(axis=0))
         queries = rng.normal(size=(9, 6))
         mean, var = predict(model, queries)
         mean_o, var_o = self.uncached_predict(model, queries)
@@ -316,20 +309,11 @@ class TestPredictionCaches:
         fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
         for model in (fitted, loaded):
-            xs = model.standardized_inputs()
+            xs = standardized_inputs(model)
             for out in model.outputs:
                 scaled = xs / out.kernel.lengthscales
                 assert np.array_equal(out.scaled_inputs, scaled)
                 assert np.array_equal(out.scaled_sq_norms, np.sum(scaled**2, axis=1))
-
-    @pytest.mark.parametrize("cache", ["chol", "alpha", "scaled_inputs", "scaled_sq_norms"])
-    def test_missing_cache_raises(self, cache):
-        rng = np.random.default_rng(30)
-        w, z = make_problem(rng, 8)
-        model = manual_model(w, z, np.zeros(6), 0.0, math.log(0.1))
-        setattr(model.outputs[1], cache, None)
-        with pytest.raises(RuntimeError, match="caches missing"):
-            predict(model, w[0], variance=False)
 
 
 class TestFit:
@@ -415,13 +399,13 @@ class TestFit:
 class TestBlasThreads:
     def test_fit_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, monkeypatch):
         seen = []
-        optimize = gp._optimize_output
+        run_start = gp._run_start
 
         def recording(*args):
             seen.append(blas_thread_counts())
-            return optimize(*args)
+            return run_start(*args)
 
-        monkeypatch.setattr(gp, "_optimize_output", recording)
+        monkeypatch.setattr(gp, "_run_start", recording)
         rng = np.random.default_rng(36)
         w, z = make_problem(rng, 20)
         fit(w, z, FitConfig(max_iter=10, restarts=0))
@@ -432,7 +416,7 @@ class TestBlasThreads:
         def failing(*args):
             raise ConditioningError("every optimizer start ended non-finite")
 
-        monkeypatch.setattr(gp, "_optimize_output", failing)
+        monkeypatch.setattr(gp, "_run_start", failing)
         rng = np.random.default_rng(37)
         w, z = make_problem(rng, 10)
         with pytest.raises(ConditioningError):
@@ -440,6 +424,10 @@ class TestBlasThreads:
         assert blas_thread_counts() == two_blas_threads
 
     def test_refresh_caches_runs_on_one_thread(self, two_blas_threads, monkeypatch):
+        # loading builds every output model's caches on one thread
+        rng = np.random.default_rng(38)
+        w, z = make_problem(rng, 10)
+        payload = model_to_dict(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)))
         seen = []
         chol = gp._chol_with_jitter
 
@@ -448,9 +436,7 @@ class TestBlasThreads:
             return chol(k_noisy)
 
         monkeypatch.setattr(gp, "_chol_with_jitter", recording)
-        rng = np.random.default_rng(38)
-        w, z = make_problem(rng, 10)
-        manual_model(w, z, np.zeros(6), 0.0, math.log(0.1))
+        model_from_dict(payload)
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
 

@@ -57,7 +57,6 @@ def manual_log(ref, pose_b):
     n = ref.shape[0]
     zeros = np.zeros(n)
     return RolloutLog(
-        sample_time=0.05,
         ref_x=ref[:, 0].astype(float),
         ref_y=ref[:, 1].astype(float),
         x=pose_b[:, 0].astype(float),
@@ -423,7 +422,7 @@ class TestCsvPersistence:
         log = rollout(traj, GAINS2, 2, PARAMS, plant="slip", world=world, seed=5)
         path = tmp_path / "run.csv"
         save_log(log, str(path))
-        loaded = load_log(str(path), sample_time=PARAMS.sample_time)
+        loaded = load_log(str(path))
         for name in (
             "ref_x", "ref_y", "x", "y", "phi", "x_b", "y_b",
             "dx", "dy", "dphi", "vl_cmd", "vr_cmd", "vl_real", "vr_real",

@@ -19,7 +19,9 @@ neither side), and a noise band: the pairs split into two back-to-back
 recordings of half the pairs each, and the band is the largest relative
 difference between the two halves' medians on either side. It also
 records nproc, the Python, numpy and scipy versions, and the thread
-count and build of each OpenBLAS, as the benchmark reports them.
+count and build of each OpenBLAS, as the benchmark reports them, and
+each side's line count of src/tracksim/*.py (as ``wc -l`` counts), so
+the size of the code is kept next to its speed.
 
 A broken run does not disappear into the medians: after writing the
 file, the script exits 1 and names the workload, side and pair of every
@@ -30,6 +32,7 @@ operations.
 from __future__ import annotations
 
 import argparse
+import glob
 import importlib.util
 import io
 import json
@@ -81,6 +84,15 @@ def export(spec: str, dest: str) -> dict:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest)
     return {"revision": spec, "commit": git("rev-parse", spec)}
+
+
+def src_lines(checkout: str) -> int:
+    """Newlines in the checkout's src/tracksim/*.py, the total of wc -l."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "tracksim", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -137,6 +149,7 @@ def main(argv=None) -> int:
             "base": origin["base"],
             "change": origin["change"],
             "environment": environment(sides["change"]),
+            "src_lines": {side: src_lines(path) for side, path in sides.items()},
             "pairs": args.pairs,
             "seeds": [args.seed0 + i for i in range(args.pairs)],
             "run_seconds": seconds,
