@@ -76,13 +76,11 @@ def _load_inverse(path: str) -> tuple[GpModel, InverseModelFn]:
     try:
         model = load_model(path)
         return model, learned_inverse(model)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: wrong JSON types
         raise ArtifactError(f"model file {path} is not usable: {exc}") from exc
 
 
-def _rollout_for(
-    cfg: ExperimentConfig, traj, seed: int, inverse_model=None
-) -> RolloutLog:
+def _rollout_for(cfg: ExperimentConfig, seed: int, inverse_model=None) -> RolloutLog:
     # unstable gains are a rejected run request, not a failed run
     try:
         assert_stable(cfg.gains, cfg.order)
@@ -90,7 +88,7 @@ def _rollout_for(
         raise ConfigError(f"gains: {exc}") from exc
     world = cfg.world if cfg.plant == "slip" else None
     return rollout(
-        traj,
+        cfg.trajectory(),
         cfg.gains,
         cfg.order,
         cfg.params,
@@ -112,8 +110,7 @@ def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
             raise ConfigError("controller.slot 'gp' requires --model")
         _, inverse = _load_inverse(model_path)
         model_hash = _sha256_file(model_path)
-    traj = cfg.trajectory()
-    log = _rollout_for(cfg, traj, run_seed, inverse)
+    log = _rollout_for(cfg, run_seed, inverse)
     metrics = cartesian_error(log)
     os.makedirs(out, exist_ok=True)
     save_log(log, os.path.join(out, "log.csv"))
@@ -144,8 +141,7 @@ def cmd_collect(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     learned inverse trains on.
     """
     run_seed = cfg.seed if seed is None else seed
-    traj = cfg.trajectory()
-    log = _rollout_for(cfg, traj, run_seed)
+    log = _rollout_for(cfg, run_seed)
     data = extract_dataset(log)
     train, test = split_dataset(data, cfg.train_fraction, seed=cfg.fit.seed)
     os.makedirs(out, exist_ok=True)
@@ -249,13 +245,12 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     prediction error doubles as a slot-equivalence measure.
     """
     model, inverse = _load_inverse(model_path)
-    traj = cfg.trajectory()
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
     os.makedirs(out, exist_ok=True)
     per_seed = []
     for s in seeds:
-        log_nom = _rollout_for(cfg, traj, s)
-        log_gp = _rollout_for(cfg, traj, s, inverse)
+        log_nom = _rollout_for(cfg, s)
+        log_gp = _rollout_for(cfg, s, inverse)
         m_nom = cartesian_error(log_nom)
         m_gp = cartesian_error(log_gp)
         eval_data = extract_dataset(log_nom)
@@ -305,7 +300,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
 
 def cmd_gains_check(cfg: ExperimentConfig) -> int:
     """Print closed-loop pole magnitudes; exit 0 iff the trackers accept them."""
-    cfg.trajectory()  # a reference the run commands reject exits 2 here too
     mags = validate_gains(cfg.gains, cfg.order)
     try:
         assert_stable(cfg.gains, cfg.order)

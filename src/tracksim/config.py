@@ -164,6 +164,7 @@ class ExperimentConfig:
         train_fraction: train share of the collected dataset split.
         seed: base seed for simulate/collect rollouts (world block "seed").
         eval_seeds: plant seeds the evaluate command compares slots on.
+        reference: the reference trajectory the trajectory block describes.
     """
 
     resolved: dict
@@ -177,15 +178,11 @@ class ExperimentConfig:
     train_fraction: float
     seed: int
     eval_seeds: tuple[int, ...]
+    reference: ReferenceTrajectory
 
     def trajectory(self) -> ReferenceTrajectory:
-        """Build the reference trajectory described by the config."""
-        spec = dict(self.resolved["trajectory"])
-        build = _TRAJECTORY_BUILDERS[spec.pop("kind")]
-        try:
-            return build(sample_time=self.params.sample_time, **spec)
-        except (ValueError, OverflowError) as exc:  # too long to count in samples
-            raise ConfigError(f"trajectory: {exc}") from exc
+        """The reference trajectory described by the config."""
+        return self.reference
 
     def content_hash(self) -> str:
         """sha256 over the canonical JSON form of the resolved config."""
@@ -216,7 +213,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
 
     Raises:
         ConfigError: unknown keys, wrong types, or values the domain types
-            reject (the offending key is named in the message).
+            or the reference builders reject (the message names the key).
     """
     raw = _require_mapping(raw, "config")
     unknown = sorted(set(raw) - set(_TOP_LEVEL_KEYS))
@@ -291,6 +288,14 @@ def parse_config(raw: Any) -> ExperimentConfig:
     if len(set(eval_seeds)) != len(eval_seeds):
         raise ConfigError(f"evaluation.seeds must not repeat a seed, got {list(eval_seeds)}")
 
+    # built last, so that the other sections' errors come first
+    spec = dict(trajectory)
+    build = _TRAJECTORY_BUILDERS[spec.pop("kind")]
+    try:
+        reference = build(sample_time=params.sample_time, **spec)
+    except (ValueError, OverflowError) as exc:  # too long to count in samples
+        raise ConfigError(f"trajectory: {exc}") from exc
+
     resolved = {
         "vehicle": vehicle,
         "world": world_raw,
@@ -313,6 +318,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         train_fraction=train_fraction,
         seed=seed,
         eval_seeds=eval_seeds,
+        reference=reference,
     )
 
 

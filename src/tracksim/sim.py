@@ -5,7 +5,8 @@ plants at a fixed sample time: the nominal plant integrates the offset
 pose under the exact difference model (so nominal control is exact on
 it), while the slip plant integrates the vehicle center through the
 tilted-plane slip equations and reports offset-pose deltas by
-differencing, the way odometry would.
+differencing, the way odometry would. Each plant keeps both poses,
+offset and center, and updates them once per step.
 
 Log rows follow one convention throughout: row k holds the pose read at
 step k (before moving), the command issued at step k, and the offset
@@ -44,8 +45,6 @@ from .kinematics import (
 )
 from .terrain3d import SlipPlaneWorld, SlipState, slip_forward, slip_ratios
 
-TRAJECTORY_KINDS = ("figure8", "circle", "waypoints")
-
 # dense polyline spacing used to represent the waypoint spline; small
 # enough that chord error is far below the waypoint-hit tolerance
 SPLINE_SPACING = 1e-3
@@ -71,17 +70,11 @@ class NumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class ReferenceTrajectory:
-    """Uniformly sampled reference for the offset point."""
+    """Reference for the offset point, one sample per sample time."""
 
-    kind: str
-    sample_time: float
     samples: tuple[ReferencePoint, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.sample_time <= 0.0:
-            raise ValueError(f"sample_time must be positive, got {self.sample_time}")
         if len(self.samples) < 1:
             raise ValueError("trajectory needs at least one sample")
 
@@ -93,7 +86,7 @@ class ReferenceTrajectory:
 
 
 def _trajectory_from_positions(
-    kind: str, positions: np.ndarray, sample_time: float, size_key: str
+    positions: np.ndarray, sample_time: float, size_key: str
 ) -> ReferenceTrajectory:
     """Build M reference points from M+2 positions (forward deltas).
 
@@ -119,7 +112,7 @@ def _trajectory_from_positions(
         )
         for k in range(positions.shape[0] - 2)
     )
-    return ReferenceTrajectory(kind, sample_time, samples)
+    return ReferenceTrajectory(samples)
 
 
 def _angle_grid(period_steps: int, laps: int) -> np.ndarray:
@@ -156,7 +149,7 @@ def make_figure8(
     theta = _angle_grid(period_steps, laps)
     s = np.sin(theta)
     positions = amplitude * np.stack([s, s * np.cos(theta)], axis=1)
-    return _trajectory_from_positions("figure8", positions, sample_time, "amplitude")
+    return _trajectory_from_positions(positions, sample_time, "amplitude")
 
 
 def make_circle(
@@ -170,7 +163,7 @@ def make_circle(
         raise ValueError(f"radius must be positive, got {radius}")
     theta = _angle_grid(period_steps, laps)
     positions = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    return _trajectory_from_positions("circle", positions, sample_time, "radius")
+    return _trajectory_from_positions(positions, sample_time, "radius")
 
 
 def catmull_rom_point(
@@ -216,9 +209,7 @@ class PathSpline:
         return np.stack([x, y], axis=-1)
 
 
-def path_spline(
-    waypoints: Sequence[Sequence[float]], spacing: float = SPLINE_SPACING
-) -> PathSpline:
+def path_spline(waypoints: Sequence[Sequence[float]]) -> PathSpline:
     """Catmull-Rom spline through the waypoints, densely traced.
 
     Endpoint tangents come from mirrored phantom points, so a two-point
@@ -232,15 +223,15 @@ def path_spline(
         raise ValueError("waypoints contain non-finite values")
     gaps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     if np.any(gaps < 1e-12):
-        raise ValueError("consecutive waypoints coincide")
+        raise ValueError("points: consecutive waypoints coincide")
     control = np.vstack([2.0 * pts[0] - pts[1], pts, 2.0 * pts[-1] - pts[-2]])
     counts = [
-        max(8, int(math.ceil(float(np.linalg.norm(p2 - p1)) / spacing)))
+        max(8, int(math.ceil(float(np.linalg.norm(p2 - p1)) / SPLINE_SPACING)))
         for p1, p2 in zip(pts[:-1], pts[1:])
     ]
     if sum(counts) > MAX_SPLINE_POINTS:
         raise ValueError(
-            f"points: tracing the path every {spacing} m takes {sum(counts)} "
+            f"points: tracing the path every {SPLINE_SPACING} m takes {sum(counts)} "
             f"points, more than {MAX_SPLINE_POINTS}"
         )
     dense = [pts[0]]
@@ -318,7 +309,7 @@ def make_waypoint_path(
     times = np.arange(steps + 3) * sample_time
     s = np.array([s_of_t(float(t)) for t in times])
     positions = spline.point_at(s)
-    return _trajectory_from_positions("waypoints", positions, sample_time, "points")
+    return _trajectory_from_positions(positions, sample_time, "points")
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +345,22 @@ class NominalPlant:
             raise ValueError(f"actuator_alpha must be in [0, 1), got {actuator_alpha}")
         self.params = params
         self.alpha = actuator_alpha
-        self._pose = start
+        self.offset = start
+        self.center = center_pose(start, params)
         self._vel = np.zeros(2)
-
-    def offset_pose(self) -> OffsetPose:
-        return self._pose
-
-    def center(self) -> Pose2:
-        return center_pose(self._pose, self.params)
 
     def step(self, cmd: TrackCommand) -> PlantStep:
         self._vel = _actuate(self._vel, cmd, self.alpha, self.params)
         d = self.params.sample_time * (
-            offset_model_matrix(self._pose.phi, self.params) @ self._vel
+            offset_model_matrix(self.offset.phi, self.params) @ self._vel
         )
         delta = PoseDelta(d[0], d[1], d[2])
-        self._pose = OffsetPose(
-            self._pose.x + delta.dx,
-            self._pose.y + delta.dy,
-            self._pose.phi + delta.dphi,
+        self.offset = OffsetPose(
+            self.offset.x + delta.dx,
+            self.offset.y + delta.dy,
+            self.offset.phi + delta.dphi,
         )
+        self.center = center_pose(self.offset, self.params)
         return PlantStep(delta, float(self._vel[0]), float(self._vel[1]), SlipState.zero())
 
 
@@ -394,28 +381,23 @@ class SlipPlant:
     ):
         self.params = params
         self.world = world
-        self._pose = start
+        self.center = start
+        self.offset = offset_point(start, params)
         self._vel = np.zeros(2)
         self._rng = rng
-
-    def offset_pose(self) -> OffsetPose:
-        return offset_point(self._pose, self.params)
-
-    def center(self) -> Pose2:
-        return self._pose
 
     def step(self, cmd: TrackCommand) -> PlantStep:
         self._vel = _actuate(self._vel, cmd, self.params.actuator_alpha, self.params)
         realized = TrackCommand(float(self._vel[0]), float(self._vel[1]))
         slip = slip_ratios(realized, self.world)
-        delta_c = slip_forward(self._pose, realized, slip, self.world, self.params)
+        delta_c = slip_forward(self.center, realized, slip, self.world, self.params)
         dx, dy, dphi = delta_c.dx, delta_c.dy, delta_c.dphi
         if self.world.noise_sigma > 0.0:
             noise = self._rng.normal(0.0, self.world.noise_sigma, size=3)
             dx, dy, dphi = dx + noise[0], dy + noise[1], dphi + noise[2]
-        before = self.offset_pose()
-        self._pose = Pose2(self._pose.x + dx, self._pose.y + dy, self._pose.phi + dphi)
-        after = self.offset_pose()
+        before = self.offset
+        self.center = Pose2(self.center.x + dx, self.center.y + dy, self.center.phi + dphi)
+        after = self.offset = offset_point(self.center, self.params)
         delta_b = PoseDelta(
             after.x - before.x,
             after.y - before.y,
@@ -545,8 +527,7 @@ def rollout(
 
     rows = []
     for k, ref in enumerate(traj.samples):
-        pose_b = machine.offset_pose()
-        center = machine.center()
+        pose_b, center = machine.offset, machine.center
         # the pose, delta, and command types reject non-finite values, so
         # divergence surfaces as ValueError inside the step; a float power
         # that overflows (a large slip exponent) raises OverflowError

@@ -26,6 +26,9 @@ from .kinematics import Pose2, PoseDelta, TrackCommand, VehicleParams, wrap_angl
 # reverse sign relative to the command
 MAX_SLIP_RATIO = 0.95
 
+# track-speed difference [m/s] at which the slip angle saturates to beta_gain
+BETA_SPEED_REF = 0.5
+
 
 @dataclass(frozen=True)
 class SlipPlaneWorld:
@@ -40,8 +43,6 @@ class SlipPlaneWorld:
         friction: dynamic friction coefficient, > 0; lower friction
             amplifies the grade-driven slip growth.
         beta_gain: lateral slip angle reached during hard turns [rad].
-        beta_speed_ref: track-speed difference [m/s] at which the lateral
-            slip angle saturates to beta_gain.
         noise_sigma: standard deviation of zero-mean Gaussian noise added
             by the plant to each realized delta component (0 disables).
     """
@@ -52,7 +53,6 @@ class SlipPlaneWorld:
     base_slip: float = 0.0
     friction: float = 0.6
     beta_gain: float = 0.05
-    beta_speed_ref: float = 0.5
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
@@ -68,8 +68,6 @@ class SlipPlaneWorld:
             )
         if not (self.friction > 0.0):
             raise ValueError(f"friction must be > 0, got {self.friction}")
-        if not (self.beta_speed_ref > 0.0):
-            raise ValueError(f"beta_speed_ref must be > 0, got {self.beta_speed_ref}")
         if not (self.noise_sigma >= 0.0):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -197,7 +195,7 @@ def slip_ratios(cmd: TrackCommand, world: SlipPlaneWorld) -> SlipState:
     beta = (
         world.beta_gain
         * math.copysign(1.0, dv)
-        * min(1.0, abs(dv) / world.beta_speed_ref)
+        * min(1.0, abs(dv) / BETA_SPEED_REF)
         if dv != 0.0
         else 0.0
     )

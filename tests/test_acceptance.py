@@ -264,11 +264,11 @@ def test_c6_terrain_dataset_ordering():
     config = FitConfig(restarts=1, seed=0, max_train=1000)
     flat_world = SlipPlaneWorld(
         slope=0.0, base_slip=0.01, friction=0.6,
-        beta_gain=0.05, beta_speed_ref=0.5, noise_sigma=0.0,
+        beta_gain=0.05, noise_sigma=0.0,
     )
     tilted_world = SlipPlaneWorld(
         slope=35.0 * math.pi / 180.0, base_slip=0.1, friction=0.6,
-        beta_gain=0.05, beta_speed_ref=0.5, noise_sigma=0.0,
+        beta_gain=0.05, noise_sigma=0.0,
     )
     held = {}
     for name, world in (("flat", flat_world), ("tilted", tilted_world)):
@@ -284,7 +284,7 @@ def test_c7_hybrid_beats_nominal_on_slip_plant():
     start = time.perf_counter()
     world = SlipPlaneWorld(
         slope=35.0 * math.pi / 180.0, base_slip=0.1, friction=0.6,
-        beta_gain=0.05, beta_speed_ref=0.5, noise_sigma=5e-4,
+        beta_gain=0.05, noise_sigma=5e-4,
     )
     fig8 = lambda a: make_figure8(amplitude=a, period_steps=700, sample_time=0.05)
     circle = lambda r: make_circle(radius=r, period_steps=700, sample_time=0.05)

@@ -503,6 +503,22 @@ class TestEvaluate:
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path),
                      "--model", str(bad)]) == 4
 
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    @pytest.mark.parametrize("payload", [
+        5,
+        {"format": gp.MODEL_FORMAT, "kernel_kind": gp.KERNEL_KIND, "inputs": [[0.0] * 6] * 2,
+         "targets": [[0.0, 0.0]] * 2, "n_train": 2, "input_dim": 6, "standardization": [],
+         "outputs": []},
+    ], ids=["number", "standardization_list"])
+    def test_model_of_the_wrong_json_types(self, tmp_path, capsys, command, payload):
+        # used to escape from model_from_dict as a TypeError and exit 1
+        cfg = tiny_config(tmp_path, controller={"slot": "gp"})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main([command, "--config", cfg, "--out", str(tmp_path),
+                     "--model", str(bad)]) == 4
+        assert capsys.readouterr().err.startswith("artifact error: ")
+
     def test_wrong_shape_model(self, tmp_path):
         # a valid model file whose input layout cannot drive the controller
         rng = np.random.default_rng(0)

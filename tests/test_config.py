@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tracksim import config
 from tracksim.config import ConfigError, load_config, parse_config
 from tracksim.kinematics import VehicleParams
+from tracksim.sim import make_figure8
 
 
 def write_config(tmp_path, doc, name="cfg.yaml"):
@@ -37,8 +38,10 @@ class TestDefaults:
         assert cfg.plant == "nominal"
 
     def test_defaults_build_a_usable_trajectory(self):
-        traj = parse_config({}).trajectory()
-        assert traj.kind == "figure8"
+        cfg = parse_config({})
+        traj = cfg.trajectory()
+        assert cfg.resolved["trajectory"]["kind"] == "figure8"
+        assert traj.samples == make_figure8(sample_time=cfg.params.sample_time).samples
         assert len(traj) > 100
 
     def test_world_defaults_are_flat_and_noiseless(self):
@@ -159,7 +162,9 @@ class TestTrajectory:
             {"trajectory": {"kind": "figure8", "amplitude": 1.5, "period_steps": 80}}
         )
         traj = cfg.trajectory()
-        assert traj.kind == "figure8"
+        assert cfg.resolved["trajectory"]["kind"] == "figure8"
+        want = make_figure8(amplitude=1.5, period_steps=80, sample_time=cfg.params.sample_time)
+        assert traj.samples == want.samples
         assert len(traj) == 81
 
     def test_circle_radius_reaches_builder(self):
@@ -181,9 +186,30 @@ class TestTrajectory:
             parse_config({"trajectory": {"kind": "figure8", "radius": 1.0}})
 
     def test_domain_error_wrapped(self):
-        cfg = parse_config({"trajectory": {"kind": "figure8", "amplitude": -1.0}})
         with pytest.raises(ConfigError, match="trajectory"):
-            cfg.trajectory()
+            parse_config({"trajectory": {"kind": "figure8", "amplitude": -1.0}})
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"trajectory": {"kind": "figure8", "amplitude": 0.0}}, "amplitude"),
+            ({"trajectory": {"kind": "figure8", "period_steps": 3}}, "period_steps"),
+            ({"trajectory": {"kind": "circle", "laps": 0}}, "laps"),
+            ({"trajectory": {"kind": "circle", "radius": 0.0}}, "radius"),
+            ({"trajectory": {"kind": "waypoints", "cruise_speed": 0.0}}, "cruise_speed"),
+            ({"trajectory": {"kind": "waypoints", "ramp_time": 0.0}}, "ramp_time"),
+            ({"trajectory": {"kind": "waypoints", "points": [[0, 0], [0, 0]]}}, "points"),
+            # the sample cap, the extent cap and reference speeds that overflow
+            ({"trajectory": {"kind": "figure8", "period_steps": 100_000}}, "period_steps"),
+            ({"trajectory": {"kind": "circle", "radius": 2.0e6}}, "radius"),
+            ({"vehicle": {"sample_time": 1.0e-320}}, "sample_time"),
+        ],
+        ids=["amplitude", "period_steps", "laps", "radius", "cruise_speed", "ramp_time",
+             "points", "sample_cap", "extent_cap", "sample_time"],
+    )
+    def test_builder_domain_error_names_the_key(self, doc, key):
+        with pytest.raises(ConfigError, match=f"^trajectory: {key}"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("kind", ["figure8", "circle", "waypoints"])
     def test_default_reference_is_the_builders(self, kind):
@@ -191,9 +217,7 @@ class TestTrajectory:
         # the builder on its own defaults; only the waypoints have none
         args = [cfg.resolved["trajectory"]["points"]] if kind == "waypoints" else []
         want = config._TRAJECTORY_BUILDERS[kind](*args, sample_time=cfg.params.sample_time)
-        got = cfg.trajectory()
-        assert got.kind == want.kind and got.sample_time == want.sample_time
-        assert got.samples == want.samples
+        assert cfg.trajectory().samples == want.samples
 
 
 class TestEvaluation:
@@ -341,13 +365,9 @@ class TestFuzz:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(DOCUMENTS)
     def test_only_config_errors_escape(self, doc):
-        # a document either resolves or raises ConfigError, and so does
-        # building the reference of one that resolved
+        # a document either resolves, reference included, or raises ConfigError
         try:
             cfg = parse_config(doc)
         except ConfigError:
             return
-        try:
-            assert len(cfg.trajectory()) >= 1
-        except ConfigError:
-            pass
+        assert len(cfg.trajectory()) >= 1

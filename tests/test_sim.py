@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from tracksim import sim
 from tracksim.control import Gains
 from tracksim.gp import Dataset
 from tracksim.kinematics import (
@@ -241,15 +242,31 @@ class TestPlants:
     def test_slip_plant_reports_offset_point_differences(self):
         world = SlipPlaneWorld(slope=0.3, base_slip=0.1, friction=0.6, beta_gain=0.05)
         plant = SlipPlant(PARAMS, world, Pose2(0.0, 0.0, 0.7), np.random.default_rng(1))
-        before_b = plant.offset_pose()
-        before_c = plant.center()
+        before_b = plant.offset
+        before_c = plant.center
         step = plant.step(TrackCommand(0.5, 0.3))
-        after_b = plant.offset_pose()
-        want = offset_point(plant.center(), PARAMS)
+        after_b = plant.offset
+        want = offset_point(plant.center, PARAMS)
         assert after_b.x == pytest.approx(want.x, abs=1e-15)
         assert step.delta.dx == pytest.approx(after_b.x - before_b.x, abs=1e-15)
         assert step.delta.dy == pytest.approx(after_b.y - before_b.y, abs=1e-15)
-        assert plant.center().x != before_c.x
+        assert plant.center.x != before_c.x
+
+    def test_slip_plant_measures_the_offset_point_once_per_step(self, monkeypatch):
+        calls = []
+
+        def counted(pose, params):
+            calls.append(pose)
+            return offset_point(pose, params)
+
+        monkeypatch.setattr(sim, "offset_point", counted)
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
+        plant = SlipPlant(PARAMS, world, Pose2(0.0, 0.0, 0.7), np.random.default_rng(1))
+        assert calls == [Pose2(0.0, 0.0, 0.7)]
+        for k in range(1, 6):
+            plant.step(TrackCommand(0.5, 0.3))
+            assert len(calls) == 1 + k
+            assert calls[-1] == plant.center
 
     def test_slip_plant_noise_is_seeded(self):
         world = SlipPlaneWorld(noise_sigma=1e-3)

@@ -198,7 +198,7 @@ def test_zero_and_single_track_commands():
 
 
 def test_beta_sign_and_saturation():
-    world = SlipPlaneWorld(base_slip=0.0, beta_gain=0.05, beta_speed_ref=0.5)
+    world = SlipPlaneWorld(base_slip=0.0, beta_gain=0.05)
     # hard left turn (right track faster): positive speed difference
     s = slip_ratios(TrackCommand(-1.0, 1.0), world)
     assert s.beta == pytest.approx(0.05)
