@@ -201,7 +201,7 @@ def cmd_train(dataset_paths: list[str], cfg: ExperimentConfig, out: str,
             "chosen_start": info["chosen_start"],
             "jitter": info["jitter"],
             "starts": [
-                {key: start[key] for key in ("iterations", "evaluations", "rejected_probes")}
+                {key: start[key] for key in ("iterations", "evaluations", "rejected_probes", "stop")}
                 for start in info["starts"]
             ],
         }

@@ -387,6 +387,9 @@ class TestTrain:
             ]
             assert all(s["evaluations"] >= s["iterations"] for s in row["starts"])
             assert [s["rejected_probes"] for s in row["starts"]] == [0, 0]
+            assert [s["stop"] for s in row["starts"]] == [s["stop"] for s in info["starts"]]
+            assert all(s["stop"] in ("ftol", "gtol", "max_iter", "line_search")
+                       for s in row["starts"])
 
     def test_conditioning_error_in_a_worker_exits_3(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path)

@@ -21,6 +21,7 @@ import scipy.optimize
 from conftest import blas_thread_counts
 
 from tracksim import gp
+from tracksim.control import Gains
 from tracksim.gp import (
     ConditioningError,
     Dataset,
@@ -39,6 +40,8 @@ from tracksim.gp import (
     predict,
     save_model,
 )
+from tracksim.kinematics import VehicleParams
+from tracksim.sim import extract_dataset, make_figure8, rollout, split_dataset
 
 
 def kernel_oracle(log_ls, log_sf2, a, b):
@@ -142,6 +145,32 @@ class TestLikelihoodGradient:
             fd = (nll_and_grad(up, w, y)[0] - nll_and_grad(dn, w, y)[0]) / (2 * h)
             rel = abs(fd - grad[k]) / max(abs(fd), abs(grad[k]), 1e-8)
             assert rel < 1e-4, f"component {k}: analytic {grad[k]}, fd {fd}"
+
+    def test_gradient_where_the_jitter_dominates_the_noise(self):
+        # noise-free figure-8 data, with the hyperparameters an earlier fit
+        # chose for output 0: the noise variance (1.4e-12) is far below the
+        # jitter (2.4e-10), so the jitter's own dependence on the signal and
+        # noise variances sets the sign of their components
+        traj = make_figure8(amplitude=2.0, period_steps=2001, sample_time=0.05)
+        gains = Gains(kp=(0.1, 0.1), kd=(0.3, 0.3))
+        data = extract_dataset(rollout(traj, gains, 2, VehicleParams(), plant="nominal"))
+        train, _ = split_dataset(data, train_fraction=0.8, seed=0)
+        pick = np.sort(np.random.default_rng([0, 2]).choice(len(train), size=200, replace=False))
+        w, y = train.inputs[pick], train.targets[pick, 0]
+        xs = (w - w.mean(axis=0)) / w.std(axis=0)
+        ys = (y - y.mean()) / y.std()
+        theta = np.array([0.8267239067717798, 1.2258207550113642, 0.7331235695326072,
+                          1.2588809398057446, 1.8692156212617475, 0.1340009069387757,
+                          0.8726235005916962, -27.307453408703633])
+        _, grad = nll_and_grad(theta, xs, ys)
+        h = 1e-3
+        fd = np.empty_like(theta)
+        for k in range(theta.size):
+            step = np.zeros_like(theta)
+            step[k] = h
+            fd[k] = (nll_and_grad(theta + step, xs, ys)[0]
+                     - nll_and_grad(theta - step, xs, ys)[0]) / (2 * h)
+        assert np.max(np.abs(grad - fd)) < 0.01 * np.max(np.abs(fd)), (grad, fd)
 
     def test_value_matches_direct_dense_formula(self):
         rng = np.random.default_rng(7)
@@ -676,6 +705,37 @@ class TestFitReport:
         starts = [s for out in model.report["outputs"] for s in out["starts"]]
         assert [s["rejected_probes"] for s in starts] == [1, 0, 0, 0]
         assert sum(s["evaluations"] for s in starts) == len(calls)
+
+    def test_rejected_probe_does_not_end_its_start(self, serial_fit, monkeypatch):
+        rng = np.random.default_rng(66)
+        w, z = make_problem(rng, 20)
+        config = FitConfig(max_iter=30, restarts=1, seed=2)
+        unrejected = fit(w, z, config).report["outputs"][0]["starts"][0]
+        calls = []
+        nll = gp.nll_and_grad
+
+        def flaky(*args):
+            calls.append(1)
+            if len(calls) == 2:  # the first line-search probe of the first start
+                raise ConditioningError("probe rejected")
+            return nll(*args)
+
+        monkeypatch.setattr(gp, "nll_and_grad", flaky)
+        start = fit(w, z, config).report["outputs"][0]["starts"][0]
+        assert start["rejected_probes"] == 1
+        assert start["iterations"] == config.max_iter
+        assert start["stop"] == "max_iter"
+        assert math.isclose(start["nll"], unrejected["nll"], rel_tol=1e-3)
+
+    def test_each_start_says_why_it_stopped(self):
+        rng = np.random.default_rng(68)
+        w, z = make_problem(rng, 20)
+        model = fit(w, z, FitConfig(max_iter=1, restarts=1, seed=2))
+        starts = [s for out in model.report["outputs"] for s in out["starts"]]
+        assert [s["stop"] for s in starts] == ["max_iter"] * 4
+        model = fit(w, z, FitConfig(max_iter=200, restarts=1, seed=2))
+        starts = [s for out in model.report["outputs"] for s in out["starts"]]
+        assert all(s["stop"] in ("ftol", "gtol") for s in starts), starts
 
     def test_jitter_is_the_base_level_of_the_fitted_matrix(self):
         rng = np.random.default_rng(67)
