@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _checked, load_config
 from .control import InverseModelFn, assert_stable, validate_gains
 from .gp import (
     ConditioningError,
@@ -60,7 +60,9 @@ class ArtifactError(Exception):
     """A dataset or model file is missing, corrupt, or incompatible."""
 
 
-def _write_json(path: str, payload: dict) -> None:
+def _write_report(path: str, cfg: ExperimentConfig, payload: dict) -> None:
+    """Write payload as JSON with the resolved config and its hash added."""
+    payload = {**payload, "config": cfg.resolved, "config_hash": cfg.content_hash()}
     atomic_write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
@@ -82,10 +84,7 @@ def _load_inverse(path: str) -> tuple[GpModel, InverseModelFn]:
 
 def _rollout_for(cfg: ExperimentConfig, seed: int, inverse_model=None) -> RolloutLog:
     # unstable gains are a rejected run request, not a failed run
-    try:
-        assert_stable(cfg.gains, cfg.order)
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}") from exc
+    _checked("gains", assert_stable, cfg.gains, cfg.order)
     world = cfg.world if cfg.plant == "slip" else None
     return rollout(
         cfg.trajectory(),
@@ -112,7 +111,6 @@ def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
         model_hash = _sha256_file(model_path)
     log = _rollout_for(cfg, run_seed, inverse)
     metrics = cartesian_error(log)
-    os.makedirs(out, exist_ok=True)
     save_log(log, os.path.join(out, "log.csv"))
     payload = {
         "command": "simulate",
@@ -120,12 +118,10 @@ def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
         "steps": int(log.dx.shape[0]),
         "mean_error": metrics.mean_error,
         "max_error": metrics.max_error,
-        "config": cfg.resolved,
-        "config_hash": cfg.content_hash(),
     }
     if model_hash is not None:
         payload["model_sha256"] = model_hash
-    _write_json(os.path.join(out, "metrics.json"), payload)
+    _write_report(os.path.join(out, "metrics.json"), cfg, payload)
     print(
         f"simulate: {payload['steps']} steps, mean error "
         f"{metrics.mean_error:.6g} m, max {metrics.max_error:.6g} m"
@@ -144,7 +140,6 @@ def cmd_collect(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     log = _rollout_for(cfg, run_seed)
     data = extract_dataset(log)
     train, test = split_dataset(data, cfg.train_fraction, seed=cfg.fit.seed)
-    os.makedirs(out, exist_ok=True)
     save_log(log, os.path.join(out, "log.csv"))
     save_dataset(data, os.path.join(out, "dataset.csv"))
     save_dataset(train, os.path.join(out, "train.csv"))
@@ -156,10 +151,8 @@ def cmd_collect(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
         "train_samples": int(train.inputs.shape[0]),
         "test_samples": int(test.inputs.shape[0]),
         "split_seed": cfg.fit.seed,
-        "config": cfg.resolved,
-        "config_hash": cfg.content_hash(),
     }
-    _write_json(os.path.join(out, "collect.json"), payload)
+    _write_report(os.path.join(out, "collect.json"), cfg, payload)
     print(
         f"collect: {payload['samples']} samples "
         f"({payload['train_samples']} train / {payload['test_samples']} test)"
@@ -190,7 +183,6 @@ def cmd_train(dataset_paths: list[str], cfg: ExperimentConfig, out: str,
         )
     fit_config = cfg.fit if seed is None else dataclasses.replace(cfg.fit, seed=seed)
     model = fit(inputs, targets, fit_config)
-    os.makedirs(out, exist_ok=True)
     target = model_path or os.path.join(out, "model.json")
     save_model(model, target)
     outputs = [
@@ -225,10 +217,8 @@ def cmd_train(dataset_paths: list[str], cfg: ExperimentConfig, out: str,
         "outputs": outputs,
         "model": os.path.basename(target),
         "model_sha256": _sha256_file(target),
-        "config": cfg.resolved,
-        "config_hash": cfg.content_hash(),
     }
-    _write_json(os.path.join(out, "train_report.json"), payload)
+    _write_report(os.path.join(out, "train_report.json"), cfg, payload)
     lls = ", ".join(f"{o['final_log_likelihood']:.3f}" for o in outputs)
     print(f"train: {payload['train_used']} samples, log-likelihood per output [{lls}]")
     return 0
@@ -246,7 +236,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     """
     model, inverse = _load_inverse(model_path)
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
-    os.makedirs(out, exist_ok=True)
     per_seed = []
     for s in seeds:
         log_nom = _rollout_for(cfg, s)
@@ -286,10 +275,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
         "aggregate": agg,
         "model": os.path.basename(model_path),
         "model_sha256": _sha256_file(model_path),
-        "config": cfg.resolved,
-        "config_hash": cfg.content_hash(),
     }
-    _write_json(os.path.join(out, "report.json"), payload)
+    _write_report(os.path.join(out, "report.json"), cfg, payload)
     for r in per_seed:
         print(
             f"evaluate seed {r['seed']}: nominal {r['nominal']['mean_error']:.6g} m, "

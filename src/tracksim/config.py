@@ -141,6 +141,14 @@ def _like(default: Any, value: Any, where: str) -> Any:
     return (_integer if isinstance(default, int) else _number)(value, where)
 
 
+def _checked(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its domain errors raised as ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OverflowError) as exc:  # e.g. a huge gain squared
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _pair(value: Any, where: str) -> tuple[float, float]:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where} must be a 2-element list")
@@ -241,27 +249,18 @@ def parse_config(raw: Any) -> ExperimentConfig:
     trajectory = _resolve_trajectory(raw)
 
     vehicle_args = {k: _number(vehicle[k], f"vehicle.{k}") for k in _VEHICLE_DEFAULTS}
-    try:
-        params = VehicleParams(**vehicle_args)
-    except ValueError as exc:
-        raise ConfigError(f"vehicle: {exc}") from exc
+    params = _checked("vehicle", VehicleParams, **vehicle_args)
 
     world_args = {
         name: _number(world_raw[key], f"world.{key}")
         for key, name in _WORLD_KEYS.items()
     }
-    try:
-        world = SlipPlaneWorld(**world_args)
-    except ValueError as exc:
-        raise ConfigError(f"world: {exc}") from exc
+    world = _checked("world", SlipPlaneWorld, **world_args)
 
     kp = _pair(gains_raw["kp"], "gains.kp")
     kd = _pair(gains_raw["kd"], "gains.kd") if gains_raw["kd"] is not None else None
-    try:
-        gains = Gains(kp=kp, kd=kd)
-        validate_gains(gains, order)
-    except ValueError as exc:
-        raise ConfigError(f"gains: {exc}") from exc
+    gains = _checked("gains", Gains, kp=kp, kd=kd)
+    _checked("gains", validate_gains, gains, order)
 
     train_fraction = _number(gp_raw["train_fraction"], "gp.train_fraction")
     if not 0.0 < train_fraction < 1.0:
@@ -272,10 +271,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
         f.name: _like(f.default, gp_raw[f.name], f"gp.{f.name}") for f in fields(FitConfig)
     }
     fit_args["seed"] = _seed(gp_raw["seed"], "gp.seed")
-    try:
-        fit = FitConfig(**fit_args)
-    except ValueError as exc:
-        raise ConfigError(f"gp: {exc}") from exc
+    fit = _checked("gp", FitConfig, **fit_args)
 
     seed = _seed(world_raw["seed"], "world.seed")
     seeds_raw = evaluation["seeds"]
@@ -291,10 +287,7 @@ def parse_config(raw: Any) -> ExperimentConfig:
     # built last, so that the other sections' errors come first
     spec = dict(trajectory)
     build = _TRAJECTORY_BUILDERS[spec.pop("kind")]
-    try:
-        reference = build(sample_time=params.sample_time, **spec)
-    except (ValueError, OverflowError) as exc:  # too long to count in samples
-        raise ConfigError(f"trajectory: {exc}") from exc
+    reference = _checked("trajectory", build, sample_time=params.sample_time, **spec)
 
     resolved = {
         "vehicle": vehicle,

@@ -194,7 +194,7 @@ class SecondOrderTracker:
         self.gains = gains
         self.params = params
         self.inverse_model = inverse_model
-        self.last_delta = PoseDelta.zero()
+        self.last_delta = PoseDelta(0.0, 0.0, 0.0)
         self._prev_ref: Optional[ReferencePoint] = None
 
     def command(self, ref: ReferencePoint, pose_b: OffsetPose) -> TrackCommand:

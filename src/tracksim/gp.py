@@ -76,6 +76,13 @@ BOUND_LOG_LENGTHSCALE = (math.log(1e-3), math.log(1e4))
 BOUND_LOG_SIGNAL_VAR = (math.log(1e-6), math.log(1e6))
 BOUND_LOG_NOISE_VAR = (math.log(1e-12), math.log(1e3))
 
+# most optimizer restarts per output. Every start is drawn before the
+# first one runs, so an unbounded count exhausts memory before the fit
+# begins (200,000 starts of one output: 74 MB). One start of the recipe
+# fit (N=1000) takes about 1.3 s on one CPU, so this cap is already
+# about 45 minutes of fitting, far past any gain, in start lists of 0.4 MB.
+MAX_RESTARTS = 1000
+
 # L-BFGS-B stops a start once an iteration lowers the NLL by less than
 # this share of its value. Clean figure-8 fit at N=500, 2 CPUs, objective
 # evaluations: 153-171 for 1e-6, 3e-7, 1e-7 and 3e-8, 253 for 1e-8 and
@@ -249,6 +256,8 @@ class FitConfig:
                           ("restart_spread", 0.0), ("max_train", 2)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if self.restarts > MAX_RESTARTS:
+            raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
@@ -709,25 +718,35 @@ def model_from_dict(payload: dict) -> GpModel:
             f"declared dims {(payload['n_train'], payload['input_dim'])} do not "
             f"match stored inputs {inputs.shape}"
         )
+    d, m = inputs.shape[1], targets.shape[1]
     std = payload["standardization"]
-    input_mean = np.asarray(std["input_mean"], dtype=float)
-    input_std = np.asarray(std["input_std"], dtype=float)
-    target_mean = np.asarray(std["target_mean"], dtype=float)
-    target_std = np.asarray(std["target_std"], dtype=float)
-    if input_mean.shape != (inputs.shape[1],):
-        raise ValueError("standardization constants do not match input dim")
-    if len(payload["outputs"]) != targets.shape[1]:
+    sizes = {"input_mean": d, "input_std": d, "target_mean": m, "target_std": m}
+    arrays = [np.asarray(std[key], dtype=float) for key in sizes]
+    for (key, size), arr in zip(sizes.items(), arrays):
+        if arr.shape != (size,) or not np.all(np.isfinite(arr)):
+            raise ValueError(f"standardization.{key} must be {size} finite numbers")
+        if key.endswith("_std") and not np.all(arr > 0.0):
+            raise ValueError(f"standardization.{key} must be positive")
+    input_mean, input_std, target_mean, target_std = arrays
+    if len(payload["outputs"]) != m:
         raise ValueError("output blocks do not match target dim")
+    # every fitted model lies inside the fit's own bounds
+    low, high = np.array(_bounds(d)).T
+    thetas = []
+    for j, out in enumerate(payload["outputs"]):
+        theta = np.array([*out["log_lengthscales"], out["log_signal_variance"],
+                          out["log_noise_variance"]], dtype=float)
+        if theta.shape != (d + 2,) or not np.all((low <= theta) & (theta <= high)):
+            raise ValueError(
+                f"output {j}: hyperparameters must be {d} log lengthscales, a log signal "
+                "variance and a log noise variance inside the fit's bounds"
+            )
+        thetas.append(theta)
     xs = (inputs - input_mean) / input_std
     zs = (targets - target_mean) / target_std
     outputs = [
-        _output_model(
-            Kernel(np.asarray(out["log_lengthscales"], dtype=float), float(out["log_signal_variance"])),
-            float(out["log_noise_variance"]),
-            xs,
-            zs[:, j],
-        )
-        for j, out in enumerate(payload["outputs"])
+        _output_model(Kernel(theta[:d], float(theta[d])), float(theta[d + 1]), xs, zs[:, j])
+        for j, theta in enumerate(thetas)
     ]
     return GpModel(inputs, targets, input_mean, input_std, target_mean, target_std, outputs,
                    payload.get("report", {}))

@@ -131,10 +131,6 @@ class PoseDelta:
     def xy(self) -> np.ndarray:
         return np.array([self.dx, self.dy])
 
-    @staticmethod
-    def zero() -> "PoseDelta":
-        return PoseDelta(0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class TrackCommand:

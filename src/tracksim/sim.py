@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -326,31 +326,29 @@ class PlantStep:
     slip: SlipState
 
 
-def _actuate(
-    vel: np.ndarray, cmd: TrackCommand, alpha: float, params: VehicleParams
-) -> np.ndarray:
-    """Clip the command at the track-speed bound, then low-pass it from vel."""
-    vmax = params.max_track_speed
+def _actuate(vel: np.ndarray, cmd: TrackCommand, params: VehicleParams) -> np.ndarray:
+    """Clip the command at the track-speed bound, then low-pass it from vel
+    with the pole params.actuator_alpha."""
+    vmax, alpha = params.max_track_speed, params.actuator_alpha
     sat = np.clip(cmd.as_array(), -vmax, vmax)
     return alpha * vel + (1.0 - alpha) * sat
 
 
 class NominalPlant:
-    """Integrates the offset pose under the exact difference model."""
+    """Integrates the offset pose under the exact difference model.
 
-    def __init__(
-        self, params: VehicleParams, start: OffsetPose, actuator_alpha: float
-    ):
-        if not 0.0 <= actuator_alpha < 1.0:
-            raise ValueError(f"actuator_alpha must be in [0, 1), got {actuator_alpha}")
+    Its tracks lag by params.actuator_alpha; a plant without lag is given
+    params with actuator_alpha 0.
+    """
+
+    def __init__(self, params: VehicleParams, start: OffsetPose):
         self.params = params
-        self.alpha = actuator_alpha
         self.offset = start
         self.center = center_pose(start, params)
         self._vel = np.zeros(2)
 
     def step(self, cmd: TrackCommand) -> PlantStep:
-        self._vel = _actuate(self._vel, cmd, self.alpha, self.params)
+        self._vel = _actuate(self._vel, cmd, self.params)
         d = self.params.sample_time * (
             offset_model_matrix(self.offset.phi, self.params) @ self._vel
         )
@@ -361,7 +359,7 @@ class NominalPlant:
             self.offset.phi + delta.dphi,
         )
         self.center = center_pose(self.offset, self.params)
-        return PlantStep(delta, float(self._vel[0]), float(self._vel[1]), SlipState.zero())
+        return PlantStep(delta, float(self._vel[0]), float(self._vel[1]), SlipState())
 
 
 class SlipPlant:
@@ -387,7 +385,7 @@ class SlipPlant:
         self._rng = rng
 
     def step(self, cmd: TrackCommand) -> PlantStep:
-        self._vel = _actuate(self._vel, cmd, self.params.actuator_alpha, self.params)
+        self._vel = _actuate(self._vel, cmd, self.params)
         realized = TrackCommand(float(self._vel[0]), float(self._vel[1]))
         slip = slip_ratios(realized, self.world)
         delta_c = slip_forward(self.center, realized, slip, self.world, self.params)
@@ -518,8 +516,8 @@ def rollout(
     # inverts, so it lags only under the order-2 law; the slip plant is
     # the world, so its tracks always lag by params.actuator_alpha.
     if plant == "nominal":
-        alpha = params.actuator_alpha if order == 2 else 0.0
-        machine = NominalPlant(params, start_b, alpha)
+        plant_params = params if order == 2 else replace(params, actuator_alpha=0.0)
+        machine = NominalPlant(plant_params, start_b)
     else:
         machine = SlipPlant(
             params, world, center_pose(start_b, params), np.random.default_rng(seed)

@@ -92,10 +92,6 @@ class SlipState:
     right_ratio: float = 0.0
     beta: float = 0.0
 
-    @staticmethod
-    def zero() -> "SlipState":
-        return SlipState(0.0, 0.0, 0.0)
-
 
 def pitch_on_plane(slope: float, yaw: float) -> float:
     """Vehicle pitch imposed by the plane at a given world yaw."""

@@ -45,6 +45,24 @@ def tiny_config(tmp_path, name="cfg.yaml", **overrides):
     return write_config(tmp_path, doc, name)
 
 
+def small_model(where, value):
+    """A two-sample model file for the learned slot, with the entry at
+    the key path where set to value."""
+    payload = {
+        "format": gp.MODEL_FORMAT, "kernel_kind": gp.KERNEL_KIND, "n_train": 2,
+        "input_dim": 6, "inputs": [[0.0] * 6, [1.0] * 6], "targets": [[0.0, 0.0], [1.0, 1.0]],
+        "standardization": {"input_mean": [0.5] * 6, "input_std": [0.5] * 6,
+                            "target_mean": [0.5, 0.5], "target_std": [0.5, 0.5]},
+        "outputs": [{"log_lengthscales": [0.0] * 6, "log_signal_variance": 0.0,
+                     "log_noise_variance": -2.0} for _ in range(2)],
+    }
+    entry = payload
+    for key in where[:-1]:
+        entry = entry[key]
+    entry[where[-1]] = value
+    return payload
+
+
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -64,6 +82,12 @@ class TestGainsCheck:
     def test_malformed_gains_exit_two(self, tmp_path):
         cfg = tiny_config(tmp_path, gains={"kp": [0.1, 0.1], "kd": None})
         assert main(["gains-check", "--config", cfg]) == 2
+
+    def test_overflowing_gains_exit_two(self, tmp_path, capsys):
+        # the pole check squares kd - 1, which overflows
+        cfg = tiny_config(tmp_path, gains={"kp": [0.1, 0.1], "kd": [1.0e200, 1.0e200]})
+        assert main(["gains-check", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: gains: ")
 
     def test_first_order_poles(self, tmp_path, capsys):
         cfg = tiny_config(
@@ -137,6 +161,8 @@ class TestConfigErrors:
             ({"trajectory": {"kind": "figure8", "amplitude": 1.0e307, "period_steps": 40}},
              "amplitude"),
             ({"vehicle": {"sample_time": 1.0e-310}}, "sample_time"),
+            # finite, but the pole check overflows squaring kd - 1
+            ({"gains": {"kp": [0.1, 0.1], "kd": [1.0e200, 1.0e200]}}, "gains"),
         ],
     )
     def test_non_finite_number_rejected(self, tmp_path, capsys, overrides, key):
@@ -178,6 +204,12 @@ class TestConfigErrors:
         cfg = tiny_config(tmp_path, **overrides)
         assert main(["collect", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert key in capsys.readouterr().err
+
+    def test_restarts_over_the_cap_rejected(self, tmp_path, capsys):
+        # every start is drawn before the fit runs, so this would exhaust memory
+        cfg = tiny_config(tmp_path, gp=dict(FAST_GP, restarts=1_000_000_000))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "gp: restarts must be at most" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "collect", "train", "evaluate"])
     def test_negative_seed_flag_rejected(self, tmp_path, capsys, command):
@@ -512,9 +544,21 @@ class TestEvaluate:
         {"format": gp.MODEL_FORMAT, "kernel_kind": gp.KERNEL_KIND, "inputs": [[0.0] * 6] * 2,
          "targets": [[0.0, 0.0]] * 2, "n_train": 2, "input_dim": 6, "standardization": [],
          "outputs": []},
-    ], ids=["number", "standardization_list"])
+        # the rest used to exit 1 (IndexError, OverflowError) or to run a
+        # model the file does not describe: a short array was broadcast, a
+        # negative std flipped its output
+        small_model(("standardization", "target_std"), [0.5]),
+        small_model(("standardization", "target_mean"), [0.5]),
+        small_model(("standardization", "input_std"), [0.5]),
+        small_model(("standardization", "target_std"), [0.5, -0.5]),
+        small_model(("outputs", 0, "log_lengthscales"), [0.0]),
+        small_model(("outputs", 0, "log_noise_variance"), 800.0),
+        small_model(("outputs", 1, "log_signal_variance"), 800.0),
+    ], ids=["number", "standardization_list", "target_std_short", "target_mean_short",
+            "input_std_short", "target_std_negative", "lengthscales_short", "noise_variance_800",
+            "signal_variance_800"])
     def test_model_of_the_wrong_json_types(self, tmp_path, capsys, command, payload):
-        # used to escape from model_from_dict as a TypeError and exit 1
+        # the first two used to escape from model_from_dict as a TypeError and exit 1
         cfg = tiny_config(tmp_path, controller={"slot": "gp"})
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))

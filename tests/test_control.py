@@ -220,7 +220,7 @@ def test_second_order_step_requires_kd():
     ref = ReferencePoint(0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         second_order_step(
-            ref, OffsetPose(0, 0, 0), PoseDelta.zero(), Gains(kp=(0.1, 0.1)), PARAMS
+            ref, OffsetPose(0, 0, 0), PoseDelta(0.0, 0.0, 0.0), Gains(kp=(0.1, 0.1)), PARAMS
         )
 
 

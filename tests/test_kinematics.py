@@ -302,7 +302,7 @@ def test_second_order_with_alpha_zero_matches_first_order():
         )
         phi = float(rng.uniform(-math.pi, math.pi))
         desired = rng.uniform(-0.1, 0.1, size=2)
-        still = PoseDelta.zero()  # no heading change: both orders see phi
+        still = PoseDelta(0.0, 0.0, 0.0)  # no heading change: both orders see phi
         second = inverse_second_order(desired, still, phi, params)
         first = inverse_first_order(desired, phi, params)
         assert second.left == pytest.approx(first.left, abs=1e-12)

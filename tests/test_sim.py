@@ -7,6 +7,7 @@ pairing against each other.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ class TestWaypointPath:
 class TestPlants:
     def test_nominal_plant_single_step_matches_kinematic_model(self):
         start = OffsetPose(0.3, -0.2, 0.4)
-        plant = NominalPlant(PARAMS, start, actuator_alpha=0.0)
+        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.0), start)
         cmd = TrackCommand(0.3, 0.5)
         step = plant.step(cmd)
         want = forward_first_order(0.4, cmd, PARAMS)
@@ -214,14 +215,14 @@ class TestPlants:
         assert step.delta.dphi == pytest.approx(want.dphi, abs=1e-15)
 
     def test_nominal_plant_actuator_lag_filters_commands(self):
-        plant = NominalPlant(PARAMS, OffsetPose(0, 0, 0), actuator_alpha=0.1)
+        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.1), OffsetPose(0, 0, 0))
         s1 = plant.step(TrackCommand(1.0, 1.0))
         s2 = plant.step(TrackCommand(1.0, 1.0))
         assert s1.left_speed == pytest.approx(0.9, abs=1e-15)
         assert s2.left_speed == pytest.approx(0.99, abs=1e-15)
 
     def test_nominal_plant_saturates_track_speeds(self):
-        plant = NominalPlant(PARAMS, OffsetPose(0, 0, 0), actuator_alpha=0.0)
+        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.0), OffsetPose(0, 0, 0))
         step = plant.step(TrackCommand(10.0, -10.0))
         assert step.left_speed == PARAMS.max_track_speed
         assert step.right_speed == -PARAMS.max_track_speed

@@ -190,7 +190,7 @@ def test_slip_magnitude_grade_scaling():
 
 def test_zero_and_single_track_commands():
     world = SlipPlaneWorld(base_slip=0.2)
-    assert slip_ratios(TrackCommand(0.0, 0.0), world) == SlipState.zero()
+    assert slip_ratios(TrackCommand(0.0, 0.0), world) == SlipState()
     s = slip_ratios(TrackCommand(0.0, 1.0), world)
     assert s.left_ratio == 0.0 and s.right_ratio == pytest.approx(0.2)
     s = slip_ratios(TrackCommand(1.0, 0.0), world)
@@ -238,7 +238,7 @@ def test_slip_step_matches_plane_frame_route():
         )
         pose = Pose2(*rng.uniform(-3, 3, size=2), float(rng.uniform(-math.pi, math.pi)))
         cmd = TrackCommand(*rng.uniform(-2, 2, size=2))
-        got = slip_forward(pose, cmd, SlipState.zero(), world, PARAMS)
+        got = slip_forward(pose, cmd, SlipState(), world, PARAMS)
 
         yaw_p = world_yaw_to_plane(pose.phi, world)
         speed = 0.5 * (cmd.left + cmd.right)
@@ -257,7 +257,7 @@ def test_lateral_slip_rotates_translation_only():
     world = SlipPlaneWorld(slope=0.0)
     pose = Pose2(0.0, 0.0, 0.0)
     cmd = TrackCommand(1.0, 1.0)
-    base = slip_forward(pose, cmd, SlipState.zero(), world, PARAMS)
+    base = slip_forward(pose, cmd, SlipState(), world, PARAMS)
     beta = 0.3
     skewed = slip_forward(pose, cmd, SlipState(0.0, 0.0, beta), world, PARAMS)
     rot = np.array(
