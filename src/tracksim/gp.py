@@ -24,6 +24,13 @@ kernel matrix, its jitter and the weight vector. A query then scales
 only itself and pays for one 1 x N kernel row, its exp and a dot product
 per output.
 
+One evaluation of the fit's objective holds two N x N buffers: the
+kernel matrix, and a work buffer that LAPACK factors, inverts and that
+is multiplied by the kernel matrix, each step in place. The gradient is
+read from thin N x (D + 1) products, so no inverse is mirrored and no
+outer product formed. The objective and _output_model share one factor
+helper, so a fitted and a loaded model take the same factor.
+
 The optimizations, one per (output, start) pair, are independent jobs
 of one list: on a machine with two or more usable CPUs, fits of
 _PARALLEL_MIN_N samples or more run the list in a pool of forked worker
@@ -97,9 +104,11 @@ _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
 
 # Training sets smaller than this are fitted serially, because starting
 # the worker pool costs about as much as running the optimizations side
-# by side saves. Measured on 2 CPUs, medians of 8 fits of the clean
-# figure-8 data (restarts 1), serial against pool: 0.29 s vs 0.31 s at
-# N=100, 0.38 s vs 0.32 s at N=150, 0.79 s vs 0.51 s at N=200.
+# by side saves. Measured on 2 CPUs with the two-buffer objective,
+# medians of 8 fits of the clean figure-8 data (restarts 1), serial
+# against pool, two runs: 0.11/0.13 s vs 0.10/0.13 s at N=100 (one run
+# a tie), 0.17/0.20 s vs 0.10/0.11 s at N=150, 0.32/0.40 s vs 0.21/0.22 s
+# at N=200.
 _PARALLEL_MIN_N = 150
 
 # The cgroup v2 CPU quota of this process, "<quota> <period>" or
@@ -261,49 +270,34 @@ class FitConfig:
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor with escalating diagonal jitter.
+    """Lower Cholesky factor of the symmetric k_noisy with escalating
+    diagonal jitter.
 
-    The jitter is added to the diagonal of k_noisy in place (scipy
-    factors its own copy) and the diagonal is put back before returning,
-    so the argument ends unchanged. Returns (L, jitter). Raises
-    ConditioningError when even the maximum jitter cannot rescue the
-    factorization.
+    Each attempt copies k_noisy into one work buffer, adds the jitter to
+    its diagonal and factors it there with LAPACK dpotrf on its
+    Fortran-ordered view, so the argument is never written. Returns
+    (L, jitter), L that Fortran-ordered view with its upper triangle
+    zeroed. Raises ConditioningError when even the maximum jitter cannot
+    rescue the factorization.
     """
     n = k_noisy.shape[0]
     mean_diag = float(np.trace(k_noisy)) / n
-    diag = k_noisy.diagonal().copy()
-    applied = 0.0
+    work = np.empty((n, n))
     rel = JITTER_REL_INIT
-    try:
-        while True:
-            jitter = rel * mean_diag
-            k_noisy.flat[:: n + 1] += jitter - applied
-            applied = jitter
-            try:
-                return scipy.linalg.cholesky(k_noisy, lower=True), jitter
-            except np.linalg.LinAlgError:
-                pass
-            if rel >= JITTER_REL_MAX:
-                raise ConditioningError(
-                    f"Cholesky failed at maximum jitter {jitter:.3e} "
-                    f"(relative level {rel:.0e})"
-                )
-            rel *= 10.0
-    finally:
-        k_noisy.flat[:: n + 1] = diag
-
-
-def _spd_inverse_from_cholesky(l: np.ndarray) -> np.ndarray:
-    """Full inverse of L L' from its lower factor (LAPACK dpotri)."""
-    tri, info = scipy.linalg.lapack.dpotri(l, lower=1)
-    if info != 0:
-        return scipy.linalg.cho_solve((l, True), np.eye(l.shape[0]))
-    # L comes from potrf with its upper triangle zeroed and dpotri writes
-    # only the lower one, so the mirror is tri + tri' with the diagonal
-    # counted once
-    full = tri + tri.T
-    full.flat[:: l.shape[0] + 1] = tri.diagonal()
-    return full
+    while True:
+        jitter = rel * mean_diag
+        np.copyto(work, k_noisy)
+        work.flat[:: n + 1] += jitter
+        # Fortran-ordered work.T (k_noisy up to rounding) is factored without a copy
+        l, info = scipy.linalg.lapack.dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
+        if info == 0:
+            return l, jitter
+        if rel >= JITTER_REL_MAX:
+            raise ConditioningError(
+                f"Cholesky failed at maximum jitter {jitter:.3e} "
+                f"(relative level {rel:.0e})"
+            )
+        rel *= 10.0
 
 
 def nll_and_grad(
@@ -316,37 +310,45 @@ def nll_and_grad(
     factor was taken of, and the gradient is its exact derivative: the
     jitter is a fixed share of the mean diagonal, so it contributes to
     both variance components.
+
+    Two N x N buffers do all the work: K, and the factor that is inverted
+    in place and then multiplied by K. The gradient needs P = (alpha
+    alpha' - K_y^-1) o K only through P [U, 1], U the scaled inputs, so
+    the lower triangle of K_y^-1 is never mirrored.
     """
     n, d = inputs.shape
     kern = Kernel(theta[:d], float(theta[d]))
     noise_var = math.exp(theta[d + 1])
     k = kernel_matrix(kern, inputs, inputs)
-    # factor K + noise in place, then put back K's diagonal for the gradient
+    # factor K + noise from a copy, then put back K's diagonal for the gradient
     diag = k.diagonal().copy()
     k.flat[:: n + 1] += noise_var
     l, jitter = _chol_with_jitter(k)
     k.flat[:: n + 1] = diag
-    alpha = scipy.linalg.cho_solve((l, True), targets)
+    alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
         + float(np.sum(np.log(np.diag(l))))
         + 0.5 * n * math.log(2.0 * math.pi)
     )
-    k_inv = _spd_inverse_from_cholesky(l)
+    k_inv, info = scipy.linalg.lapack.dpotri(l, lower=1, overwrite_c=1)
+    if info != 0:
+        # dpotri checks L's diagonal before it writes, so L is still whole
+        k_inv[...] = scipy.linalg.cho_solve((l, True), np.eye(n))
     trace_m = float(alpha @ alpha) - float(np.trace(k_inv))
-    # L is not needed any more; potrf returns it in Fortran order, so its
-    # transpose is a free C-ordered buffer for the outer product
-    p = np.multiply(alpha[:, None], alpha[None, :], out=l.T)
-    p -= k_inv
-    p *= k  # now holds P = (alpha alpha' - K_y^-1) o K
-    grad = np.empty(d + 2)
+    k_inv *= k.T  # lower triangle of K_y^-1 o K, both Fortran-ordered
     scaled = inputs / kern.lengthscales
-    row_sums = p.sum(axis=1)
-    p_scaled = p @ scaled
+    v = np.column_stack([scaled, np.ones(n)])
+    # P [U, 1] = alpha o (K (alpha o [U, 1])) - (K_y^-1 o K) [U, 1]
+    pv = k @ (alpha[:, None] * v)
+    pv *= alpha[:, None]
+    pv -= scipy.linalg.blas.dsymm(1.0, k_inv, v, lower=1)
+    row_sums = pv[:, d]
+    grad = np.empty(d + 2)
     # d/d(log l_d) of -log p: -(sum_i u_id^2 s_i - u_d' P u_d)
     grad[:d] = -(
         np.einsum("nd,n->d", scaled**2, row_sums)
-        - np.einsum("nd,nd->d", scaled, p_scaled)
+        - np.einsum("nd,nd->d", scaled, pv[:, :d])
     )
     share = jitter / (kern.signal_variance + noise_var)
     grad[d] = -0.5 * float(row_sums.sum()) - 0.5 * trace_m * share * kern.signal_variance
@@ -384,7 +386,7 @@ def _output_model(
     k_noisy = _scaled_kernel(kernel, u, norms, u, norms)
     k_noisy.flat[:: xs.shape[0] + 1] += math.exp(log_noise_variance)
     chol, jitter = _chol_with_jitter(k_noisy)
-    alpha = scipy.linalg.cho_solve((chol, True), zs_col)
+    alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
     return OutputModel(kernel, log_noise_variance, u, norms, chol, jitter, alpha)
 
 
@@ -709,10 +711,9 @@ def model_from_dict(payload: dict) -> GpModel:
         raise ValueError(f"unrecognized model format {payload['format']!r}")
     if payload["kernel_kind"] != KERNEL_KIND:
         raise ValueError(f"unsupported kernel kind {payload['kernel_kind']!r}")
-    inputs = np.asarray(payload["inputs"], dtype=float)
-    targets = np.asarray(payload["targets"], dtype=float)
-    if inputs.ndim != 2 or targets.ndim != 2 or inputs.shape[0] != targets.shape[0]:
-        raise ValueError("model training arrays are inconsistent")
+    # LAPACK does not check finiteness, so the training arrays are checked here
+    data = Dataset(payload["inputs"], payload["targets"])
+    inputs, targets = data.inputs, data.targets
     if inputs.shape != (payload["n_train"], payload["input_dim"]):
         raise ValueError(
             f"declared dims {(payload['n_train'], payload['input_dim'])} do not "

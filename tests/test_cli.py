@@ -11,6 +11,7 @@ must mean identical artifacts.
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -554,9 +555,13 @@ class TestEvaluate:
         small_model(("outputs", 0, "log_lengthscales"), [0.0]),
         small_model(("outputs", 0, "log_noise_variance"), 800.0),
         small_model(("outputs", 1, "log_signal_variance"), 800.0),
+        # json writes these as NaN and Infinity, which json.load reads back;
+        # the in-place factorization would not notice them
+        small_model(("inputs", 0), [math.nan] + [0.0] * 5),
+        small_model(("targets", 1), [math.inf, 1.0]),
     ], ids=["number", "standardization_list", "target_std_short", "target_mean_short",
             "input_std_short", "target_std_negative", "lengthscales_short", "noise_variance_800",
-            "signal_variance_800"])
+            "signal_variance_800", "inputs_nan", "targets_infinity"])
     def test_model_of_the_wrong_json_types(self, tmp_path, capsys, command, payload):
         # the first two used to escape from model_from_dict as a TypeError and exit 1
         cfg = tiny_config(tmp_path, controller={"slot": "gp"})

@@ -13,6 +13,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,86 @@ class TestLikelihoodGradient:
         expected += 0.5 * math.log(np.linalg.det(ky))
         expected += 0.5 * 15 * math.log(2 * math.pi)
         assert abs(value - expected) < 1e-8
+
+
+def dense_nll_and_grad(theta, w, y, rel):
+    """The jittered NLL and its exact gradient from a dense inverse and
+    log-determinant, the jitter being rel times the mean diagonal."""
+    n, d = w.shape
+    sf2, sn2 = math.exp(theta[d]), math.exp(theta[d + 1])
+    k = kernel_oracle(theta[:d], theta[d], w, w)
+    ky = k + (sn2 + rel * (sf2 + sn2)) * np.eye(n)
+    ky_inv = np.linalg.inv(ky)
+    alpha = ky_inv @ y
+    value = 0.5 * float(y @ alpha) + 0.5 * np.linalg.slogdet(ky)[1] + 0.5 * n * math.log(2 * math.pi)
+    m = np.outer(alpha, alpha) - ky_inv
+    sq_steps = ((w[:, None, :] - w[None, :, :]) / np.exp(theta[:d])) ** 2
+    grad = np.empty(d + 2)
+    grad[:d] = [-0.5 * np.sum(m * k * sq_steps[:, :, c]) for c in range(d)]
+    grad[d] = -0.5 * (np.sum(m * k) + np.trace(m) * rel * sf2)
+    grad[d + 1] = -0.5 * np.trace(m) * sn2 * (1.0 + rel)
+    return value, grad
+
+
+class TestObjectiveBuffers:
+    @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True)])
+    def test_value_and_gradient_match_a_dense_reference(self, n, escalate, monkeypatch):
+        rng = np.random.default_rng(200 + n)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
+        rel = gp.JITTER_REL_INIT
+        if escalate:
+            # the first factorization writes its buffer and then reports
+            # failure, so the retry must copy the matrix again
+            potrf, calls = scipy.linalg.lapack.dpotrf, []
+
+            def failing_once(*args, **kwargs):
+                calls.append(1)
+                c, info = potrf(*args, **kwargs)
+                return c, 1 if len(calls) == 1 else info
+
+            monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_once)
+            rel *= 10.0
+        value, grad = nll_and_grad(theta, w, z[:, 0])
+        expected, expected_grad = dense_nll_and_grad(theta, w, z[:, 0], rel)
+        assert abs(value - expected) < 1e-10 * abs(expected)
+        assert np.max(np.abs(grad - expected_grad)) < 1e-8 * np.max(np.abs(expected_grad))
+        assert not escalate or len(calls) == 2
+
+    def test_arguments_unchanged(self):
+        rng = np.random.default_rng(210)
+        w, z = make_problem(rng, 30)
+        y = z[:, 1]
+        before = w.copy(), y.copy()
+        nll_and_grad(np.concatenate([np.zeros(6), [0.0], [math.log(0.1)]]), w, y)
+        assert np.array_equal(w, before[0]) and np.array_equal(y, before[1])
+
+    def test_inverse_fallback_gives_the_same_value_and_gradient(self, monkeypatch):
+        rng = np.random.default_rng(211)
+        w, z = make_problem(rng, 40)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.1], [math.log(0.05)]])
+        value, grad = nll_and_grad(theta, w, z[:, 0])
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", lambda c, lower, overwrite_c: (c, 1))
+        value_fb, grad_fb = nll_and_grad(theta, w, z[:, 0])
+        assert abs(value_fb - value) < 1e-10 * abs(value)
+        assert np.max(np.abs(grad_fb - grad)) < 1e-10 * np.max(np.abs(grad))
+
+    def test_one_call_allocates_two_square_buffers(self):
+        # K and the factor's work buffer, plus thin N x 7 arrays; a third
+        # N x N array, such as a copy LAPACK makes of a C-ordered argument,
+        # would exceed the bound
+        n = 400
+        rng = np.random.default_rng(212)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
+        nll_and_grad(theta, w, z[:, 0])  # load scipy's LAPACK wrappers first
+        tracemalloc.start()
+        try:
+            nll_and_grad(theta, w, z[:, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8, peak
 
 
 class TestCholeskyJitter:
