@@ -234,6 +234,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     along that rollout the closed form produced the logged commands, so the
     prediction error doubles as a slot-equivalence measure.
     """
+    if cfg.order != 2:
+        raise ConfigError("evaluate runs the learned slot, which requires controller.order 2")
     model, inverse = _load_inverse(model_path)
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
     per_seed = []

@@ -245,6 +245,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
     slot = controller["slot"]
     if slot not in ("nominal", "gp"):
         raise ConfigError(f"controller.slot must be 'nominal' or 'gp', got {slot!r}")
+    if slot == "gp" and order != 2:
+        raise ConfigError("controller.slot 'gp' requires controller.order 2, the law it plugs into")
 
     trajectory = _resolve_trajectory(raw)
 

@@ -7,29 +7,32 @@ are modeled by two independent zero-mean GPs over the shared inputs
 (conditional independence given the context), each with its own
 squared-exponential ARD kernel and noise level.
 
-Hyperparameters live in log space and are chosen by maximizing the exact
-log marginal likelihood with analytic gradients under a bounded
-quasi-Newton optimizer, from a data-scaled start plus seeded random
-restarts. Each start stops at max_iter iterations, at the gradient
-tolerance, or once an iteration lowers the objective by less than
-OPTIMIZER_FTOL of its value, and its report says which. Inputs and
-targets are standardized internally; the stored transform is inverted
-at prediction time.
+Each output's hyperparameters are one log-space vector theta = [log
+lengthscales (D), log signal variance, log noise variance], chosen by
+maximizing the exact log marginal likelihood with analytic gradients
+under a bounded quasi-Newton optimizer, from a data-scaled start plus
+seeded random restarts. Each start stops at max_iter iterations, at the
+gradient tolerance, or once an iteration lowers the objective by less
+than OPTIMIZER_FTOL of its value, and its report says which. Inputs and
+targets are standardized internally; the stored transform is inverted at
+prediction time.
 
 A fitted or loaded model is complete from the start: _output_model
-builds each output at once from its hyperparameters and the standardized
-training data, with the training inputs divided by that output's
-lengthscales, their squared row norms, the Cholesky factor of the noisy
-kernel matrix, its jitter and the weight vector. A query then scales
-only itself and pays for one 1 x N kernel row, its exp and a dot product
-per output.
+builds each output at once from its theta and the standardized training
+data, with the training inputs divided by that output's lengthscales,
+their squared row norms, the Cholesky factor of the noisy kernel matrix,
+its jitter and the weight vector. A query then scales only itself and
+pays for one 1 x N kernel row, its exp and a dot product per output.
 
 One evaluation of the fit's objective holds two N x N buffers: the
 kernel matrix, and a work buffer that LAPACK factors, inverts and that
 is multiplied by the kernel matrix, each step in place. The gradient is
 read from thin N x (D + 1) products, so no inverse is mirrored and no
 outer product formed. The objective and _output_model share one factor
-helper, so a fitted and a loaded model take the same factor.
+helper, _chol_with_jitter, the only code that adds the noise variance
+and the jitter to a diagonal, in its own work buffer. So no kernel
+matrix is ever written, and a fitted and a loaded model take the same
+factor.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list: on a machine with two or more usable CPUs, fits of
@@ -159,42 +162,24 @@ def _single_blas_thread():
             put(count)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Squared-exponential ARD kernel, log-space hyperparameters."""
-
-    log_lengthscales: np.ndarray
-    log_signal_variance: float
-
-    def __post_init__(self) -> None:
-        lls = np.asarray(self.log_lengthscales, dtype=float)
-        if lls.ndim != 1 or not np.all(np.isfinite(lls)):
-            raise ValueError("log_lengthscales must be a finite 1-D array")
-        if not math.isfinite(self.log_signal_variance):
-            raise ValueError("log_signal_variance must be finite")
-        object.__setattr__(self, "log_lengthscales", lls)
-
-    @property
-    def lengthscales(self) -> np.ndarray:
-        return np.exp(self.log_lengthscales)
-
-    @property
-    def signal_variance(self) -> float:
-        return math.exp(self.log_signal_variance)
-
-
-def kernel_matrix(kernel: Kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross-covariance matrix between two input sets (M,D) x (P,D)."""
+def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross-covariance matrix between two input sets (M,D) x (P,D) under
+    the hyperparameters theta = [log lengthscales (D), log signal
+    variance, log noise variance]; the noise variance is not read."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+        raise ValueError("hyperparameters must be a finite 1-D array")
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    d = kernel.log_lengthscales.shape[0]
+    d = theta.shape[0] - 2
     if a.shape[1] != d or b.shape[1] != d:
         raise ValueError(
             f"inputs must have {d} columns, got {a.shape[1]} and {b.shape[1]}"
         )
-    ua = a / kernel.lengthscales
-    ub = ua if b is a else b / kernel.lengthscales
-    return _scaled_kernel(kernel, ua, _sq_norms(ua), ub, _sq_norms(ub))
+    lengthscales = np.exp(theta[:d])
+    ua = a / lengthscales
+    ub = ua if b is a else b / lengthscales
+    return _scaled_kernel(math.exp(theta[d]), ua, _sq_norms(ua), ub, _sq_norms(ub))
 
 
 def _sq_norms(u: np.ndarray) -> np.ndarray:
@@ -202,10 +187,10 @@ def _sq_norms(u: np.ndarray) -> np.ndarray:
 
 
 def _scaled_kernel(
-    kernel: Kernel, ua: np.ndarray, na: np.ndarray, ub: np.ndarray, nb: np.ndarray
+    signal_var: float, ua: np.ndarray, na: np.ndarray, ub: np.ndarray, nb: np.ndarray
 ) -> np.ndarray:
-    """kernel_matrix from inputs already divided by the lengthscales,
-    with their squared row norms na and nb."""
+    """kernel_matrix from the signal variance and inputs already divided
+    by the lengthscales, with their squared row norms na and nb."""
     sq = ua @ ub.T
     sq *= -2.0
     sq += na[:, None]
@@ -213,7 +198,7 @@ def _scaled_kernel(
     np.maximum(sq, 0.0, out=sq)
     sq *= -0.5
     np.exp(sq, out=sq)
-    sq *= kernel.signal_variance
+    sq *= signal_var
     return sq
 
 
@@ -269,26 +254,27 @@ class FitConfig:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
 
 
-def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of the symmetric k_noisy with escalating
-    diagonal jitter.
+def _chol_with_jitter(k: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of k + (noise_var + jitter) I, k a symmetric
+    kernel matrix, with escalating jitter: the only code that adds either
+    variance to a diagonal.
 
-    Each attempt copies k_noisy into one work buffer, adds the jitter to
-    its diagonal and factors it there with LAPACK dpotrf on its
-    Fortran-ordered view, so the argument is never written. Returns
-    (L, jitter), L that Fortran-ordered view with its upper triangle
-    zeroed. Raises ConditioningError when even the maximum jitter cannot
-    rescue the factorization.
+    Each attempt copies k into one work buffer, adds noise_var and then
+    the jitter, a share of the noisy mean diagonal, to its diagonal and
+    factors it there with LAPACK dpotrf on its Fortran-ordered view, so k
+    is never written. Returns (L, jitter), L that Fortran-ordered view
+    with its upper triangle zeroed. Raises ConditioningError when even the
+    maximum jitter cannot rescue the factorization.
     """
-    n = k_noisy.shape[0]
-    mean_diag = float(np.trace(k_noisy)) / n
+    n = k.shape[0]
     work = np.empty((n, n))
     rel = JITTER_REL_INIT
     while True:
-        jitter = rel * mean_diag
-        np.copyto(work, k_noisy)
+        np.copyto(work, k)
+        work.flat[:: n + 1] += noise_var
+        jitter = rel * (float(np.trace(work)) / n)
         work.flat[:: n + 1] += jitter
-        # Fortran-ordered work.T (k_noisy up to rounding) is factored without a copy
+        # Fortran-ordered work.T (the noisy k up to rounding) is factored without a copy
         l, info = scipy.linalg.lapack.dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return l, jitter
@@ -317,14 +303,9 @@ def nll_and_grad(
     the lower triangle of K_y^-1 is never mirrored.
     """
     n, d = inputs.shape
-    kern = Kernel(theta[:d], float(theta[d]))
-    noise_var = math.exp(theta[d + 1])
-    k = kernel_matrix(kern, inputs, inputs)
-    # factor K + noise from a copy, then put back K's diagonal for the gradient
-    diag = k.diagonal().copy()
-    k.flat[:: n + 1] += noise_var
-    l, jitter = _chol_with_jitter(k)
-    k.flat[:: n + 1] = diag
+    signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
+    k = kernel_matrix(theta, inputs, inputs)
+    l, jitter = _chol_with_jitter(k, noise_var)
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
@@ -337,7 +318,7 @@ def nll_and_grad(
         k_inv[...] = scipy.linalg.cho_solve((l, True), np.eye(n))
     trace_m = float(alpha @ alpha) - float(np.trace(k_inv))
     k_inv *= k.T  # lower triangle of K_y^-1 o K, both Fortran-ordered
-    scaled = inputs / kern.lengthscales
+    scaled = inputs / np.exp(theta[:d])
     v = np.column_stack([scaled, np.ones(n)])
     # P [U, 1] = alpha o (K (alpha o [U, 1])) - (K_y^-1 o K) [U, 1]
     pv = k @ (alpha[:, None] * v)
@@ -350,44 +331,38 @@ def nll_and_grad(
         np.einsum("nd,n->d", scaled**2, row_sums)
         - np.einsum("nd,nd->d", scaled, pv[:, :d])
     )
-    share = jitter / (kern.signal_variance + noise_var)
-    grad[d] = -0.5 * float(row_sums.sum()) - 0.5 * trace_m * share * kern.signal_variance
+    share = jitter / (signal_var + noise_var)
+    grad[d] = -0.5 * float(row_sums.sum()) - 0.5 * trace_m * share * signal_var
     grad[d + 1] = -0.5 * noise_var * trace_m * (1.0 + share)
     return nll, grad
 
 
 @dataclass(frozen=True)
 class OutputModel:
-    """One output's hyperparameters plus what predict reads of it: the
-    standardized training inputs divided by the lengthscales, their
+    """One output's hyperparameters theta plus what predict reads of it:
+    the standardized training inputs divided by the lengthscales, their
     squared row norms, the Cholesky factor of the noisy kernel matrix,
     the jitter that factorization needed and the weight vector."""
 
-    kernel: Kernel
-    log_noise_variance: float
+    theta: np.ndarray
     scaled_inputs: np.ndarray
     scaled_sq_norms: np.ndarray
     chol: np.ndarray
     jitter: float
     alpha: np.ndarray
 
-    @property
-    def noise_variance(self) -> float:
-        return math.exp(self.log_noise_variance)
 
-
-def _output_model(
-    kernel: Kernel, log_noise_variance: float, xs: np.ndarray, zs_col: np.ndarray
-) -> OutputModel:
-    """The complete model of one output, from its hyperparameters, the
-    standardized training inputs and its standardized target column."""
-    u = xs / kernel.lengthscales
+def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
+    """The complete model of one output, from its hyperparameters theta,
+    the standardized training inputs and its standardized target column;
+    the factor helper adds the noise variance to a copy of K."""
+    d = xs.shape[1]
+    u = xs / np.exp(theta[:d])
     norms = _sq_norms(u)
-    k_noisy = _scaled_kernel(kernel, u, norms, u, norms)
-    k_noisy.flat[:: xs.shape[0] + 1] += math.exp(log_noise_variance)
-    chol, jitter = _chol_with_jitter(k_noisy)
+    k = _scaled_kernel(math.exp(theta[d]), u, norms, u, norms)
+    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]))
     alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
-    return OutputModel(kernel, log_noise_variance, u, norms, chol, jitter, alpha)
+    return OutputModel(theta, u, norms, chol, jitter, alpha)
 
 
 @dataclass
@@ -409,8 +384,10 @@ def _safe_std(x: np.ndarray) -> np.ndarray:
     return np.where(std > 0.0, std, 1.0)
 
 
-def _bounds(d: int) -> list[tuple[float, float]]:
-    return [BOUND_LOG_LENGTHSCALE] * d + [BOUND_LOG_SIGNAL_VAR] + [BOUND_LOG_NOISE_VAR]
+def _bounds(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): the fit's search box over theta."""
+    pairs = [BOUND_LOG_LENGTHSCALE] * d + [BOUND_LOG_SIGNAL_VAR, BOUND_LOG_NOISE_VAR]
+    return tuple(np.array(pairs).T)
 
 
 def _starts(
@@ -427,11 +404,11 @@ def _starts(
     if var_z > 0.0:
         base[d] = math.log(var_z)
         base[d + 1] = math.log(0.01 * var_z)
-    bounds = _bounds(d)
+    low, high = _bounds(d)
     starts = [base]
     for _ in range(config.restarts):
         starts.append(base + rng.normal(0.0, config.restart_spread, size=d + 2))
-    return [np.clip(s, [b[0] for b in bounds], [b[1] for b in bounds]) for s in starts]
+    return [np.clip(s, low, high) for s in starts]
 
 
 def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
@@ -470,7 +447,7 @@ def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
         starts[j][idx],
         jac=True,
         method="L-BFGS-B",
-        bounds=_bounds(xs.shape[1]),
+        bounds=scipy.optimize.Bounds(*_bounds(xs.shape[1])),
         callback=callback,
         options={"maxiter": config.max_iter, "gtol": config.grad_tol, "ftol": OPTIMIZER_FTOL},
     )
@@ -602,10 +579,9 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
     target_mean, target_std = z.mean(axis=0), _safe_std(z)
     xs = (w - input_mean) / input_std
     zs = (z - target_mean) / target_std
-    d = w.shape[1]
     outputs, per_output = [], []
     for j, (theta, info) in enumerate(_optimize_outputs(xs, zs, config)):
-        out = _output_model(Kernel(theta[:d], float(theta[d])), float(theta[d + 1]), xs, zs[:, j])
+        out = _output_model(theta, xs, zs[:, j])
         info["jitter"] = out.jitter
         outputs.append(out)
         per_output.append(info)
@@ -640,18 +616,20 @@ def predict(
         )
     if not np.all(np.isfinite(w2)):
         raise ValueError("prediction query contains non-finite values")
+    d = w2.shape[1]
     ws = (w2 - model.input_mean) / model.input_std
     means = np.empty((w2.shape[0], len(model.outputs)))
     variances = np.empty_like(means) if variance else None
     for j, out in enumerate(model.outputs):
-        uq = ws / out.kernel.lengthscales
-        ks = _scaled_kernel(out.kernel, uq, _sq_norms(uq), out.scaled_inputs, out.scaled_sq_norms)
+        signal_var = math.exp(out.theta[d])
+        uq = ws / np.exp(out.theta[:d])
+        ks = _scaled_kernel(signal_var, uq, _sq_norms(uq), out.scaled_inputs, out.scaled_sq_norms)
         mean_s = ks @ out.alpha
         means[:, j] = mean_s * model.target_std[j] + model.target_mean[j]
         if variance:
             v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
-            latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
-            var_s = latent + out.noise_variance
+            latent = np.maximum(signal_var - np.sum(v**2, axis=0), 0.0)
+            var_s = latent + math.exp(out.theta[d + 1])
             variances[:, j] = var_s * model.target_std[j] ** 2
     if single:
         return means[0], None if variances is None else variances[0]
@@ -692,9 +670,9 @@ def model_to_dict(model: GpModel) -> dict:
         },
         "outputs": [
             {
-                "log_lengthscales": out.kernel.log_lengthscales.tolist(),
-                "log_signal_variance": out.kernel.log_signal_variance,
-                "log_noise_variance": out.log_noise_variance,
+                "log_lengthscales": out.theta[:d].tolist(),
+                "log_signal_variance": float(out.theta[d]),
+                "log_noise_variance": float(out.theta[d + 1]),
             }
             for out in model.outputs
         ],
@@ -732,7 +710,7 @@ def model_from_dict(payload: dict) -> GpModel:
     if len(payload["outputs"]) != m:
         raise ValueError("output blocks do not match target dim")
     # every fitted model lies inside the fit's own bounds
-    low, high = np.array(_bounds(d)).T
+    low, high = _bounds(d)
     thetas = []
     for j, out in enumerate(payload["outputs"]):
         theta = np.array([*out["log_lengthscales"], out["log_signal_variance"],
@@ -745,10 +723,7 @@ def model_from_dict(payload: dict) -> GpModel:
         thetas.append(theta)
     xs = (inputs - input_mean) / input_std
     zs = (targets - target_mean) / target_std
-    outputs = [
-        _output_model(Kernel(theta[:d], float(theta[d])), float(theta[d + 1]), xs, zs[:, j])
-        for j, theta in enumerate(thetas)
-    ]
+    outputs = [_output_model(theta, xs, zs[:, j]) for j, theta in enumerate(thetas)]
     return GpModel(inputs, targets, input_mean, input_std, target_mean, target_std, outputs,
                    payload.get("report", {}))
 

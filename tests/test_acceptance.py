@@ -224,10 +224,10 @@ def test_c4_gp_correctness(tmp_path):
     q_std = (queries - model.input_mean) / model.input_std
     z_std = (z - model.target_mean) / model.target_std
     for j, out in enumerate(model.outputs):
-        kern = out.kernel
-        gram = dense_kernel(kern.log_lengthscales, kern.log_signal_variance, w_std, w_std)
-        ky = gram + (out.noise_variance + out.jitter) * np.eye(40)
-        ks = dense_kernel(kern.log_lengthscales, kern.log_signal_variance, q_std, w_std)
+        theta = out.theta
+        gram = dense_kernel(theta[:6], theta[6], w_std, w_std)
+        ky = gram + (math.exp(theta[7]) + out.jitter) * np.eye(40)
+        ks = dense_kernel(theta[:6], theta[6], q_std, w_std)
         mean_oracle = model.target_mean[j] + model.target_std[j] * (
             ks @ np.linalg.solve(ky, z_std[:, j])
         )

@@ -223,6 +223,32 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "collect", "train", "evaluate",
+                                         "gains-check"])
+    def test_learned_slot_under_the_order_1_law_rejected(self, tmp_path, capsys, command):
+        # a learned inverse plugs into the order-2 law only; the run used to
+        # fail with exit 1, evaluate after its first closed-form rollout
+        model = tmp_path / "model.json"  # a valid two-sample model
+        model.write_text(json.dumps(small_model(("kernel_kind",), gp.KERNEL_KIND)))
+        if command == "train":
+            assert main(["collect", "--config", tiny_config(tmp_path), "--out",
+                         str(tmp_path / "d")]) == 0
+        cfg = tiny_config(tmp_path, name="order1.yaml", controller={"order": 1, "slot": "gp"},
+                          gains={"kp": [0.2, 0.4], "kd": None})
+        argv = {
+            "simulate": ["simulate", "--model", str(model)],
+            "collect": ["collect"],
+            "train": ["train", str(tmp_path / "d" / "dataset.csv")],
+            "evaluate": ["evaluate", "--model", str(model)],
+            "gains-check": ["gains-check"],
+        }[command] + ["--config", cfg]
+        if command != "gains-check":
+            argv += ["--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert "controller.slot" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_subcommand_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["teleport", "--config", "x"])
@@ -527,6 +553,18 @@ class TestEvaluate:
         cfg = tiny_config(tmp_path)
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path),
                      "--model", str(tmp_path / "none.json")]) == 4
+
+    @pytest.mark.parametrize("model", ["valid", "missing"])
+    def test_order_1_law_rejected_before_the_model_is_read(self, tmp_path, capsys, model):
+        # evaluate always runs the learned slot, which needs the order-2 law
+        path = tmp_path / "model.json"
+        if model == "valid":
+            path.write_text(json.dumps(small_model(("kernel_kind",), gp.KERNEL_KIND)))
+        cfg = tiny_config(tmp_path, controller={"order": 1}, gains={"kp": [0.2, 0.4], "kd": None})
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", cfg, "--out", str(out), "--model", str(path)]) == 2
+        assert "controller.order" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_flag_required(self, tmp_path):
         cfg = tiny_config(tmp_path)

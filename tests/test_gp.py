@@ -28,7 +28,6 @@ from tracksim.gp import (
     Dataset,
     FitConfig,
     GpModel,
-    Kernel,
     _chol_with_jitter,
     _output_model,
     fit,
@@ -66,6 +65,11 @@ def make_problem(rng, n, d=6, noise=0.05):
     return w, z
 
 
+def hyperparameters(log_ls, log_sf2, log_sn2=0.0):
+    """theta = [log lengthscales, log signal variance, log noise variance]."""
+    return np.concatenate([np.asarray(log_ls, dtype=float), [log_sf2, log_sn2]])
+
+
 def manual_model(w, z, log_ls, log_sf2, log_sn2, input_mean=None, input_std=None):
     """Model with pinned hyperparameters and identity target
     standardization; the input standardization is the identity unless
@@ -74,8 +78,8 @@ def manual_model(w, z, log_ls, log_sf2, log_sn2, input_mean=None, input_std=None
     input_mean = np.zeros(d) if input_mean is None else input_mean
     input_std = np.ones(d) if input_std is None else input_std
     xs = (w - input_mean) / input_std
-    kernel = Kernel(np.asarray(log_ls, dtype=float), log_sf2)
-    outputs = [_output_model(kernel, log_sn2, xs, z[:, j]) for j in range(m)]
+    theta = hyperparameters(log_ls, log_sf2, log_sn2)
+    outputs = [_output_model(theta, xs, z[:, j]) for j in range(m)]
     return GpModel(w, z, input_mean, input_std, np.zeros(m), np.ones(m), outputs, {})
 
 
@@ -85,17 +89,17 @@ def standardized_inputs(model):
 
 class TestKernel:
     def test_identical_single_inputs_give_signal_variance(self):
-        kern = Kernel(np.zeros(3), math.log(1.7))
-        k = kernel_matrix(kern, np.array([[0.2, -1.0, 4.0]]), np.array([[0.2, -1.0, 4.0]]))
+        theta = hyperparameters(np.zeros(3), math.log(1.7))
+        k = kernel_matrix(theta, np.array([[0.2, -1.0, 4.0]]), np.array([[0.2, -1.0, 4.0]]))
         assert k.shape == (1, 1)
         assert abs(k[0, 0] - 1.7) < 1e-12
 
     def test_one_lengthscale_separation_decays_by_exp_half(self):
         log_ls = np.log(np.array([0.4, 2.0]))
-        kern = Kernel(log_ls, math.log(3.0))
+        theta = hyperparameters(log_ls, math.log(3.0))
         a = np.array([[1.0, 5.0]])
         b = np.array([[1.4, 5.0]])  # exactly one lengthscale apart in dim 0
-        k = kernel_matrix(kern, a, b)
+        k = kernel_matrix(theta, a, b)
         assert abs(k[0, 0] - 3.0 * math.exp(-0.5)) < 1e-12
 
     def test_matches_elementwise_oracle_on_random_inputs(self):
@@ -103,28 +107,26 @@ class TestKernel:
         a = rng.normal(size=(4, 6))
         b = rng.normal(size=(5, 6))
         log_ls = rng.normal(0.0, 0.4, size=6)
-        kern = Kernel(log_ls, 0.3)
         expected = kernel_oracle(log_ls, 0.3, a, b)
-        assert np.allclose(kernel_matrix(kern, a, b), expected, atol=1e-12)
+        assert np.allclose(kernel_matrix(hyperparameters(log_ls, 0.3), a, b), expected, atol=1e-12)
 
     def test_gram_matrix_is_symmetric_psd(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(20, 6))
-        kern = Kernel(rng.normal(size=6) * 0.2, 0.1)
-        k = kernel_matrix(kern, x, x)
+        k = kernel_matrix(hyperparameters(rng.normal(size=6) * 0.2, 0.1), x, x)
         assert np.allclose(k, k.T, atol=1e-14)
         assert np.linalg.eigvalsh(k).min() > -1e-9
 
     def test_rejects_wrong_input_width(self):
-        kern = Kernel(np.zeros(6), 0.0)
         with pytest.raises(ValueError, match="columns"):
-            kernel_matrix(kern, np.zeros((3, 4)), np.zeros((2, 6)))
+            kernel_matrix(hyperparameters(np.zeros(6), 0.0), np.zeros((3, 4)), np.zeros((2, 6)))
 
     def test_rejects_non_finite_hyperparameters(self):
+        x = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            Kernel(np.array([0.0, np.nan]), 0.0)
+            kernel_matrix(hyperparameters(np.array([0.0, np.nan]), 0.0), x, x)
         with pytest.raises(ValueError):
-            Kernel(np.zeros(2), math.inf)
+            kernel_matrix(hyperparameters(np.zeros(2), math.inf), x, x)
 
 
 class TestLikelihoodGradient:
@@ -273,20 +275,20 @@ class TestCholeskyJitter:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        l, jitter = _chol_with_jitter(spd)
+        l, jitter = _chol_with_jitter(spd, 0.0)
         assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
         assert jitter <= 2e-10 * np.trace(spd) / 8
 
     def test_escalates_until_factorization_succeeds(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8  # smallest eigenvalue just below zero
-        l, jitter = _chol_with_jitter(nearly)
+        l, jitter = _chol_with_jitter(nearly, 0.0)
         assert np.all(np.isfinite(l))
         assert jitter >= 1e-9  # base level was not enough
 
     def test_raises_on_indefinite_matrix(self):
         with pytest.raises(ConditioningError, match="jitter"):
-            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
 
     def test_argument_unchanged_after_escalation_or_failure(self):
         nearly = np.ones((3, 3))
@@ -295,7 +297,8 @@ class TestCholeskyJitter:
         for matrix in (nearly, indefinite):
             before = matrix.copy()
             try:
-                _chol_with_jitter(matrix)
+                _, jitter = _chol_with_jitter(matrix, 1e-12)
+                assert jitter >= 1e-9  # base level was not enough
             except ConditioningError:
                 pass
             assert np.array_equal(matrix, before)
@@ -312,12 +315,12 @@ class TestPrediction:
         for j in range(2):
             out = model.outputs[j]
             k = kernel_oracle(log_ls, 0.15, w, w)
-            ky = k + (out.noise_variance + out.jitter) * np.eye(30)
+            ky = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(30)
             ks = kernel_oracle(log_ls, 0.15, queries, w)
             mean_o = ks @ np.linalg.solve(ky, z[:, j])
             var_o = (
-                out.kernel.signal_variance
-                + out.noise_variance
+                math.exp(out.theta[6])
+                + math.exp(out.theta[7])
                 - np.einsum("ij,ij->i", ks, np.linalg.solve(ky, ks.T).T)
             )
             assert np.allclose(mean[:, j], mean_o, atol=1e-10)
@@ -388,13 +391,14 @@ class TestPredictionCaches:
         the factor and weights."""
         ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
         xs = standardized_inputs(model)
+        d = xs.shape[1]
         means, variances = [], []
         for j, out in enumerate(model.outputs):
-            ks = kernel_matrix(out.kernel, ws, xs)
+            ks = kernel_matrix(out.theta, ws, xs)
             means.append((ks @ out.alpha) * model.target_std[j] + model.target_mean[j])
             v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
-            latent = np.maximum(out.kernel.signal_variance - np.sum(v**2, axis=0), 0.0)
-            variances.append((latent + out.noise_variance) * model.target_std[j] ** 2)
+            latent = np.maximum(math.exp(out.theta[d]) - np.sum(v**2, axis=0), 0.0)
+            variances.append((latent + math.exp(out.theta[d + 1])) * model.target_std[j] ** 2)
         return np.column_stack(means), np.column_stack(variances)
 
     def test_same_bits_as_the_uncached_kernel(self):
@@ -421,9 +425,24 @@ class TestPredictionCaches:
         for model in (fitted, loaded):
             xs = standardized_inputs(model)
             for out in model.outputs:
-                scaled = xs / out.kernel.lengthscales
+                scaled = xs / np.exp(out.theta[:6])
                 assert np.array_equal(out.scaled_inputs, scaled)
                 assert np.array_equal(out.scaled_sq_norms, np.sum(scaled**2, axis=1))
+
+    def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
+        # the factor helper adds the noise variance and the jitter to a copy
+        # of K, for a fitted model and for the same model loaded back
+        rng = np.random.default_rng(30)
+        w, z = make_problem(rng, 25)
+        fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
+        loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
+        for model in (fitted, loaded):
+            xs = standardized_inputs(model)
+            for out in model.outputs:
+                k = kernel_matrix(out.theta, xs, xs)
+                expected = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(25)
+                error = np.max(np.abs(out.chol @ out.chol.T - expected))
+                assert error <= 1e-12 * np.max(np.abs(expected)), error
 
 
 class TestFit:
@@ -455,10 +474,10 @@ class TestFit:
         config = FitConfig(max_iter=40, restarts=1, seed=9)
         m1 = fit(w, z, config)
         m2 = fit(w, z_alt, config)
-        k1, k2 = m1.outputs[1].kernel, m2.outputs[1].kernel
-        assert np.array_equal(k1.log_lengthscales, k2.log_lengthscales)
-        assert k1.log_signal_variance == k2.log_signal_variance
-        assert m1.outputs[1].log_noise_variance == m2.outputs[1].log_noise_variance
+        t1, t2 = m1.outputs[1].theta, m2.outputs[1].theta
+        assert np.array_equal(t1[:6], t2[:6])
+        assert t1[6] == t2[6]
+        assert t1[7] == t2[7]
 
     def test_fit_is_deterministic_for_a_seed(self):
         rng = np.random.default_rng(34)
@@ -541,9 +560,9 @@ class TestBlasThreads:
         seen = []
         chol = gp._chol_with_jitter
 
-        def recording(k_noisy):
+        def recording(k, noise_var):
             seen.append(blas_thread_counts())
-            return chol(k_noisy)
+            return chol(k, noise_var)
 
         monkeypatch.setattr(gp, "_chol_with_jitter", recording)
         model_from_dict(payload)
@@ -823,7 +842,7 @@ class TestFitReport:
         w, z = make_problem(rng, 20)
         model = fit(w, z, FitConfig(max_iter=30, restarts=0, seed=2))
         for info, out in zip(model.report["outputs"], model.outputs):
-            mean_diag = out.kernel.signal_variance + out.noise_variance
+            mean_diag = math.exp(out.theta[6]) + math.exp(out.theta[7])
             assert info["jitter"] == out.jitter
             assert math.isclose(out.jitter, gp.JITTER_REL_INIT * mean_diag, rel_tol=1e-12)
 
@@ -862,8 +881,8 @@ class TestPersistence:
         assert np.max(np.abs(m1 - m2)) < 1e-12
         assert np.max(np.abs(v1 - v2)) < 1e-12
         for a, b in zip(model.outputs, loaded.outputs):
-            assert np.array_equal(a.kernel.log_lengthscales, b.kernel.log_lengthscales)
-            assert a.log_noise_variance == b.log_noise_variance
+            assert np.array_equal(a.theta[:6], b.theta[:6])
+            assert a.theta[7] == b.theta[7]
         assert loaded.report["n_train"] == model.report["n_train"]
 
     def test_round_trip_dict_preserves_training_arrays_exactly(self):
