@@ -78,7 +78,8 @@ def _load_inverse(path: str) -> tuple[GpModel, InverseModelFn]:
     try:
         model = load_model(path)
         return model, learned_inverse(model)
-    except (ValueError, KeyError, TypeError) as exc:  # TypeError: wrong JSON types
+    # OSError: unreadable, such as a directory; TypeError: wrong JSON types
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ArtifactError(f"model file {path} is not usable: {exc}") from exc
 
 
@@ -173,7 +174,7 @@ def cmd_train(dataset_paths: list[str], cfg: ExperimentConfig, out: str,
             raise ArtifactError(f"dataset file not found: {path}")
         try:
             parts.append(load_dataset(path))
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ArtifactError(f"dataset {path} is not usable: {exc}") from exc
     inputs = np.vstack([p.inputs for p in parts])
     targets = np.vstack([p.targets for p in parts])

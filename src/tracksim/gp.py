@@ -28,18 +28,21 @@ One evaluation of the fit's objective holds two N x N buffers: the
 kernel matrix, and a work buffer that LAPACK factors, inverts and that
 is multiplied by the kernel matrix, each step in place. The gradient is
 read from thin N x (D + 1) products, so no inverse is mirrored and no
-outer product formed. The objective and _output_model share one factor
-helper, _chol_with_jitter, the only code that adds the noise variance
-and the jitter to a diagonal, in its own work buffer. So no kernel
-matrix is ever written, and a fitted and a loaded model take the same
-factor.
+outer product formed. The objective and _output_model take K from
+kernel_matrix(theta, x), exactly symmetric and a function of the values
+of theta and x alone, and share one factor helper, _chol_with_jitter,
+the only code that adds the noise variance and the jitter to a diagonal,
+in its own work buffer. So no kernel matrix is ever written, a fitted
+and a loaded model take the same factor, and a model depends only on
+the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list: on a machine with two or more usable CPUs, fits of
 _PARALLEL_MIN_N samples or more run the list in a pool of forked worker
-processes that ends with the fit, otherwise in the process itself. The
-results are merged per output in list order either way, so the model
-file has the same bytes on one CPU or several.
+processes that ends with the fit, otherwise in the process itself. Each
+job takes the training data, the starts and the config through pickle.
+The results are merged per output in list order either way, so the
+model file has the same bytes on one CPU or several.
 
 scipy loads scipy.linalg and scipy.optimize on first use, so a command
 that never factors or fits a GP never imports them; a parallel fit loads
@@ -162,23 +165,24 @@ def _single_blas_thread():
             put(count)
 
 
-def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
     """Cross-covariance matrix between two input sets (M,D) x (P,D) under
     the hyperparameters theta = [log lengthscales (D), log signal
-    variance, log noise variance]; the noise variance is not read."""
+    variance, log noise variance]; the noise variance is not read. With b
+    omitted it is the Gram matrix of a, exactly symmetric, whose bits
+    depend only on the values of theta and a, not on how a is held."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("hyperparameters must be a finite 1-D array")
+    gram = b is None
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
+    b = a if gram else np.atleast_2d(np.asarray(b, dtype=float))
     d = theta.shape[0] - 2
     if a.shape[1] != d or b.shape[1] != d:
-        raise ValueError(
-            f"inputs must have {d} columns, got {a.shape[1]} and {b.shape[1]}"
-        )
+        raise ValueError(f"inputs must have {d} columns, got {a.shape[1]} and {b.shape[1]}")
     lengthscales = np.exp(theta[:d])
     ua = a / lengthscales
-    ub = ua if b is a else b / lengthscales
+    ub = ua if gram else b / lengthscales
     return _scaled_kernel(math.exp(theta[d]), ua, _sq_norms(ua), ub, _sq_norms(ub))
 
 
@@ -190,13 +194,20 @@ def _scaled_kernel(
     signal_var: float, ua: np.ndarray, na: np.ndarray, ub: np.ndarray, nb: np.ndarray
 ) -> np.ndarray:
     """kernel_matrix from the signal variance and inputs already divided
-    by the lengthscales, with their squared row norms na and nb."""
+    by the lengthscales, with their squared row norms na and nb.
+
+    Each entry is signal_var exp(g - (na_i/2 + nb_j/2)), g from ua ub',
+    the bits of halving -(na_i + nb_j - 2g), as halving is exact. The
+    norms meet g as one sum, symmetric where (g + na_i) + nb_j is not, and
+    numpy forms ua ua' with a symmetric rank-k update, so a Gram matrix is
+    exactly symmetric. The sums are formed 64 rows at a time, never as a
+    second M x P array.
+    """
     sq = ua @ ub.T
-    sq *= -2.0
-    sq += na[:, None]
-    sq += nb[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    sq *= -0.5
+    half_a, half_b = 0.5 * na, 0.5 * nb
+    for i in range(0, sq.shape[0], 64):
+        sq[i:i + 64] -= half_a[i:i + 64, None] + half_b
+    np.minimum(sq, 0.0, out=sq)
     np.exp(sq, out=sq)
     sq *= signal_var
     return sq
@@ -302,9 +313,10 @@ def nll_and_grad(
     alpha' - K_y^-1) o K only through P [U, 1], U the scaled inputs, so
     the lower triangle of K_y^-1 is never mirrored.
     """
+    inputs = np.asarray(inputs, dtype=float)
     n, d = inputs.shape
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
-    k = kernel_matrix(theta, inputs, inputs)
+    k = kernel_matrix(theta, inputs)
     l, jitter = _chol_with_jitter(k, noise_var)
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
@@ -358,11 +370,10 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> Outp
     the factor helper adds the noise variance to a copy of K."""
     d = xs.shape[1]
     u = xs / np.exp(theta[:d])
-    norms = _sq_norms(u)
-    k = _scaled_kernel(math.exp(theta[d]), u, norms, u, norms)
+    k = kernel_matrix(theta, xs)
     chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]))
     alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
-    return OutputModel(theta, u, norms, chol, jitter, alpha)
+    return OutputModel(theta, u, _sq_norms(u), chol, jitter, alpha)
 
 
 @dataclass
@@ -480,22 +491,6 @@ def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, dict]:
     }
 
 
-# The fit problem a worker process serves, set by the pool's initializer.
-# A forked worker receives the initializer's arguments as the parent's
-# own objects, not as pickled copies: the fit's last bits changed when
-# the training arrays went through pickle, and these must not.
-_worker_problem: Optional[tuple] = None
-
-
-def _init_worker(problem: tuple) -> None:
-    global _worker_problem
-    _worker_problem = problem
-
-
-def _run_worker_job(job: tuple[int, int]) -> tuple[np.ndarray, dict]:
-    return _run_start(_worker_problem, job)
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on: its affinity mask, capped by the
     whole CPUs of its cgroup v2 quota when that file is readable."""
@@ -518,7 +513,8 @@ def _optimize_outputs(
     Every (output, start) pair is one independent job of a flat list.
     With two or more usable CPUs and at least _PARALLEL_MIN_N samples the
     list runs in a pool of forked workers, otherwise in this process; the
-    results are merged per output in list order, so the outcome is the
+    results are merged per output in list order, and a worker's pickled
+    copy of the problem gives the parent's bits, so the outcome is the
     same to the bit either way.
     """
     n, m = zs.shape
@@ -538,20 +534,14 @@ def _optimize_outputs(
         # fork, not spawn or forkserver: those start every pool by importing
         # numpy and scipy again, which eats the saving (N=500 clean fit on
         # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
-        # serial about 3.4 s), and they pickle the training arrays. Forking
-        # after OpenBLAS started its threads is safe: OpenBLAS stops them in
-        # its own at-fork handler, and the pool forks all its workers before
-        # it starts a thread of its own, so Python 3.12's warning about
-        # forking a multi-threaded process does not fire. The workers
-        # inherit the parent's single BLAS thread.
-        pool = ProcessPoolExecutor(
-            workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(problem,),
-        )
+        # serial about 3.4 s). Forking after OpenBLAS started its threads is
+        # safe: OpenBLAS stops them in its own at-fork handler, and the pool
+        # forks all its workers before it starts a thread of its own, so
+        # Python 3.12's warning about forking a multi-threaded process does
+        # not fire. The workers inherit the parent's single BLAS thread.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            runs = list(pool.map(_run_worker_job, jobs))
+            runs = list(pool.map(functools.partial(_run_start, problem), jobs))
         finally:
             # also when a job raised: drop the queued jobs and join every worker
             pool.shutdown(cancel_futures=True)

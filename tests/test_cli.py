@@ -480,6 +480,14 @@ class TestTrain:
         assert main(["train", str(tmp_path / "none.csv"), "--config", cfg,
                      "--out", str(tmp_path / "m")]) == 4
 
+    def test_directory_as_dataset(self, tmp_path, capsys):
+        # used to escape as IsADirectoryError and exit 1
+        cfg = tiny_config(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main(["train", str(folder), "--config", cfg, "--out", str(tmp_path / "m")]) == 4
+        assert capsys.readouterr().err.startswith("artifact error: ")
+
     def test_corrupt_dataset(self, tmp_path):
         cfg = tiny_config(tmp_path)
         bad = tmp_path / "bad.csv"
@@ -565,6 +573,16 @@ class TestEvaluate:
         assert main(["evaluate", "--config", cfg, "--out", str(out), "--model", str(path)]) == 2
         assert "controller.order" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_directory_as_model(self, tmp_path, capsys, command):
+        # used to escape as IsADirectoryError and exit 1
+        cfg = tiny_config(tmp_path, controller={"slot": "gp"})
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--model", str(folder)]) == 4
+        assert capsys.readouterr().err.startswith("artifact error: ")
 
     def test_model_flag_required(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -90,7 +91,7 @@ def standardized_inputs(model):
 class TestKernel:
     def test_identical_single_inputs_give_signal_variance(self):
         theta = hyperparameters(np.zeros(3), math.log(1.7))
-        k = kernel_matrix(theta, np.array([[0.2, -1.0, 4.0]]), np.array([[0.2, -1.0, 4.0]]))
+        k = kernel_matrix(theta, np.array([[0.2, -1.0, 4.0]]))
         assert k.shape == (1, 1)
         assert abs(k[0, 0] - 1.7) < 1e-12
 
@@ -113,9 +114,25 @@ class TestKernel:
     def test_gram_matrix_is_symmetric_psd(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(20, 6))
-        k = kernel_matrix(hyperparameters(rng.normal(size=6) * 0.2, 0.1), x, x)
-        assert np.allclose(k, k.T, atol=1e-14)
+        k = kernel_matrix(hyperparameters(rng.normal(size=6) * 0.2, 0.1), x)
+        assert np.array_equal(k, k.T)
         assert np.linalg.eigvalsh(k).min() > -1e-9
+
+    @pytest.mark.parametrize("n", [30, 60, 200])
+    def test_gram_matrix_is_exactly_symmetric(self, n):
+        # the factor reads one triangle of K and the gradient both, so
+        # both see one matrix only when K equals its transpose
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(n, 6))
+        k = kernel_matrix(hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2), x)
+        assert np.array_equal(k, k.T)
+
+    def test_gram_matrix_is_the_cross_kernel_of_its_input_with_itself(self):
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=(30, 6))
+        theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2)
+        assert np.allclose(kernel_matrix(theta, x), kernel_matrix(theta, x, x.copy()),
+                           rtol=1e-13, atol=1e-15)
 
     def test_rejects_wrong_input_width(self):
         with pytest.raises(ValueError, match="columns"):
@@ -124,9 +141,34 @@ class TestKernel:
     def test_rejects_non_finite_hyperparameters(self):
         x = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            kernel_matrix(hyperparameters(np.array([0.0, np.nan]), 0.0), x, x)
+            kernel_matrix(hyperparameters(np.array([0.0, np.nan]), 0.0), x)
         with pytest.raises(ValueError):
-            kernel_matrix(hyperparameters(np.zeros(2), math.inf), x, x)
+            kernel_matrix(hyperparameters(np.zeros(2), math.inf), x)
+
+
+class TestInputBytes:
+    """The objective and an output's factor depend on the values of their
+    inputs alone: an unpickled copy, whose dtype is not numpy's own
+    float64 object, or a list of the same values gives the same bits."""
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_objective_bits_depend_on_the_values_alone(self, n):
+        rng = np.random.default_rng(15)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.2], [math.log(0.05)]])
+        value, grad = nll_and_grad(theta, w, z[:, 0])
+        for form in (pickle.loads(pickle.dumps(w)), w.tolist()):
+            other_value, other_grad = nll_and_grad(theta, form, z[:, 0])
+            assert other_value == value and np.array_equal(other_grad, grad)
+
+    @pytest.mark.parametrize("n", [30, 60])
+    def test_output_model_bits_depend_on_the_values_alone(self, n):
+        rng = np.random.default_rng(16)
+        w, z = make_problem(rng, n)
+        theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.05))
+        out = _output_model(theta, w, z[:, 1])
+        copy = _output_model(theta, pickle.loads(pickle.dumps(w)), z[:, 1])
+        assert np.array_equal(copy.chol, out.chol) and np.array_equal(copy.alpha, out.alpha)
 
 
 class TestLikelihoodGradient:
@@ -439,7 +481,7 @@ class TestPredictionCaches:
         for model in (fitted, loaded):
             xs = standardized_inputs(model)
             for out in model.outputs:
-                k = kernel_matrix(out.theta, xs, xs)
+                k = kernel_matrix(out.theta, xs)
                 expected = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(25)
                 error = np.max(np.abs(out.chol @ out.chol.T - expected))
                 assert error <= 1e-12 * np.max(np.abs(expected)), error
@@ -644,21 +686,21 @@ print(json.dumps({"after_fork": after_fork, "fork_warnings": forks}))
 
 
 # Run in a fresh interpreter, where nothing has loaded scipy.optimize yet;
-# each worker appends to the file named by argv[1] whether it found
-# scipy.optimize loaded when it started.
+# each job appends to the file named by argv[1] the pid that ran it and
+# whether it found scipy.optimize loaded, and the probe prints its own pid.
 PRELOAD_PROBE = """
 import json, os, sys
 import numpy as np
 from tracksim import gp
 
-init = gp._init_worker
+run_start = gp._run_start
 
 def recording(*args):
     with open(sys.argv[1], "a") as fh:
-        fh.write(json.dumps("scipy.optimize" in sys.modules) + "\\n")
-    init(*args)
+        fh.write(json.dumps([os.getpid(), "scipy.optimize" in sys.modules]) + "\\n")
+    return run_start(*args)
 
-gp._init_worker = recording
+gp._run_start = recording
 gp._PARALLEL_MIN_N = 0
 gp._CPU_MAX = os.devnull
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -666,6 +708,7 @@ rng = np.random.default_rng(70)
 w = rng.normal(0.0, 1.0, size=(20, 6))
 z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
 gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+print(os.getpid())
 """
 
 
@@ -681,8 +724,10 @@ def run_probe(probe, *args):
 
 class TestParallelFit:
     def test_pool_gives_the_serial_model_bytes(self, monkeypatch, tmp_path):
-        # at this size the fit's last bits changed when the workers got the
-        # training arrays through pickle instead of inheriting them
+        # each worker job gets the training arrays through pickle, which
+        # keeps the serial bits only while the kernel matrix depends on the
+        # input values alone: at this size an unpickled copy can reach
+        # another BLAS path
         rng = np.random.default_rng(61)
         w, z = make_problem(rng, 30)
         config = FitConfig(max_iter=40, restarts=2, seed=6)
@@ -783,8 +828,10 @@ class TestParallelFit:
     def test_workers_start_with_scipy_optimize_loaded(self, tmp_path):
         # the parent loads it before forking, so no worker imports it again
         log = tmp_path / "preloaded.jsonl"
-        run_probe(PRELOAD_PROBE, str(log))
-        assert [json.loads(line) for line in log.read_text().splitlines()] == [True, True]
+        parent = int(run_probe(PRELOAD_PROBE, str(log)).stdout)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        assert rows and parent not in {pid for pid, _ in rows}
+        assert all(loaded for _, loaded in rows)
 
 
 class TestFitReport:
