@@ -25,16 +25,17 @@ its jitter and the weight vector. A query then scales only itself and
 pays for one 1 x N kernel row, its exp and a dot product per output.
 
 One evaluation of the fit's objective holds two N x N buffers: the
-kernel matrix, and a work buffer that LAPACK factors, inverts and that
-is multiplied by the kernel matrix, each step in place. The gradient is
+kernel matrix, and LAPACK's copy of it that is factored, inverted and
+multiplied by the kernel matrix, each step in place. The gradient is
 read from thin N x (D + 1) products, so no inverse is mirrored and no
-outer product formed. The objective and _output_model take K from
-kernel_matrix(theta, x), exactly symmetric and a function of the values
-of theta and x alone, and share one factor helper, _chol_with_jitter,
-the only code that adds the noise variance and the jitter to a diagonal,
-in its own work buffer. So no kernel matrix is ever written, a fitted
-and a loaded model take the same factor, and a model depends only on
-the bytes of its training data.
+outer product formed. _output_model forms two as well: K, which numpy
+factors, and the factor, whose rows the weights are solved on by
+substitution. Both take K from kernel_matrix(theta, x), exactly
+symmetric and a function of the values of theta and x alone, and share
+one jitter loop, _chol_with_jitter, the only code that adds the noise
+variance and the jitter to a diagonal; each passes it its own factor
+step. So a fitted and a loaded model take the same factor, and a model
+depends only on the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list: on a machine with two or more usable CPUs, fits of
@@ -44,8 +45,11 @@ job takes the training data, the starts and the config through pickle.
 The results are merged per output in list order either way, so the
 model file has the same bytes on one CPU or several.
 
-scipy loads scipy.linalg and scipy.optimize on first use, so a command
-that never factors or fits a GP never imports them; a parallel fit loads
+Only the fit needs scipy: the objective calls scipy.linalg's LAPACK
+wrappers and the optimizer is scipy.optimize's. scipy loads each on
+first use, and building, loading and querying a model for its mean is
+numpy alone, so a command that never fits a GP imports neither; predict
+loads scipy.linalg only when asked for the variance. A parallel fit loads
 scipy.optimize before its pool forks, so no worker imports it again.
 
 The fit, model_from_dict and held_out_error's batched prediction run
@@ -69,7 +73,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy
@@ -265,36 +269,57 @@ class FitConfig:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
 
 
-def _chol_with_jitter(k: np.ndarray, noise_var: float) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(
+    k: np.ndarray, noise_var: float, factor: Callable[[np.ndarray], Optional[np.ndarray]]
+) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of k + (noise_var + jitter) I, k a symmetric
     kernel matrix, with escalating jitter: the only code that adds either
     variance to a diagonal.
 
-    Each attempt copies k into one work buffer, adds noise_var and then
-    the jitter, a share of the noisy mean diagonal, to its diagonal and
-    factors it there with LAPACK dpotrf on its Fortran-ordered view, so k
-    is never written. Returns (L, jitter), L that Fortran-ordered view
-    with its upper triangle zeroed. Raises ConditioningError when even the
-    maximum jitter cannot rescue the factorization.
+    Each attempt sets the diagonal of k to its own values plus noise_var
+    and then the jitter, a share of the noisy mean diagonal, and hands k
+    to factor, which returns the lower factor in an array of its own, or
+    None when the matrix is not numerically positive definite; k's
+    diagonal is restored afterwards, also when this raises. Returns (L,
+    jitter). Raises ConditioningError when even the maximum jitter cannot
+    rescue the factorization.
     """
     n = k.shape[0]
-    work = np.empty((n, n))
+    diag = k.diagonal().copy()
     rel = JITTER_REL_INIT
-    while True:
-        np.copyto(work, k)
-        work.flat[:: n + 1] += noise_var
-        jitter = rel * (float(np.trace(work)) / n)
-        work.flat[:: n + 1] += jitter
-        # Fortran-ordered work.T (the noisy k up to rounding) is factored without a copy
-        l, info = scipy.linalg.lapack.dpotrf(work.T, lower=1, clean=1, overwrite_a=1)
-        if info == 0:
-            return l, jitter
-        if rel >= JITTER_REL_MAX:
-            raise ConditioningError(
-                f"Cholesky failed at maximum jitter {jitter:.3e} "
-                f"(relative level {rel:.0e})"
-            )
-        rel *= 10.0
+    try:
+        while True:
+            k.flat[:: n + 1] = diag
+            k.flat[:: n + 1] += noise_var
+            jitter = rel * (float(np.trace(k)) / n)
+            k.flat[:: n + 1] += jitter
+            l = factor(k)
+            if l is not None:
+                return l, jitter
+            if rel >= JITTER_REL_MAX:
+                raise ConditioningError(
+                    f"Cholesky failed at maximum jitter {jitter:.3e} "
+                    f"(relative level {rel:.0e})"
+                )
+            rel *= 10.0
+    finally:
+        k.flat[:: n + 1] = diag
+
+
+def _lapack_factor(a: np.ndarray) -> Optional[np.ndarray]:
+    """The objective's factor step: dpotrf on a copy of the Fortran-ordered
+    a.T (a is symmetric), returned Fortran-ordered with its upper triangle
+    zeroed, ready for dpotrs and an in-place dpotri."""
+    l, info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1)
+    return l if info == 0 else None
+
+
+def _numpy_factor(a: np.ndarray) -> Optional[np.ndarray]:
+    """The model build's factor step: numpy's Cholesky, needing no scipy."""
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
 
 
 def nll_and_grad(
@@ -317,7 +342,7 @@ def nll_and_grad(
     n, d = inputs.shape
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
     k = kernel_matrix(theta, inputs)
-    l, jitter = _chol_with_jitter(k, noise_var)
+    l, jitter = _chol_with_jitter(k, noise_var, _lapack_factor)
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
@@ -366,13 +391,21 @@ class OutputModel:
 
 def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
     """The complete model of one output, from its hyperparameters theta,
-    the standardized training inputs and its standardized target column;
-    the factor helper adds the noise variance to a copy of K."""
+    the standardized training inputs and its standardized target column.
+    numpy alone builds it: the weights are solved by substitution on the
+    factor's rows, so no N x N array but K and the factor is formed
+    (numpy's Cholesky makes one work copy of its own)."""
     d = xs.shape[1]
     u = xs / np.exp(theta[:d])
     k = kernel_matrix(theta, xs)
-    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]))
-    alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
+    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]), _numpy_factor)
+    # alpha = L'^-1 L^-1 z by forward, then back substitution
+    alpha = np.array(zs_col, dtype=float)
+    for i in range(alpha.shape[0]):
+        alpha[i] = (alpha[i] - chol[i, :i] @ alpha[:i]) / chol[i, i]
+    for i in range(alpha.shape[0] - 1, -1, -1):
+        alpha[i] /= chol[i, i]
+        alpha[:i] -= chol[i, :i] * alpha[i]
     return OutputModel(theta, u, _sq_norms(u), chol, jitter, alpha)
 
 

@@ -677,9 +677,9 @@ class TestImports:
         (["collect", "--config", "cfg.yaml", "--out", "c"], ["scipy.linalg", "scipy.optimize"]),
         (["simulate", "--config", "cfg.yaml", "--out", "s"], ["scipy.linalg", "scipy.optimize"]),
         (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"],
-         ["scipy.optimize"]),
+         ["scipy.linalg", "scipy.optimize"]),
         (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"],
-         ["scipy.optimize"]),
+         ["scipy.linalg", "scipy.optimize"]),
     ], ids=["gains-check", "collect", "simulate", "evaluate", "simulate-gp"])
     def test_command_loads_only_the_scipy_it_runs(self, pipeline_dir, argv, absent):
         proc = subprocess.run(

@@ -312,38 +312,108 @@ class TestObjectiveBuffers:
         assert peak < 2.5 * n * n * 8, peak
 
 
+FACTOR_STEPS = (gp._lapack_factor, gp._numpy_factor)
+
+
 class TestCholeskyJitter:
+    # each property holds for the objective's factor step and the model build's
     def test_well_conditioned_matrix_uses_base_jitter(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        l, jitter = _chol_with_jitter(spd, 0.0)
-        assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
-        assert jitter <= 2e-10 * np.trace(spd) / 8
+        for factor in FACTOR_STEPS:
+            l, jitter = _chol_with_jitter(spd, 0.0, factor)
+            assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
+            assert jitter <= 2e-10 * np.trace(spd) / 8
 
     def test_escalates_until_factorization_succeeds(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8  # smallest eigenvalue just below zero
-        l, jitter = _chol_with_jitter(nearly, 0.0)
-        assert np.all(np.isfinite(l))
-        assert jitter >= 1e-9  # base level was not enough
+        for factor in FACTOR_STEPS:
+            l, jitter = _chol_with_jitter(nearly, 0.0, factor)
+            assert np.all(np.isfinite(l))
+            assert jitter >= 1e-9  # base level was not enough
 
     def test_raises_on_indefinite_matrix(self):
-        with pytest.raises(ConditioningError, match="jitter"):
-            _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0)
+        for factor in FACTOR_STEPS:
+            with pytest.raises(ConditioningError, match="jitter"):
+                _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0, factor)
 
     def test_argument_unchanged_after_escalation_or_failure(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        for matrix in (nearly, indefinite):
-            before = matrix.copy()
-            try:
-                _, jitter = _chol_with_jitter(matrix, 1e-12)
-                assert jitter >= 1e-9  # base level was not enough
-            except ConditioningError:
-                pass
-            assert np.array_equal(matrix, before)
+        for factor in FACTOR_STEPS:
+            for matrix in (nearly, indefinite):
+                before = matrix.copy()
+                try:
+                    _, jitter = _chol_with_jitter(matrix, 1e-12, factor)
+                    assert jitter >= 1e-9  # base level was not enough
+                except ConditioningError:
+                    pass
+                assert np.array_equal(matrix, before)
+
+
+class TestModelBuild:
+    @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True)])
+    def test_factor_and_weights_match_a_dense_solve(self, n, escalate, monkeypatch):
+        rng = np.random.default_rng(220 + n)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
+        rel = gp.JITTER_REL_INIT
+        calls = []
+        if escalate:
+            cholesky = np.linalg.cholesky
+
+            def failing_once(a):
+                calls.append(1)
+                if len(calls) == 1:
+                    raise np.linalg.LinAlgError("Matrix is not positive definite")
+                return cholesky(a)
+
+            monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+            rel *= 10.0
+        out = _output_model(theta, w, z[:, 0])
+        k = kernel_oracle(theta[:6], theta[6], w, w)
+        jitter = rel * (float(np.trace(k)) / n + math.exp(theta[7]))
+        assert out.jitter == pytest.approx(jitter)
+        k_y = k + (math.exp(theta[7]) + jitter) * np.eye(n)
+        expected_alpha = np.linalg.solve(k_y, z[:, 0])
+        assert np.max(np.abs(out.chol @ out.chol.T - k_y)) < 1e-10 * np.max(np.abs(k_y))
+        assert np.array_equal(out.chol, np.tril(out.chol))
+        assert np.max(np.abs(out.alpha - expected_alpha)) < 1e-10 * np.max(np.abs(expected_alpha))
+        assert not escalate or len(calls) == 2
+
+    def test_raises_at_maximum_jitter(self, monkeypatch):
+        rng = np.random.default_rng(223)
+        w, z = make_problem(rng, 12)
+        levels = []
+
+        def never(a):
+            levels.append(a[0, 0])
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", never)
+        with pytest.raises(ConditioningError, match="maximum jitter"):
+            _output_model(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
+        # the diagonal is 1.1 (1 + rel) at relative jitter rel
+        assert levels[-1] / levels[0] - 1.0 >= 0.99 * gp.JITTER_REL_MAX
+
+    def test_build_allocates_two_square_arrays(self):
+        # K and the factor, plus vectors; a solve for the weights that
+        # needed another N x N array would exceed the bound
+        n = 400
+        rng = np.random.default_rng(224)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
+        _output_model(theta, w, z[:, 0])
+        tracemalloc.start()
+        try:
+            _output_model(theta, w, z[:, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8, peak
 
 
 class TestPrediction:
@@ -600,13 +670,13 @@ class TestBlasThreads:
         w, z = make_problem(rng, 10)
         payload = model_to_dict(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)))
         seen = []
-        chol = gp._chol_with_jitter
+        factor = gp._numpy_factor
 
-        def recording(k, noise_var):
+        def recording(a):
             seen.append(blas_thread_counts())
-            return chol(k, noise_var)
+            return factor(a)
 
-        monkeypatch.setattr(gp, "_chol_with_jitter", recording)
+        monkeypatch.setattr(gp, "_numpy_factor", recording)
         model_from_dict(payload)
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
