@@ -146,13 +146,11 @@ def second_order_step(
     """
     if gains.kd is None:
         raise ValueError("second-order control requires kd gains")
-    kp = np.array(gains.kp)
-    kd = np.array(gains.kd)
-    u = (
-        ref.next_delta()
-        + kd * (ref.delta() - measured_delta.xy())
-        + kp * (ref.position() - measured.xy())
-    )
+    (kpx, kpy), (kdx, kdy) = gains.kp, gains.kd
+    u = np.array([
+        ref.dx_next + kdx * (ref.dx - measured_delta.dx) + kpx * (ref.x - measured.x),
+        ref.dy_next + kdy * (ref.dy - measured_delta.dy) + kpy * (ref.y - measured.y),
+    ])
     if inverse_model is None:
         return inverse_second_order(u, measured_delta, measured.phi, params)
     return inverse_model(u, measured_delta, measured.phi)

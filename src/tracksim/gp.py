@@ -19,10 +19,10 @@ prediction time.
 
 A fitted or loaded model is complete from the start: _output_model
 builds each output at once from its theta and the standardized training
-data, with the training inputs divided by that output's lengthscales,
-their squared row norms, the Cholesky factor of the noisy kernel matrix,
-its jitter and the weight vector. A query then scales only itself and
-pays for one 1 x N kernel row, its exp and a dot product per output.
+data: the Cholesky factor of the noisy kernel matrix, its jitter and the
+weight vector. GpModel stacks what a query reads of every output into one
+block, so a block of queries scales nothing per output and pays for one
+product with the stacked inputs, one exp and one reshaped sum.
 
 One evaluation of the fit's objective holds two N x N buffers: the
 kernel matrix, and LAPACK's copy of it that is factored, inverted and
@@ -72,7 +72,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,6 +120,11 @@ _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
 # a tie), 0.17/0.20 s vs 0.10/0.11 s at N=150, 0.32/0.40 s vs 0.21/0.22 s
 # at N=200.
 _PARALLEL_MIN_N = 150
+
+# queries predict forms kernel values for at a time, 2 N doubles a row; at
+# 256 rows (2 MB at N = 500) glibc's lower mmap and trim thresholds made a
+# later fit in the same process refault its N x N buffers, 20% slower
+_QUERY_ROWS = 512
 
 # The cgroup v2 CPU quota of this process, "<quota> <period>" or
 # "max <period>". A container held to one CPU's time still lists every
@@ -174,7 +179,13 @@ def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = No
     the hyperparameters theta = [log lengthscales (D), log signal
     variance, log noise variance]; the noise variance is not read. With b
     omitted it is the Gram matrix of a, exactly symmetric, whose bits
-    depend only on the values of theta and a, not on how a is held."""
+    depend only on the values of theta and a, not on how a is held: with
+    ua, ub the inputs over the lengthscales and na, nb their squared row
+    norms, each entry is signal_var exp(g - (na_i/2 + nb_j/2)), g from
+    ua ub', the bits of halving -(na_i + nb_j - 2g). The norms meet g as
+    one sum, symmetric where (g + na_i) + nb_j is not, and numpy forms
+    ua ua' with a symmetric rank-k update. The sums are formed 64 rows at
+    a time, never as a second M x P array."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("hyperparameters must be a finite 1-D array")
@@ -187,33 +198,13 @@ def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = No
     lengthscales = np.exp(theta[:d])
     ua = a / lengthscales
     ub = ua if gram else b / lengthscales
-    return _scaled_kernel(math.exp(theta[d]), ua, _sq_norms(ua), ub, _sq_norms(ub))
-
-
-def _sq_norms(u: np.ndarray) -> np.ndarray:
-    return np.sum(u**2, axis=1)
-
-
-def _scaled_kernel(
-    signal_var: float, ua: np.ndarray, na: np.ndarray, ub: np.ndarray, nb: np.ndarray
-) -> np.ndarray:
-    """kernel_matrix from the signal variance and inputs already divided
-    by the lengthscales, with their squared row norms na and nb.
-
-    Each entry is signal_var exp(g - (na_i/2 + nb_j/2)), g from ua ub',
-    the bits of halving -(na_i + nb_j - 2g), as halving is exact. The
-    norms meet g as one sum, symmetric where (g + na_i) + nb_j is not, and
-    numpy forms ua ua' with a symmetric rank-k update, so a Gram matrix is
-    exactly symmetric. The sums are formed 64 rows at a time, never as a
-    second M x P array.
-    """
     sq = ua @ ub.T
-    half_a, half_b = 0.5 * na, 0.5 * nb
+    half_a, half_b = 0.5 * np.sum(ua**2, axis=1), 0.5 * np.sum(ub**2, axis=1)
     for i in range(0, sq.shape[0], 64):
         sq[i:i + 64] -= half_a[i:i + 64, None] + half_b
     np.minimum(sq, 0.0, out=sq)
     np.exp(sq, out=sq)
-    sq *= signal_var
+    sq *= math.exp(theta[d])
     return sq
 
 
@@ -376,14 +367,10 @@ def nll_and_grad(
 
 @dataclass(frozen=True)
 class OutputModel:
-    """One output's hyperparameters theta plus what predict reads of it:
-    the standardized training inputs divided by the lengthscales, their
-    squared row norms, the Cholesky factor of the noisy kernel matrix,
-    the jitter that factorization needed and the weight vector."""
+    """One output's hyperparameters theta, the Cholesky factor of its noisy
+    kernel matrix, the jitter that factorization needed and the weights."""
 
     theta: np.ndarray
-    scaled_inputs: np.ndarray
-    scaled_sq_norms: np.ndarray
     chol: np.ndarray
     jitter: float
     alpha: np.ndarray
@@ -396,7 +383,6 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> Outp
     factor's rows, so no N x N array but K and the factor is formed
     (numpy's Cholesky makes one work copy of its own)."""
     d = xs.shape[1]
-    u = xs / np.exp(theta[:d])
     k = kernel_matrix(theta, xs)
     chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]), _numpy_factor)
     # alpha = L'^-1 L^-1 z by forward, then back substitution
@@ -406,12 +392,17 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> Outp
     for i in range(alpha.shape[0] - 1, -1, -1):
         alpha[i] /= chol[i, i]
         alpha[:i] -= chol[i, :i] * alpha[i]
-    return OutputModel(theta, u, _sq_norms(u), chol, jitter, alpha)
+    return OutputModel(theta, chol, jitter, alpha)
 
 
 @dataclass
 class GpModel:
-    """Two independent GPs over shared inputs, with standardization."""
+    """Two independent GPs over shared inputs, with standardization.
+
+    query is predict's block of all M outputs: V, the standardized inputs
+    over each output's squared lengthscales, stacked (M N, D) column-major
+    so that q V' reads it in order; half their squared scaled norms (M N);
+    signal_var alpha (M, N); and 0.5 / lengthscale^2 (M, D)."""
 
     inputs: np.ndarray  # raw training inputs (N, 6)
     targets: np.ndarray  # raw training targets (N, 2)
@@ -421,6 +412,16 @@ class GpModel:
     target_std: np.ndarray
     outputs: list[OutputModel]
     report: dict
+    query: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        xs = (self.inputs - self.input_mean) / self.input_std
+        d = xs.shape[1]
+        sq_scales = np.exp(2.0 * np.array([out.theta[:d] for out in self.outputs]))
+        half_inv = 0.5 / sq_scales
+        v = np.asfortranarray(np.vstack([xs / s for s in sq_scales]))
+        weights = np.array([math.exp(out.theta[d]) * out.alpha for out in self.outputs])
+        self.query = (v, ((xs * xs) @ half_inv.T).T.ravel(), weights, half_inv)
 
 
 def _safe_std(x: np.ndarray) -> np.ndarray:
@@ -626,9 +627,10 @@ def predict(
     (2,)/(M, 2). Variance includes the fitted noise level. With
     variance=False the triangular solve against the N x N factor is
     skipped and the variance comes back as None; the means are the same.
+    Queries run _QUERY_ROWS at a time through the model's stacked block.
     The bytes are independent of the OpenBLAS thread count only inside
     _single_blas_thread(), which the CLI commands enter; predict does not
-    pin itself, as the pin costs 8-9 us against a 31 us query at N = 1000.
+    pin itself, as the pin costs 4-7 us against a 24-43 us query at N = 1000.
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 1
@@ -640,20 +642,31 @@ def predict(
     if not np.all(np.isfinite(w2)):
         raise ValueError("prediction query contains non-finite values")
     d = w2.shape[1]
+    v, half_norms, weights, half_inv = model.query
+    m, n = weights.shape
     ws = (w2 - model.input_mean) / model.input_std
-    means = np.empty((w2.shape[0], len(model.outputs)))
+    means = np.empty((w2.shape[0], m))
     variances = np.empty_like(means) if variance else None
-    for j, out in enumerate(model.outputs):
-        signal_var = math.exp(out.theta[d])
-        uq = ws / np.exp(out.theta[:d])
-        ks = _scaled_kernel(signal_var, uq, _sq_norms(uq), out.scaled_inputs, out.scaled_sq_norms)
-        mean_s = ks @ out.alpha
-        means[:, j] = mean_s * model.target_std[j] + model.target_mean[j]
+    for i in range(0, ws.shape[0], _QUERY_ROWS):
+        q = ws[i:i + _QUERY_ROWS]
+        # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M, N)
+        g = q @ v.T
+        g -= half_norms
+        e = g.reshape(q.shape[0], m, n)
+        e -= ((q * q) @ half_inv.T)[:, :, None]
+        np.minimum(g, 0.0, out=g)
+        np.exp(g, out=g)
         if variance:
-            v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
-            latent = np.maximum(signal_var - np.sum(v**2, axis=0), 0.0)
-            var_s = latent + math.exp(out.theta[d + 1])
-            variances[:, j] = var_s * model.target_std[j] ** 2
+            for j, out in enumerate(model.outputs):
+                signal_var = math.exp(out.theta[d])
+                ks = signal_var * e[:, j]
+                vs = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
+                latent = np.maximum(signal_var - np.sum(vs**2, axis=0), 0.0)
+                var_s = latent + math.exp(out.theta[d + 1])
+                variances[i:i + _QUERY_ROWS, j] = var_s * model.target_std[j] ** 2
+        e *= weights
+        means[i:i + _QUERY_ROWS] = e.sum(axis=2)
+    means = means * model.target_std + model.target_mean
     if single:
         return means[0], None if variances is None else variances[0]
     return means, variances

@@ -95,7 +95,7 @@ class Pose2:
     phi: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.phi)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
             raise ValueError(f"pose components must be finite, got {self}")
         object.__setattr__(self, "phi", wrap_angle(self.phi))
 
@@ -120,7 +120,7 @@ class PoseDelta:
     dphi: float
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.dx, self.dy, self.dphi)):
+        if not (math.isfinite(self.dx) and math.isfinite(self.dy) and math.isfinite(self.dphi)):
             raise ValueError(f"delta components must be finite, got {self}")
         if abs(self.dphi) >= math.pi:
             raise ValueError(f"|dphi| must be < pi, got {self.dphi}")
@@ -333,12 +333,11 @@ def inverse_second_order(
         raise ValueError(
             f"desired_next must have shape (2,), got {desired_next.shape}"
         )
-    if not (math.isfinite(phi) and np.all(np.isfinite(desired_next))):
+    ux, uy = desired_next.tolist()
+    if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_second_order requires finite inputs")
-    ts = params.sample_time
-    a = params.actuator_alpha
-    phi_next = phi + current_delta.dphi
-    rate_next = np.array([desired_next[0], desired_next[1], 0.0]) / ts
-    vel_now = offset_model_pinv(phi, params) @ (current_delta.as_array() / ts)
-    v = (offset_model_pinv(phi_next, params) @ rate_next - a * vel_now) / (1.0 - a)
-    return TrackCommand(v[0], v[1])
+    ts, a, d = params.sample_time, params.actuator_alpha, current_delta
+    vel_now = offset_model_pinv(phi, params) @ np.array([d.dx / ts, d.dy / ts, d.dphi / ts])
+    vel_next = offset_model_pinv(phi + d.dphi, params) @ np.array([ux / ts, uy / ts, 0.0])
+    (now_l, now_r), (next_l, next_r) = vel_now.tolist(), vel_next.tolist()
+    return TrackCommand((next_l - a * now_l) / (1.0 - a), (next_r - a * now_r) / (1.0 - a))

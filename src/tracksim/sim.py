@@ -326,12 +326,12 @@ class PlantStep:
     slip: SlipState
 
 
-def _actuate(vel: np.ndarray, cmd: TrackCommand, params: VehicleParams) -> np.ndarray:
-    """Clip the command at the track-speed bound, then low-pass it from vel
-    with the pole params.actuator_alpha."""
+def _actuate(vel: tuple[float, float], cmd: TrackCommand, params: VehicleParams) -> tuple:
+    """Clip the command at the track-speed bound, then low-pass it from the
+    (left, right) speeds vel with the pole params.actuator_alpha."""
     vmax, alpha = params.max_track_speed, params.actuator_alpha
-    sat = np.clip(cmd.as_array(), -vmax, vmax)
-    return alpha * vel + (1.0 - alpha) * sat
+    left, right = min(max(cmd.left, -vmax), vmax), min(max(cmd.right, -vmax), vmax)
+    return alpha * vel[0] + (1.0 - alpha) * left, alpha * vel[1] + (1.0 - alpha) * right
 
 
 class NominalPlant:
@@ -345,7 +345,7 @@ class NominalPlant:
         self.params = params
         self.offset = start
         self.center = center_pose(start, params)
-        self._vel = np.zeros(2)
+        self._vel = (0.0, 0.0)
 
     def step(self, cmd: TrackCommand) -> PlantStep:
         self._vel = _actuate(self._vel, cmd, self.params)
@@ -359,7 +359,7 @@ class NominalPlant:
             self.offset.phi + delta.dphi,
         )
         self.center = center_pose(self.offset, self.params)
-        return PlantStep(delta, float(self._vel[0]), float(self._vel[1]), SlipState())
+        return PlantStep(delta, *self._vel, SlipState())
 
 
 class SlipPlant:
@@ -381,12 +381,12 @@ class SlipPlant:
         self.world = world
         self.center = start
         self.offset = offset_point(start, params)
-        self._vel = np.zeros(2)
+        self._vel = (0.0, 0.0)
         self._rng = rng
 
     def step(self, cmd: TrackCommand) -> PlantStep:
         self._vel = _actuate(self._vel, cmd, self.params)
-        realized = TrackCommand(float(self._vel[0]), float(self._vel[1]))
+        realized = TrackCommand(*self._vel)
         slip = slip_ratios(realized, self.world)
         delta_c = slip_forward(self.center, realized, slip, self.world, self.params)
         dx, dy, dphi = delta_c.dx, delta_c.dy, delta_c.dphi
@@ -401,7 +401,7 @@ class SlipPlant:
             after.y - before.y,
             wrap_angle(after.phi - before.phi),
         )
-        return PlantStep(delta_b, float(self._vel[0]), float(self._vel[1]), slip)
+        return PlantStep(delta_b, *self._vel, slip)
 
 
 # ---------------------------------------------------------------------------

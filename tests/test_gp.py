@@ -513,7 +513,11 @@ class TestPredictionCaches:
             variances.append((latent + math.exp(out.theta[d + 1])) * model.target_std[j] ** 2)
         return np.column_stack(means), np.column_stack(variances)
 
-    def test_same_bits_as_the_uncached_kernel(self):
+    def test_matches_the_uncached_kernel(self):
+        # the stacked query sums q (x / l^2) in its exponents where
+        # kernel_matrix sums (q / l)(x / l): a few ulps apart per exponent,
+        # which the weights alpha, large where the noise is small, amplify
+        # in the sums, so the two agree to 1e-10 relative and not bitwise
         rng = np.random.default_rng(28)
         w, z = make_problem(rng, 40)
         model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
@@ -521,25 +525,47 @@ class TestPredictionCaches:
         queries = rng.normal(size=(9, 6))
         mean, var = predict(model, queries)
         mean_o, var_o = self.uncached_predict(model, queries)
-        assert np.array_equal(mean, mean_o) and np.array_equal(var, var_o)
+        assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
+        assert np.max(np.abs(var - var_o)) <= 1e-10 * np.max(np.abs(var_o))
         for q in queries:
             m1, v1 = predict(model, q)
             mean_only, _ = predict(model, q, variance=False)
             m_q, v_q = self.uncached_predict(model, q)
-            assert np.array_equal(m1, m_q[0]) and np.array_equal(v1, v_q[0])
-            assert np.array_equal(mean_only, m_q[0])
+            assert np.max(np.abs(m1 - m_q[0])) <= 1e-10 * np.max(np.abs(m_q[0]))
+            assert np.max(np.abs(v1 - v_q[0])) <= 1e-10 * np.max(np.abs(v_q[0]))
+            assert np.array_equal(mean_only, m1)
 
-    def test_fit_and_load_fill_the_caches(self):
+    def test_a_batch_runs_in_blocks(self, monkeypatch):
+        # 7 rows in blocks of 3: every row, the short last block's too, is
+        # the query of that row alone
+        rng = np.random.default_rng(31)
+        w, z = make_problem(rng, 30)
+        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.1, math.log(0.02))
+        queries = rng.normal(size=(7, 6))
+        monkeypatch.setattr(gp, "_QUERY_ROWS", 3)
+        mean, var = predict(model, queries)
+        alone = [predict(model, q) for q in queries]
+        assert np.allclose(mean, [m for m, _ in alone], rtol=1e-12, atol=0.0)
+        assert np.allclose(var, [v for _, v in alone], rtol=1e-12, atol=0.0)
+
+    def test_fit_and_load_build_the_same_stacked_block(self):
         rng = np.random.default_rng(29)
         w, z = make_problem(rng, 20)
         fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
-        for model in (fitted, loaded):
-            xs = standardized_inputs(model)
-            for out in model.outputs:
-                scaled = xs / np.exp(out.theta[:6])
-                assert np.array_equal(out.scaled_inputs, scaled)
-                assert np.array_equal(out.scaled_sq_norms, np.sum(scaled**2, axis=1))
+        for a, b in zip(fitted.query, loaded.query):
+            assert np.array_equal(a, b)
+        xs = standardized_inputs(fitted)
+        v, half_norms, weights, half_inv = fitted.query
+        assert v.shape == (40, 6) and half_norms.shape == (40,) and weights.shape == (2, 20)
+        for j, out in enumerate(fitted.outputs):
+            sq_scales = np.exp(2.0 * out.theta[:6])
+            assert np.array_equal(v[20 * j:20 * (j + 1)], xs / sq_scales)
+            assert np.array_equal(half_inv[j], 0.5 / sq_scales)
+            assert np.allclose(half_norms[20 * j:20 * (j + 1)],
+                               0.5 * np.sum((xs / np.exp(out.theta[:6])) ** 2, axis=1),
+                               rtol=1e-14, atol=0.0)
+            assert np.array_equal(weights[j], math.exp(out.theta[6]) * out.alpha)
 
     def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
         # the factor helper adds the noise variance and the jitter to a copy

@@ -329,6 +329,23 @@ class TestRollout:
         with pytest.raises(NumericsError, match="step 0"):
             rollout(traj, GAINS2, 2, PARAMS, plant="nominal", inverse_model=bad)
 
+    @pytest.mark.parametrize("plant", ["nominal", "slip"])
+    def test_infinite_command_aborts_at_its_step(self, plant):
+        # the command check, not the actuator's clip, must see the inf
+        traj = make_circle(radius=1.0, period_steps=100, sample_time=0.05)
+        calls = []
+
+        def diverging(u, delta, phi):
+            calls.append(1)
+            if len(calls) == 8:
+                return TrackCommand(math.inf, 0.0)
+            return inverse_second_order(u, delta, phi, PARAMS)
+
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1)
+        with pytest.raises(NumericsError, match="step 7"):
+            rollout(traj, GAINS2, 2, PARAMS, plant=plant, world=world, inverse_model=diverging)
+        assert len(calls) == 8
+
     def test_argument_validation(self):
         traj = make_circle(radius=1.0, period_steps=100)
         with pytest.raises(ValueError, match="world"):
