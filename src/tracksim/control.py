@@ -119,8 +119,8 @@ def first_order_step(
     params: VehicleParams,
 ) -> TrackCommand:
     """One first-order control step: feedforward plus proportional feedback."""
-    kp = np.array(gains.kp)
-    u = ref.delta() + kp * (ref.position() - measured.xy())
+    kpx, kpy = gains.kp
+    u = np.array([ref.dx + kpx * (ref.x - measured.x), ref.dy + kpy * (ref.y - measured.y)])
     return inverse_first_order(u, measured.phi, params)
 
 

@@ -20,14 +20,19 @@ prediction time.
 A fitted or loaded model is complete from the start: _output_model
 builds each output at once from its theta and the standardized training
 data: the Cholesky factor of the noisy kernel matrix, its jitter and the
-weight vector. GpModel stacks what a query reads of every output into one
-block, so a block of queries scales nothing per output and pays for one
-product with the stacked inputs, one exp and one reshaped sum.
+weight vector. GpModel keeps what a query reads of every output in two
+arrays: the augmented training rows of all outputs and their
+block-diagonal weights. A block of queries augmented the same way pays
+for one product with the rows, one clamp, one exp and one product with
+the weights, and scales nothing per output.
 
-One evaluation of the fit's objective holds two N x N buffers: the
+One evaluation of the fit's objective works in two N x N buffers: the
 kernel matrix, and LAPACK's copy of it that is factored, inverted and
-multiplied by the kernel matrix, each step in place. The gradient is
-read from thin N x (D + 1) products, so no inverse is mirrored and no
+multiplied by the kernel matrix, each step in place. The buffers belong
+to the fit job: each (output, start) optimization allocates its pair
+once and hands it to every objective call, so the fit's speed does not
+depend on how the allocator treats blocks freed before it. The gradient
+is read from thin N x (D + 1) products, so no inverse is mirrored and no
 outer product formed. _output_model forms two as well: K, which numpy
 factors, and the factor, whose rows the weights are solved on by
 substitution. Both take K from kernel_matrix(theta, x), exactly
@@ -83,9 +88,12 @@ MODEL_FORMAT = "tracksim-gp"
 MODEL_FORMAT_VERSION = 1
 
 # jitter added to the noisy kernel matrix before factorization, relative
-# to its mean diagonal; escalates by 10x on failure up to the max
+# to its mean diagonal: JITTER_REL_INIT first, then ten times the level
+# before on each failure, the last attempt at JITTER_REL_MAX (1e-10, 1e-9,
+# ..., 1e-3: eight attempts)
 JITTER_REL_INIT = 1e-10
-JITTER_REL_MAX = 1e-4
+JITTER_REL_MAX = 1e-3
+JITTER_ATTEMPTS = round(math.log10(JITTER_REL_MAX / JITTER_REL_INIT)) + 1
 
 # log-space optimizer bounds (standardized data): lengthscales, signal
 # variance, noise variance
@@ -121,10 +129,13 @@ _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
 # at N=200.
 _PARALLEL_MIN_N = 150
 
-# queries predict forms kernel values for at a time, 2 N doubles a row; at
-# 256 rows (2 MB at N = 500) glibc's lower mmap and trim thresholds made a
-# later fit in the same process refault its N x N buffers, 20% slower
-_QUERY_ROWS = 512
+# queries predict forms exponents for at a time, M N doubles a row. A
+# sweep of 2,000 mean-only queries on one BLAS thread (2 vCPUs with 2 MB
+# of L2 each, medians of 15, three passes), in ms by rows per block:
+#   N = 500:  32: 3.5-5.0, 64: 3.3-5.0, 128: 3.8-5.8, 256: 4.2-6.3, 512: 10.3-11.1
+#   N = 1000: 32: 6.5-6.9, 64: 7.4-7.9, 128: 8.3-12.2, 256: 13.6-13.9, 512: 12.8-18.2
+# At 64 rows a block of exponents is 0.5 MB at N = 500 and 1 MB at N = 1000.
+_QUERY_ROWS = 64
 
 # The cgroup v2 CPU quota of this process, "<quota> <period>" or
 # "max <period>". A container held to one CPU's time still lists every
@@ -174,7 +185,8 @@ def _single_blas_thread():
             put(count)
 
 
-def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> np.ndarray:
     """Cross-covariance matrix between two input sets (M,D) x (P,D) under
     the hyperparameters theta = [log lengthscales (D), log signal
     variance, log noise variance]; the noise variance is not read. With b
@@ -185,7 +197,8 @@ def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = No
     ua ub', the bits of halving -(na_i + nb_j - 2g). The norms meet g as
     one sum, symmetric where (g + na_i) + nb_j is not, and numpy forms
     ua ua' with a symmetric rank-k update. The sums are formed 64 rows at
-    a time, never as a second M x P array."""
+    a time, never as a second M x P array. out, a C-ordered (M, P) float
+    array, receives the result in place of a new one, with the same bits."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("hyperparameters must be a finite 1-D array")
@@ -198,7 +211,7 @@ def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = No
     lengthscales = np.exp(theta[:d])
     ua = a / lengthscales
     ub = ua if gram else b / lengthscales
-    sq = ua @ ub.T
+    sq = np.matmul(ua, ub.T, out=out)
     half_a, half_b = 0.5 * np.sum(ua**2, axis=1), 0.5 * np.sum(ub**2, axis=1)
     for i in range(0, sq.shape[0], 64):
         sq[i:i + 64] -= half_a[i:i + 64, None] + half_b
@@ -267,19 +280,19 @@ def _chol_with_jitter(
     kernel matrix, with escalating jitter: the only code that adds either
     variance to a diagonal.
 
-    Each attempt sets the diagonal of k to its own values plus noise_var
-    and then the jitter, a share of the noisy mean diagonal, and hands k
-    to factor, which returns the lower factor in an array of its own, or
-    None when the matrix is not numerically positive definite; k's
-    diagonal is restored afterwards, also when this raises. Returns (L,
-    jitter). Raises ConditioningError when even the maximum jitter cannot
-    rescue the factorization.
+    Each of the JITTER_ATTEMPTS attempts sets the diagonal of k to its own
+    values plus noise_var and then the jitter, a share of the noisy mean
+    diagonal, and hands k to factor, which returns the lower factor in an
+    array other than k, or None when the matrix is not numerically
+    positive definite; k's diagonal is restored afterwards, also when this
+    raises. Returns (L, jitter). Raises ConditioningError when the last
+    attempt, at relative level JITTER_REL_MAX, fails too.
     """
     n = k.shape[0]
     diag = k.diagonal().copy()
     rel = JITTER_REL_INIT
     try:
-        while True:
+        for attempt in range(1, JITTER_ATTEMPTS + 1):
             k.flat[:: n + 1] = diag
             k.flat[:: n + 1] += noise_var
             jitter = rel * (float(np.trace(k)) / n)
@@ -287,21 +300,30 @@ def _chol_with_jitter(
             l = factor(k)
             if l is not None:
                 return l, jitter
-            if rel >= JITTER_REL_MAX:
+            if attempt == JITTER_ATTEMPTS:
                 raise ConditioningError(
-                    f"Cholesky failed at maximum jitter {jitter:.3e} "
-                    f"(relative level {rel:.0e})"
+                    f"Cholesky failed at maximum jitter {jitter:.3e} (relative level "
+                    f"{rel:.0e}, attempt {attempt} of {JITTER_ATTEMPTS})"
                 )
             rel *= 10.0
     finally:
         k.flat[:: n + 1] = diag
 
 
-def _lapack_factor(a: np.ndarray) -> Optional[np.ndarray]:
-    """The objective's factor step: dpotrf on a copy of the Fortran-ordered
-    a.T (a is symmetric), returned Fortran-ordered with its upper triangle
-    zeroed, ready for dpotrs and an in-place dpotri."""
-    l, info = scipy.linalg.lapack.dpotrf(a.T, lower=1, clean=1)
+def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two N x N arrays one objective evaluation works in: K,
+    C-ordered, and the factor's, Fortran-ordered as LAPACK wants it."""
+    return np.empty((n, n)), np.empty((n, n), order="F")
+
+
+def _lapack_factor(a: np.ndarray, work: np.ndarray) -> Optional[np.ndarray]:
+    """The objective's factor step: a.T (a is symmetric) copied into work,
+    a Fortran-ordered array of a's shape, and factored there in place by
+    dpotrf, with its upper triangle zeroed, ready for dpotrs and an
+    in-place dpotri. Every call copies a again, so a retry never starts
+    from a failed attempt's partial factor."""
+    np.copyto(work, a.T)
+    l, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=1, overwrite_a=1)
     return l if info == 0 else None
 
 
@@ -314,7 +336,8 @@ def _numpy_factor(a: np.ndarray) -> Optional[np.ndarray]:
 
 
 def nll_and_grad(
-    theta: np.ndarray, inputs: np.ndarray, targets: np.ndarray
+    theta: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
+    buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[float, np.ndarray]:
     """Negative log marginal likelihood of one output, with gradient.
 
@@ -327,13 +350,17 @@ def nll_and_grad(
     Two N x N buffers do all the work: K, and the factor that is inverted
     in place and then multiplied by K. The gradient needs P = (alpha
     alpha' - K_y^-1) o K only through P [U, 1], U the scaled inputs, so
-    the lower triangle of K_y^-1 is never mirrored.
+    the lower triangle of K_y^-1 is never mirrored. buffers is that pair
+    as _objective_buffers(N) makes it; what they hold on entry is never
+    read, so a fit job passes one pair to every call of its start. A call
+    without them allocates its own; the results have the same bits.
     """
     inputs = np.asarray(inputs, dtype=float)
     n, d = inputs.shape
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
-    k = kernel_matrix(theta, inputs)
-    l, jitter = _chol_with_jitter(k, noise_var, _lapack_factor)
+    k_buf, work = _objective_buffers(n) if buffers is None else buffers
+    k = kernel_matrix(theta, inputs, out=k_buf)
+    l, jitter = _chol_with_jitter(k, noise_var, functools.partial(_lapack_factor, work=work))
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
@@ -399,10 +426,12 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> Outp
 class GpModel:
     """Two independent GPs over shared inputs, with standardization.
 
-    query is predict's block of all M outputs: V, the standardized inputs
-    over each output's squared lengthscales, stacked (M N, D) column-major
-    so that q V' reads it in order; half their squared scaled norms (M N);
-    signal_var alpha (M, N); and 0.5 / lengthscale^2 (M, D)."""
+    query is predict's block of all M outputs: the augmented training
+    rows [x / l^2, -0.5 / l^2, -0.5 |x / l|^2] of each output's
+    lengthscales l, stacked (M N, 2 D + 1) column-major so that the
+    augmented queries [q, q o q, 1] times its transpose, read in order,
+    are the exponents -|q - x|^2 / (2 l^2); and the weights signal_var
+    alpha, block-diagonal (M N, M), that turn their exps into the M means."""
 
     inputs: np.ndarray  # raw training inputs (N, 6)
     targets: np.ndarray  # raw training targets (N, 2)
@@ -416,12 +445,18 @@ class GpModel:
 
     def __post_init__(self) -> None:
         xs = (self.inputs - self.input_mean) / self.input_std
-        d = xs.shape[1]
-        sq_scales = np.exp(2.0 * np.array([out.theta[:d] for out in self.outputs]))
-        half_inv = 0.5 / sq_scales
-        v = np.asfortranarray(np.vstack([xs / s for s in sq_scales]))
-        weights = np.array([math.exp(out.theta[d]) * out.alpha for out in self.outputs])
-        self.query = (v, ((xs * xs) @ half_inv.T).T.ravel(), weights, half_inv)
+        n, d = xs.shape
+        m = len(self.outputs)
+        block = np.empty((m * n, 2 * d + 1), order="F")
+        weights = np.zeros((m * n, m))
+        for j, out in enumerate(self.outputs):
+            rows = slice(j * n, (j + 1) * n)
+            sq_scales = np.exp(2.0 * out.theta[:d])
+            block[rows, :d] = xs / sq_scales
+            block[rows, d:2 * d] = -0.5 / sq_scales
+            block[rows, 2 * d] = -0.5 * np.sum((xs / np.exp(out.theta[:d])) ** 2, axis=1)
+            weights[rows, j] = math.exp(out.theta[d]) * out.alpha
+        self.query = (block, weights)
 
 
 def _safe_std(x: np.ndarray) -> np.ndarray:
@@ -462,13 +497,14 @@ def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
     xs, zs, starts, config = problem
     j, idx = job
     zs_col = zs[:, j]
+    buffers = _objective_buffers(xs.shape[0])  # every objective call of the start works in these
     rejected = 0
     top, last = -math.inf, None  # the start's highest finite value, its last finite probe
 
     def objective(theta):
         nonlocal rejected, top, last
         try:
-            value, grad = nll_and_grad(theta, xs, zs_col)
+            value, grad = nll_and_grad(theta, xs, zs_col, buffers)
         except ConditioningError:
             rejected += 1
             if last is None:
@@ -627,8 +663,13 @@ def predict(
     (2,)/(M, 2). Variance includes the fitted noise level. With
     variance=False the triangular solve against the N x N factor is
     skipped and the variance comes back as None; the means are the same.
-    Queries run _QUERY_ROWS at a time through the model's stacked block.
-    The bytes are independent of the OpenBLAS thread count only inside
+    Each query q, standardized, becomes the row [q, q o q, 1], whose
+    product with the model's augmented rows gives the exponents of both
+    outputs at once; the queries run _QUERY_ROWS at a time, so a batch
+    holds one block of exponents, and its memory does not grow with its
+    length. The means are the exps times the block-diagonal weights; the
+    variance reads each output's slice of the same exps. The bytes are
+    independent of the OpenBLAS thread count only inside
     _single_blas_thread(), which the CLI commands enter; predict does not
     pin itself, as the pin costs 4-7 us against a 24-43 us query at N = 1000.
     """
@@ -642,31 +683,33 @@ def predict(
     if not np.all(np.isfinite(w2)):
         raise ValueError("prediction query contains non-finite values")
     d = w2.shape[1]
-    v, half_norms, weights, half_inv = model.query
-    m, n = weights.shape
-    ws = (w2 - model.input_mean) / model.input_std
-    means = np.empty((w2.shape[0], m))
+    block, weights = model.query
+    n = model.inputs.shape[0]
+    # augmented queries [q, q o q, 1], q the standardized inputs
+    aug = np.empty((w2.shape[0], 2 * d + 1))
+    q = aug[:, :d]
+    np.subtract(w2, model.input_mean, out=q)
+    q /= model.input_std
+    np.multiply(q, q, out=aug[:, d:2 * d])
+    aug[:, 2 * d] = 1.0
+    means = np.empty((w2.shape[0], weights.shape[1]))
     variances = np.empty_like(means) if variance else None
-    for i in range(0, ws.shape[0], _QUERY_ROWS):
-        q = ws[i:i + _QUERY_ROWS]
-        # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M, N)
-        g = q @ v.T
-        g -= half_norms
-        e = g.reshape(q.shape[0], m, n)
-        e -= ((q * q) @ half_inv.T)[:, :, None]
-        np.minimum(g, 0.0, out=g)
-        np.exp(g, out=g)
+    for i in range(0, aug.shape[0], _QUERY_ROWS):
+        # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M N)
+        e = aug[i:i + _QUERY_ROWS] @ block.T
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        np.matmul(e, weights, out=means[i:i + _QUERY_ROWS])
         if variance:
             for j, out in enumerate(model.outputs):
                 signal_var = math.exp(out.theta[d])
-                ks = signal_var * e[:, j]
+                ks = signal_var * e[:, j * n:(j + 1) * n]
                 vs = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
                 latent = np.maximum(signal_var - np.sum(vs**2, axis=0), 0.0)
                 var_s = latent + math.exp(out.theta[d + 1])
                 variances[i:i + _QUERY_ROWS, j] = var_s * model.target_std[j] ** 2
-        e *= weights
-        means[i:i + _QUERY_ROWS] = e.sum(axis=2)
-    means = means * model.target_std + model.target_mean
+    means *= model.target_std
+    means += model.target_mean
     if single:
         return means[0], None if variances is None else variances[0]
     return means, variances

@@ -281,11 +281,12 @@ def inverse_first_order(
     desired = np.asarray(desired, dtype=float)
     if desired.shape != (2,):
         raise ValueError(f"desired must have shape (2,), got {desired.shape}")
-    if not (math.isfinite(phi) and np.all(np.isfinite(desired))):
+    ux, uy = desired.tolist()
+    if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_first_order requires finite inputs")
-    rate = np.array([desired[0], desired[1], 0.0]) / params.sample_time
-    v = offset_model_pinv(phi, params) @ rate
-    return TrackCommand(v[0], v[1])
+    ts = params.sample_time
+    left, right = (offset_model_pinv(phi, params) @ np.array([ux / ts, uy / ts, 0.0])).tolist()
+    return TrackCommand(left, right)
 
 
 def forward_second_order(

@@ -258,10 +258,11 @@ class TestObjectiveBuffers:
         w, z = make_problem(rng, n)
         theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
         rel = gp.JITTER_REL_INIT
+        calls = []
         if escalate:
-            # the first factorization writes its buffer and then reports
-            # failure, so the retry must copy the matrix again
-            potrf, calls = scipy.linalg.lapack.dpotrf, []
+            # the first factorization of each call writes its buffer and
+            # then reports failure, so the retry must copy the matrix again
+            potrf = scipy.linalg.lapack.dpotrf
 
             def failing_once(*args, **kwargs):
                 calls.append(1)
@@ -270,11 +271,75 @@ class TestObjectiveBuffers:
 
             monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", failing_once)
             rel *= 10.0
-        value, grad = nll_and_grad(theta, w, z[:, 0])
         expected, expected_grad = dense_nll_and_grad(theta, w, z[:, 0], rel)
-        assert abs(value - expected) < 1e-10 * abs(expected)
-        assert np.max(np.abs(grad - expected_grad)) < 1e-8 * np.max(np.abs(expected_grad))
-        assert not escalate or len(calls) == 2
+        # a call that allocates its buffers, then one handed a pair
+        for buffers in (None, gp._objective_buffers(n)):
+            calls.clear()
+            value, grad = nll_and_grad(theta, w, z[:, 0], buffers)
+            assert abs(value - expected) < 1e-10 * abs(expected)
+            assert np.max(np.abs(grad - expected_grad)) < 1e-8 * np.max(np.abs(expected_grad))
+            assert not escalate or len(calls) == 2
+
+    def test_owned_buffers_give_the_allocating_bits(self):
+        rng = np.random.default_rng(213)
+        w, z = make_problem(rng, 60)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.2], [math.log(0.03)]])
+        value, grad = nll_and_grad(theta, w, z[:, 0])
+        buffers = gp._objective_buffers(60)
+        for buf in buffers:
+            buf.fill(np.nan)
+        # once on fresh buffers, once on what another theta left in them,
+        # and once on what the same theta left
+        got = [nll_and_grad(theta, w, z[:, 0], buffers)]
+        nll_and_grad(theta + 0.4, w, z[:, 1], buffers)
+        got += [nll_and_grad(theta, w, z[:, 0], buffers) for _ in range(2)]
+        for value_b, grad_b in got:
+            assert value_b == value and np.array_equal(grad_b, grad)
+
+    def test_owned_buffers_allocate_no_square_array(self):
+        # with K and the factor's buffer handed in, one call allocates only
+        # the thin N x 7 arrays and the kernel's 64-row sums
+        n = 400
+        rng = np.random.default_rng(214)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
+        buffers = gp._objective_buffers(n)
+        nll_and_grad(theta, w, z[:, 0], buffers)  # load scipy's LAPACK wrappers first
+        tracemalloc.start()
+        try:
+            nll_and_grad(theta, w, z[:, 0], buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8, peak
+
+    def test_a_start_passes_one_buffer_pair_to_every_call(self, monkeypatch):
+        seen = []
+        nll = gp.nll_and_grad
+
+        def recording(*args):
+            seen.append(args[3])
+            return nll(*args)
+
+        monkeypatch.setattr(gp, "nll_and_grad", recording)
+        rng = np.random.default_rng(215)
+        w, z = make_problem(rng, 30)
+        xs, zs = (w - w.mean(axis=0)) / w.std(axis=0), (z - z.mean(axis=0)) / z.std(axis=0)
+        config = FitConfig(max_iter=20, restarts=1)
+        starts = [gp._starts(xs, zs[:, j], config, [config.seed, j]) for j in range(2)]
+        problem = (xs, zs, starts, config)
+        pairs = []
+        for job in [(0, 0), (1, 1)]:
+            seen.clear()
+            gp._run_start(problem, job)
+            assert len(seen) > 1
+            k_buf, work = seen[0]
+            assert k_buf.shape == work.shape == (30, 30)
+            assert k_buf.flags.c_contiguous and work.flags.f_contiguous
+            assert all(b[0] is k_buf and b[1] is work for b in seen)
+            pairs.append(seen[0])
+        # each job owns its pair
+        assert pairs[0][0] is not pairs[1][0] and pairs[0][1] is not pairs[1][1]
 
     def test_arguments_unchanged(self):
         rng = np.random.default_rng(210)
@@ -312,7 +377,8 @@ class TestObjectiveBuffers:
         assert peak < 2.5 * n * n * 8, peak
 
 
-FACTOR_STEPS = (gp._lapack_factor, gp._numpy_factor)
+FACTOR_STEPS = (lambda a: gp._lapack_factor(a, np.empty(a.shape, order="F")),
+                gp._numpy_factor)
 
 
 class TestCholeskyJitter:
@@ -394,10 +460,14 @@ class TestModelBuild:
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
         monkeypatch.setattr(np.linalg, "cholesky", never)
-        with pytest.raises(ConditioningError, match="maximum jitter"):
+        with pytest.raises(ConditioningError,
+                           match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
             _output_model(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
+        # 1e-10, 1e-9, ..., 1e-3: the last level tried is the documented cap
+        assert gp.JITTER_REL_MAX == 1e-3 and gp.JITTER_ATTEMPTS == 8
+        assert len(levels) == gp.JITTER_ATTEMPTS
         # the diagonal is 1.1 (1 + rel) at relative jitter rel
-        assert levels[-1] / levels[0] - 1.0 >= 0.99 * gp.JITTER_REL_MAX
+        assert levels[-1] / levels[0] - 1.0 == pytest.approx(gp.JITTER_REL_MAX, rel=1e-6)
 
     def test_build_allocates_two_square_arrays(self):
         # K and the factor, plus vectors; a solve for the weights that
@@ -553,19 +623,30 @@ class TestPredictionCaches:
         w, z = make_problem(rng, 20)
         fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
+        assert len(fitted.query) == 2
         for a, b in zip(fitted.query, loaded.query):
             assert np.array_equal(a, b)
         xs = standardized_inputs(fitted)
-        v, half_norms, weights, half_inv = fitted.query
-        assert v.shape == (40, 6) and half_norms.shape == (40,) and weights.shape == (2, 20)
+        block, weights = fitted.query
+        assert block.shape == (40, 13) and block.flags.f_contiguous
+        assert weights.shape == (40, 2)
         for j, out in enumerate(fitted.outputs):
+            rows, other = slice(20 * j, 20 * (j + 1)), slice(20 * (1 - j), 20 * (2 - j))
             sq_scales = np.exp(2.0 * out.theta[:6])
-            assert np.array_equal(v[20 * j:20 * (j + 1)], xs / sq_scales)
-            assert np.array_equal(half_inv[j], 0.5 / sq_scales)
-            assert np.allclose(half_norms[20 * j:20 * (j + 1)],
-                               0.5 * np.sum((xs / np.exp(out.theta[:6])) ** 2, axis=1),
+            assert np.array_equal(block[rows, :6], xs / sq_scales)
+            assert np.array_equal(block[rows, 6:12], np.tile(-0.5 / sq_scales, (20, 1)))
+            assert np.allclose(block[rows, 12],
+                               -0.5 * np.sum((xs / np.exp(out.theta[:6])) ** 2, axis=1),
                                rtol=1e-14, atol=0.0)
-            assert np.array_equal(weights[j], math.exp(out.theta[6]) * out.alpha)
+            assert np.array_equal(weights[rows, j], math.exp(out.theta[6]) * out.alpha)
+            assert not np.any(weights[other, j])
+        # [q, q o q, 1] times a row is the exponent -|q - x|^2 / (2 l^2)
+        q = standardized_inputs(fitted)[3]
+        aug = np.concatenate([q, q * q, [1.0]])
+        for j, out in enumerate(fitted.outputs):
+            k = kernel_matrix(out.theta, q, xs)[0] / math.exp(out.theta[6])
+            assert np.allclose(np.exp(np.minimum(block[20 * j:20 * (j + 1)] @ aug, 0.0)), k,
+                               rtol=1e-12, atol=1e-300)
 
     def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
         # the factor helper adds the noise variance and the jitter to a copy
