@@ -27,13 +27,15 @@ for one product with the rows, one clamp, one exp and one product with
 the weights, and scales nothing per output.
 
 One evaluation of the fit's objective works in two N x N buffers: the
-kernel matrix, and LAPACK's copy of it that is factored, inverted and
-multiplied by the kernel matrix, each step in place. The buffers belong
-to the fit job: each (output, start) optimization allocates its pair
-once and hands it to every objective call, so the fit's speed does not
-depend on how the allocator treats blocks freed before it. The gradient
-is read from thin N x (D + 1) products, so no inverse is mirrored and no
-outer product formed. _output_model forms two as well: K, which numpy
+kernel matrix, and LAPACK's copy of it, whose lower triangle is factored,
+inverted through Level-3 blocks, and turned into the gradient's weights
+(alpha alpha' - K_y^-1) o K, negated, by a rank-1 update and a product
+with the kernel matrix, each step in place. The buffers belong to the fit job: each (output, start)
+optimization allocates its pair once and hands it to every objective
+call, so the fit's speed does not depend on how the allocator treats
+blocks freed before it. The gradient is read from one product of that
+triangle with an N x (D + 1) array, so no triangle is mirrored into a
+full matrix. _output_model forms two as well: K, which numpy
 factors, and the factor, whose rows the weights are solved on by
 substitution. Both take K from kernel_matrix(theta, x), exactly
 symmetric and a function of the values of theta and x alone, and share
@@ -104,8 +106,10 @@ BOUND_LOG_NOISE_VAR = (math.log(1e-12), math.log(1e3))
 # most optimizer restarts per output. Every start is drawn before the
 # first one runs, so an unbounded count exhausts memory before the fit
 # begins (200,000 starts of one output: 74 MB). One start of the recipe
-# fit (N=1000) takes about 1.3 s on one CPU, so this cap is already
-# about 45 minutes of fitting, far past any gain, in start lists of 0.4 MB.
+# fit (N=1000) takes about 0.8 s on one CPU (a 2-vCPU machine, the fit
+# pinned to one with taskset: 0.70-0.89 s over 9 fits), so this cap is
+# already about 27 minutes of fitting, far past any gain, in start lists
+# of 0.4 MB.
 MAX_RESTARTS = 1000
 
 # L-BFGS-B stops a start once an iteration lowers the NLL by less than
@@ -122,11 +126,13 @@ _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
 
 # Training sets smaller than this are fitted serially, because starting
 # the worker pool costs about as much as running the optimizations side
-# by side saves. Measured on 2 CPUs with the two-buffer objective,
+# by side saves. Measured on 2 CPUs with the blocked-inverse objective,
 # medians of 8 fits of the clean figure-8 data (restarts 1), serial
-# against pool, two runs: 0.11/0.13 s vs 0.10/0.13 s at N=100 (one run
-# a tie), 0.17/0.20 s vs 0.10/0.11 s at N=150, 0.32/0.40 s vs 0.21/0.22 s
-# at N=200.
+# against pool, two runs: 0.13/0.11 s vs 0.09/0.07 s at N=100, 0.20/0.18 s
+# vs 0.12/0.11 s at N=150, 0.36/0.37 s vs 0.22/0.21 s at N=200. The pool
+# won at N=100 too, as it did with the dpotri objective measured alongside
+# (0.11 s vs 0.08 s); the bound stays until a small-fit benchmark
+# workload settles it.
 _PARALLEL_MIN_N = 150
 
 # queries predict forms exponents for at a time, M N doubles a row. A
@@ -136,6 +142,10 @@ _PARALLEL_MIN_N = 150
 #   N = 1000: 32: 6.5-6.9, 64: 7.4-7.9, 128: 8.3-12.2, 256: 13.6-13.9, 512: 12.8-18.2
 # At 64 rows a block of exponents is 0.5 MB at N = 500 and 1 MB at N = 1000.
 _QUERY_ROWS = 64
+
+# rows of the blocks _invert_lower hands to dtrtri, and of the panels it
+# streams through dtrmm; a block of up to this many rows is not split
+_INVERSE_LEAF = 64
 
 # The cgroup v2 CPU quota of this process, "<quota> <period>" or
 # "max <period>". A container held to one CPU's time still lists every
@@ -319,8 +329,8 @@ def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _lapack_factor(a: np.ndarray, work: np.ndarray) -> Optional[np.ndarray]:
     """The objective's factor step: a.T (a is symmetric) copied into work,
     a Fortran-ordered array of a's shape, and factored there in place by
-    dpotrf, with its upper triangle zeroed, ready for dpotrs and an
-    in-place dpotri. Every call copies a again, so a retry never starts
+    dpotrf, with its upper triangle zeroed, ready for dpotrs and the
+    in-place inverse. Every call copies a again, so a retry never starts
     from a failed attempt's partial factor."""
     np.copyto(work, a.T)
     l, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=1, overwrite_a=1)
@@ -335,6 +345,40 @@ def _numpy_factor(a: np.ndarray) -> Optional[np.ndarray]:
         return None
 
 
+def _invert_lower(l: np.ndarray) -> bool:
+    """Overwrite the lower triangle of l, a lower triangular factor, with
+    that of its inverse, leaving the strict upper triangle as it was.
+    Returns False, having written nothing, when l's diagonal holds a zero
+    (the test dtrtri makes).
+
+    The recursion splits l into [[A, 0], [B, C]] down to _INVERSE_LEAF
+    rows, which dtrtri inverts; B becomes -C^-1 B A^-1 through dtrmm, a
+    Level-3 product. scipy's wrappers copy any strided block, so each
+    inverse triangle is copied once into a contiguous array, the first
+    freed before the second is made, and B passes through dtrmm in panels
+    of _INVERSE_LEAF columns, then rows: at the top split the copies peak
+    near N^2 / 4 doubles, never a second N x N array."""
+    if not np.all(l.diagonal()):
+        return False
+    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    n = l.shape[0]
+    if n <= _INVERSE_LEAF:
+        l[...] = lapack.dtrtri(l, lower=1)[0]
+        return True
+    h = n // 2
+    _invert_lower(l[:h, :h])
+    _invert_lower(l[h:, h:])
+    b = l[h:, :h]
+    tri = np.array(l[h:, h:], order="F")
+    for c in range(0, h, _INVERSE_LEAF):
+        b[:, c:c + _INVERSE_LEAF] = blas.dtrmm(-1.0, tri, b[:, c:c + _INVERSE_LEAF], lower=1)
+    del tri  # freed before the second copy is made
+    tri = np.array(l[:h, :h], order="F")
+    for r in range(0, n - h, _INVERSE_LEAF):
+        b[r:r + _INVERSE_LEAF] = blas.dtrmm(1.0, tri, b[r:r + _INVERSE_LEAF], side=1, lower=1)
+    return True
+
+
 def nll_and_grad(
     theta: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
     buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
@@ -347,11 +391,13 @@ def nll_and_grad(
     jitter is a fixed share of the mean diagonal, so it contributes to
     both variance components.
 
-    Two N x N buffers do all the work: K, and the factor that is inverted
-    in place and then multiplied by K. The gradient needs P = (alpha
-    alpha' - K_y^-1) o K only through P [U, 1], U the scaled inputs, so
-    the lower triangle of K_y^-1 is never mirrored. buffers is that pair
-    as _objective_buffers(N) makes it; what they hold on entry is never
+    Two N x N buffers do all the work: K, and the factor, whose lower
+    triangle becomes in place L^-1 (_invert_lower), then K_y^-1 (dlauum),
+    then -P, P = (alpha alpha' - K_y^-1) o K (a rank-1 update by dsyr and
+    a Hadamard product with K). The gradient needs P only through
+    P [U, 1], U the scaled inputs, which one dsymm reads from that
+    triangle, so no triangle is mirrored. buffers is that pair as
+    _objective_buffers(N) makes it; what they hold on entry is never
     read, so a fit job passes one pair to every call of its start. A call
     without them allocates its own; the results have the same bits.
     """
@@ -367,18 +413,19 @@ def nll_and_grad(
         + float(np.sum(np.log(np.diag(l))))
         + 0.5 * n * math.log(2.0 * math.pi)
     )
-    k_inv, info = scipy.linalg.lapack.dpotri(l, lower=1, overwrite_c=1)
-    if info != 0:
-        # dpotri checks L's diagonal before it writes, so L is still whole
-        k_inv[...] = scipy.linalg.cho_solve((l, True), np.eye(n))
-    trace_m = float(alpha @ alpha) - float(np.trace(k_inv))
-    k_inv *= k.T  # lower triangle of K_y^-1 o K, both Fortran-ordered
+    if _invert_lower(l):
+        p = scipy.linalg.lapack.dlauum(l, lower=1, overwrite_c=1)[0]
+    else:
+        # _invert_lower wrote nothing, so L is still whole
+        p = l
+        p[...] = scipy.linalg.cho_solve((l, True), np.eye(n))
+    trace_m = float(alpha @ alpha) - float(np.trace(p))
+    # -P in the lower triangle: K_y^-1 - alpha alpha', times K (Fortran-ordered as p)
+    p = scipy.linalg.blas.dsyr(-1.0, alpha, lower=1, a=p, overwrite_a=1)
+    p *= k.T
     scaled = inputs / np.exp(theta[:d])
     v = np.column_stack([scaled, np.ones(n)])
-    # P [U, 1] = alpha o (K (alpha o [U, 1])) - (K_y^-1 o K) [U, 1]
-    pv = k @ (alpha[:, None] * v)
-    pv *= alpha[:, None]
-    pv -= scipy.linalg.blas.dsymm(1.0, k_inv, v, lower=1)
+    pv = scipy.linalg.blas.dsymm(-1.0, p, v, lower=1)  # P [U, 1]
     row_sums = pv[:, d]
     grad = np.empty(d + 2)
     # d/d(log l_d) of -log p: -(sum_i u_id^2 s_i - u_d' P u_d)

@@ -252,7 +252,9 @@ def dense_nll_and_grad(theta, w, y, rel):
 
 
 class TestObjectiveBuffers:
-    @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True)])
+    # 65, 130 and 257 rows split the factor's inverse once, twice and three times
+    @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True), (65, False),
+                                             (130, False), (257, False)])
     def test_value_and_gradient_match_a_dense_reference(self, n, escalate, monkeypatch):
         rng = np.random.default_rng(200 + n)
         w, z = make_problem(rng, n)
@@ -350,12 +352,17 @@ class TestObjectiveBuffers:
         assert np.array_equal(w, before[0]) and np.array_equal(y, before[1])
 
     def test_inverse_fallback_gives_the_same_value_and_gradient(self, monkeypatch):
+        # the blocked inverse reports failure, having written nothing, so
+        # the call takes the inverse from cho_solve on the whole factor
         rng = np.random.default_rng(211)
-        w, z = make_problem(rng, 40)
+        n = 150
+        w, z = make_problem(rng, n)
         theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.1], [math.log(0.05)]])
         value, grad = nll_and_grad(theta, w, z[:, 0])
-        monkeypatch.setattr(scipy.linalg.lapack, "dpotri", lambda c, lower, overwrite_c: (c, 1))
+        refused = []
+        monkeypatch.setattr(gp, "_invert_lower", lambda l: refused.append(l.shape) or False)
         value_fb, grad_fb = nll_and_grad(theta, w, z[:, 0])
+        assert refused == [(n, n)]
         assert abs(value_fb - value) < 1e-10 * abs(value)
         assert np.max(np.abs(grad_fb - grad)) < 1e-10 * np.max(np.abs(grad))
 
@@ -375,6 +382,30 @@ class TestObjectiveBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 8, peak
+
+
+class TestInvertLower:
+    @pytest.mark.parametrize("n", [1, 64, 65, 129, 300])
+    def test_lower_triangle_becomes_the_inverse(self, n):
+        rng = np.random.default_rng(220 + n)
+        a = rng.normal(size=(n, n))
+        l = np.linalg.cholesky(a @ a.T + n * np.eye(n))
+        work = np.array(l, order="F")
+        upper = np.triu_indices(n, 1)
+        work[upper] = rng.normal(size=upper[0].size)  # must survive as it is
+        before = work[upper].copy()
+        assert gp._invert_lower(work)
+        expected = np.linalg.inv(l)
+        assert np.max(np.abs(np.tril(work) - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(work[upper], before)
+
+    def test_zero_on_the_diagonal_writes_nothing(self):
+        rng = np.random.default_rng(226)
+        work = np.array(np.tril(rng.normal(size=(150, 150))) + 20.0 * np.eye(150), order="F")
+        work[120, 120] = 0.0
+        before = work.copy()
+        assert not gp._invert_lower(work)
+        assert np.array_equal(work, before)
 
 
 FACTOR_STEPS = (lambda a: gp._lapack_factor(a, np.empty(a.shape, order="F")),
