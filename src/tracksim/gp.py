@@ -35,9 +35,12 @@ optimization allocates its pair once and hands it to every objective
 call, so the fit's speed does not depend on how the allocator treats
 blocks freed before it. The gradient is read from one product of that
 triangle with an N x (D + 1) array, so no triangle is mirrored into a
-full matrix. _output_model forms two as well: K, which numpy
-factors, and the factor, whose rows the weights are solved on by
-substitution. Both take K from kernel_matrix(theta, x), exactly
+full matrix. _output_model forms one N x N array per output, K, factored
+in its own memory by the dpotrf of numpy's bundled OpenBLAS, which
+numpy's Cholesky calls on the same bytes (K is symmetric), so the factor
+has numpy's bits; a blocked transpose moves it into K's lower triangle.
+With any other numpy, its Cholesky factors K into a second array. Both
+the objective and the build take K from kernel_matrix(theta, x), exactly
 symmetric and a function of the values of theta and x alone, and share
 one jitter loop, _chol_with_jitter, the only code that adds the noise
 variance and the jitter to a diagonal; each passes it its own factor
@@ -54,10 +57,11 @@ model file has the same bytes on one CPU or several.
 
 Only the fit needs scipy: the objective calls scipy.linalg's LAPACK
 wrappers and the optimizer is scipy.optimize's. scipy loads each on
-first use, and building, loading and querying a model for its mean is
-numpy alone, so a command that never fits a GP imports neither; predict
-loads scipy.linalg only when asked for the variance. A parallel fit loads
-scipy.optimize before its pool forks, so no worker imports it again.
+first use, and building, loading and querying a model for its mean needs
+numpy and the OpenBLAS in its wheel alone, so a command that never fits a
+GP imports neither; predict loads scipy.linalg only when asked for the
+variance. A parallel fit loads scipy.optimize before its pool forks, so
+no worker imports it again.
 
 The fit, model_from_dict and held_out_error's batched prediction run
 their BLAS and LAPACK calls on one OpenBLAS thread, whatever
@@ -66,7 +70,9 @@ afterwards. Threaded reductions sum in another order, which made the
 fitted hyperparameters depend on the thread count, and at these problem
 sizes two threads made the fit about three times slower than one. Only
 the OpenBLAS bundled with the numpy and scipy Linux wheels is pinned;
-any other BLAS keeps its own setting.
+any other BLAS keeps its own setting. numpy's copy also factors the
+model: its dpotrf is bound through ctypes, as its thread functions are,
+so building a model loads no scipy submodule.
 """
 
 from __future__ import annotations
@@ -157,6 +163,13 @@ class ConditioningError(RuntimeError):
     """Kernel matrix could not be factorized even at maximum jitter."""
 
 
+def _wheel_openblas(module) -> list[ctypes.CDLL]:
+    """The OpenBLAS libraries bundled with module's Linux wheel."""
+    site = os.path.dirname(os.path.dirname(module.__file__))
+    pattern = os.path.join(site, f"{module.__name__}.libs", "libscipy_openblas*.so")
+    return [ctypes.CDLL(path) for path in sorted(glob.glob(pattern))]
+
+
 @functools.cache
 def _bundled_openblas() -> tuple:
     """(get, set) thread-count functions of each wheel-bundled OpenBLAS.
@@ -166,10 +179,7 @@ def _bundled_openblas() -> tuple:
     """
     found = []
     for module, suffix in ((np, "64_"), (scipy, "")):
-        site = os.path.dirname(os.path.dirname(module.__file__))
-        pattern = os.path.join(site, f"{module.__name__}.libs", "libscipy_openblas*.so")
-        for path in sorted(glob.glob(pattern)):
-            lib = ctypes.CDLL(path)
+        for lib in _wheel_openblas(module):
             get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
             put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
             if get is None or put is None:
@@ -178,6 +188,32 @@ def _bundled_openblas() -> tuple:
             put.argtypes, put.restype = [ctypes.c_int], None
             found.append((get, put))
     return tuple(found)
+
+
+@functools.cache
+def _bundled_potrf() -> Optional[Callable[[np.ndarray], int]]:
+    """dpotrf of the OpenBLAS in numpy's wheel, which numpy's Cholesky
+    calls, as a function that factors a C-ordered array in place, uplo 'L'
+    on its column-major view, and returns LAPACK's info; None when numpy
+    bundles no OpenBLAS (numpy < 2, macOS, Windows, conda)."""
+    for lib in _wheel_openblas(np):
+        potrf = getattr(lib, "scipy_dpotrf_64_", None)
+        if potrf is None:
+            continue
+        int64_p = ctypes.POINTER(ctypes.c_int64)
+        potrf.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p, int64_p, int64_p]
+        potrf.restype = None
+
+        def factor(a: np.ndarray) -> int:
+            if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1]
+                    and a.flags.c_contiguous and a.flags.writeable):
+                raise ValueError("dpotrf needs a writable C-ordered square float64 array")
+            n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
+            potrf(b"L", n, a.ctypes.data, n, info)
+            return info.value
+
+        return factor
+    return None
 
 
 @contextlib.contextmanager
@@ -195,36 +231,30 @@ def _single_blas_thread():
             put(count)
 
 
-def kernel_matrix(theta: np.ndarray, a: np.ndarray, b: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Cross-covariance matrix between two input sets (M,D) x (P,D) under
-    the hyperparameters theta = [log lengthscales (D), log signal
-    variance, log noise variance]; the noise variance is not read. With b
-    omitted it is the Gram matrix of a, exactly symmetric, whose bits
-    depend only on the values of theta and a, not on how a is held: with
-    ua, ub the inputs over the lengthscales and na, nb their squared row
-    norms, each entry is signal_var exp(g - (na_i/2 + nb_j/2)), g from
-    ua ub', the bits of halving -(na_i + nb_j - 2g). The norms meet g as
-    one sum, symmetric where (g + na_i) + nb_j is not, and numpy forms
-    ua ua' with a symmetric rank-k update. The sums are formed 64 rows at
-    a time, never as a second M x P array. out, a C-ordered (M, P) float
-    array, receives the result in place of a new one, with the same bits."""
+def kernel_matrix(theta: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Gram matrix of the inputs a (M, D) under the hyperparameters theta =
+    [log lengthscales (D), log signal variance, log noise variance]; the
+    noise variance is not read. It is exactly symmetric, and its bits
+    depend only on the values of theta and a, not on how a is held: with u
+    the inputs over the lengthscales and n their squared row norms, each
+    entry is signal_var exp(g - (n_i/2 + n_j/2)), g from u u', the bits of
+    halving -(n_i + n_j - 2g). The norms meet g as one sum, symmetric where
+    (g + n_i) + n_j is not, and numpy forms u u' with a symmetric rank-k
+    update. The sums are formed 64 rows at a time, never as a second M x M
+    array. out, a C-ordered (M, M) float array, receives the result in
+    place of a new one, with the same bits."""
     theta = np.asarray(theta, dtype=float)
     if theta.ndim != 1 or not np.all(np.isfinite(theta)):
         raise ValueError("hyperparameters must be a finite 1-D array")
-    gram = b is None
     a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = a if gram else np.atleast_2d(np.asarray(b, dtype=float))
     d = theta.shape[0] - 2
-    if a.shape[1] != d or b.shape[1] != d:
-        raise ValueError(f"inputs must have {d} columns, got {a.shape[1]} and {b.shape[1]}")
-    lengthscales = np.exp(theta[:d])
-    ua = a / lengthscales
-    ub = ua if gram else b / lengthscales
-    sq = np.matmul(ua, ub.T, out=out)
-    half_a, half_b = 0.5 * np.sum(ua**2, axis=1), 0.5 * np.sum(ub**2, axis=1)
+    if a.shape[1] != d:
+        raise ValueError(f"inputs must have {d} columns, got {a.shape[1]}")
+    u = a / np.exp(theta[:d])
+    sq = np.matmul(u, u.T, out=out)
+    half = 0.5 * np.sum(u**2, axis=1)
     for i in range(0, sq.shape[0], 64):
-        sq[i:i + 64] -= half_a[i:i + 64, None] + half_b
+        sq[i:i + 64] -= half[i:i + 64, None] + half
     np.minimum(sq, 0.0, out=sq)
     np.exp(sq, out=sq)
     sq *= math.exp(theta[d])
@@ -292,15 +322,18 @@ def _chol_with_jitter(
 
     Each of the JITTER_ATTEMPTS attempts sets the diagonal of k to its own
     values plus noise_var and then the jitter, a share of the noisy mean
-    diagonal, and hands k to factor, which returns the lower factor in an
-    array other than k, or None when the matrix is not numerically
-    positive definite; k's diagonal is restored afterwards, also when this
-    raises. Returns (L, jitter). Raises ConditioningError when the last
-    attempt, at relative level JITTER_REL_MAX, fails too.
+    diagonal, and hands k to factor. factor returns the lower factor,
+    either in another array or in k itself, or None when the matrix is not
+    numerically positive definite, having left k's off-diagonal entries as
+    they were. Unless k holds the factor, its diagonal is restored
+    afterwards, also when this raises. Returns (L, jitter). Raises
+    ConditioningError when the last attempt, at relative level
+    JITTER_REL_MAX, fails too.
     """
     n = k.shape[0]
     diag = k.diagonal().copy()
     rel = JITTER_REL_INIT
+    l = None
     try:
         for attempt in range(1, JITTER_ATTEMPTS + 1):
             k.flat[:: n + 1] = diag
@@ -317,7 +350,8 @@ def _chol_with_jitter(
                 )
             rel *= 10.0
     finally:
-        k.flat[:: n + 1] = diag
+        if l is not k:
+            k.flat[:: n + 1] = diag
 
 
 def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -337,19 +371,42 @@ def _lapack_factor(a: np.ndarray, work: np.ndarray) -> Optional[np.ndarray]:
     return l if info == 0 else None
 
 
+def _in_place_factor(
+    a: np.ndarray, potrf: Callable[[np.ndarray], int], refill: Callable[[np.ndarray], object]
+) -> Optional[np.ndarray]:
+    """The model build's factor step where numpy bundles OpenBLAS: a,
+    C-ordered and symmetric, factored in its own memory by potrf, which
+    leaves the transposed factor in a's upper triangle. That is moved to the
+    lower triangle 64 x 64 blocks at a time and the upper triangle zeroed,
+    so a becomes the C-ordered lower factor numpy's Cholesky returns, with
+    its bits. A failed attempt has overwritten part of a, so refill(a)
+    writes a's values again before None is returned."""
+    if potrf(a) != 0:
+        refill(a)
+        return None
+    n = a.shape[0]
+    for r in range(0, n, 64):
+        block = a[r:r + 64, r:r + 64]
+        block[...] = np.triu(block).T
+        for c in range(r + 64, n, 64):
+            a[c:c + 64, r:r + 64] = a[r:r + 64, c:c + 64].T
+        a[r:r + 64, r + 64:] = 0.0
+    return a
+
+
 def _numpy_factor(a: np.ndarray) -> Optional[np.ndarray]:
-    """The model build's factor step: numpy's Cholesky, needing no scipy."""
+    """The model build's factor step with any other numpy: numpy's
+    Cholesky, into an array of its own."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return None
 
 
-def _invert_lower(l: np.ndarray) -> bool:
+def _invert_lower(l: np.ndarray) -> None:
     """Overwrite the lower triangle of l, a lower triangular factor, with
-    that of its inverse, leaving the strict upper triangle as it was.
-    Returns False, having written nothing, when l's diagonal holds a zero
-    (the test dtrtri makes).
+    that of its inverse, leaving the strict upper triangle as it was. l's
+    diagonal is positive: dpotrf accepts a factor only when every pivot is.
 
     The recursion splits l into [[A, 0], [B, C]] down to _INVERSE_LEAF
     rows, which dtrtri inverts; B becomes -C^-1 B A^-1 through dtrmm, a
@@ -358,13 +415,11 @@ def _invert_lower(l: np.ndarray) -> bool:
     freed before the second is made, and B passes through dtrmm in panels
     of _INVERSE_LEAF columns, then rows: at the top split the copies peak
     near N^2 / 4 doubles, never a second N x N array."""
-    if not np.all(l.diagonal()):
-        return False
     lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
     n = l.shape[0]
     if n <= _INVERSE_LEAF:
         l[...] = lapack.dtrtri(l, lower=1)[0]
-        return True
+        return
     h = n // 2
     _invert_lower(l[:h, :h])
     _invert_lower(l[h:, h:])
@@ -376,7 +431,6 @@ def _invert_lower(l: np.ndarray) -> bool:
     tri = np.array(l[:h, :h], order="F")
     for r in range(0, n - h, _INVERSE_LEAF):
         b[r:r + _INVERSE_LEAF] = blas.dtrmm(1.0, tri, b[r:r + _INVERSE_LEAF], side=1, lower=1)
-    return True
 
 
 def nll_and_grad(
@@ -413,12 +467,8 @@ def nll_and_grad(
         + float(np.sum(np.log(np.diag(l))))
         + 0.5 * n * math.log(2.0 * math.pi)
     )
-    if _invert_lower(l):
-        p = scipy.linalg.lapack.dlauum(l, lower=1, overwrite_c=1)[0]
-    else:
-        # _invert_lower wrote nothing, so L is still whole
-        p = l
-        p[...] = scipy.linalg.cho_solve((l, True), np.eye(n))
+    _invert_lower(l)
+    p = scipy.linalg.lapack.dlauum(l, lower=1, overwrite_c=1)[0]
     trace_m = float(alpha @ alpha) - float(np.trace(p))
     # -P in the lower triangle: K_y^-1 - alpha alpha', times K (Fortran-ordered as p)
     p = scipy.linalg.blas.dsyr(-1.0, alpha, lower=1, a=p, overwrite_a=1)
@@ -452,13 +502,18 @@ class OutputModel:
 
 def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
     """The complete model of one output, from its hyperparameters theta,
-    the standardized training inputs and its standardized target column.
-    numpy alone builds it: the weights are solved by substitution on the
-    factor's rows, so no N x N array but K and the factor is formed
-    (numpy's Cholesky makes one work copy of its own)."""
+    the standardized training inputs and its standardized target column,
+    built without scipy. Where numpy bundles OpenBLAS, K is factored in its
+    own memory, the one N x N array formed, and refilled from kernel_matrix
+    after a failed jitter level; any other numpy's Cholesky adds a factor
+    of its own, with the same bits. The weights are solved by substitution
+    on the factor's rows."""
     d = xs.shape[1]
     k = kernel_matrix(theta, xs)
-    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]), _numpy_factor)
+    potrf = _bundled_potrf()
+    factor = _numpy_factor if potrf is None else functools.partial(
+        _in_place_factor, potrf=potrf, refill=lambda a: kernel_matrix(theta, xs, out=a))
+    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]), factor)
     # alpha = L'^-1 L^-1 z by forward, then back substitution
     alpha = np.array(zs_col, dtype=float)
     for i in range(alpha.shape[0]):
@@ -712,9 +767,9 @@ def predict(
     skipped and the variance comes back as None; the means are the same.
     Each query q, standardized, becomes the row [q, q o q, 1], whose
     product with the model's augmented rows gives the exponents of both
-    outputs at once; the queries run _QUERY_ROWS at a time, so a batch
-    holds one block of exponents, and its memory does not grow with its
-    length. The means are the exps times the block-diagonal weights; the
+    outputs at once; the queries run _QUERY_ROWS at a time through one
+    block of exponents allocated per call, so a batch's memory does not
+    grow with its length. The means are the exps times the block-diagonal weights; the
     variance reads each output's slice of the same exps. The bytes are
     independent of the OpenBLAS thread count only inside
     _single_blas_thread(), which the CLI commands enter; predict does not
@@ -741,9 +796,13 @@ def predict(
     aug[:, 2 * d] = 1.0
     means = np.empty((w2.shape[0], weights.shape[1]))
     variances = np.empty_like(means) if variance else None
+    # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M N),
+    # allocated once: glibc mapped or trimmed a fresh 1 MB block per 64 rows
+    # once the build freed no N x N array (the recipe's held-out predictions
+    # at N = 1000, 2 vCPUs, medians of 20 processes: 13.7 ms against 10.4 ms)
+    exponents = np.empty((min(aug.shape[0], _QUERY_ROWS), block.shape[0]))
     for i in range(0, aug.shape[0], _QUERY_ROWS):
-        # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M N)
-        e = aug[i:i + _QUERY_ROWS] @ block.T
+        e = np.matmul(aug[i:i + _QUERY_ROWS], block.T, out=exponents[:aug.shape[0] - i])
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         np.matmul(e, weights, out=means[i:i + _QUERY_ROWS])

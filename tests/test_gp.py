@@ -1,9 +1,9 @@
 """Tests for the GP inverse-model regressor.
 
-Oracles: the kernel is checked against an elementwise loop, gradients
-against central finite differences, and predictions against a dense
-np.linalg.solve of the full noisy kernel system built independently of
-the model's Cholesky cache.
+Oracles: the kernel is checked against an elementwise loop over pairwise
+differences, gradients against central finite differences, and
+predictions against a dense np.linalg.solve of the full noisy kernel
+system built independently of the model's Cholesky cache.
 """
 
 import concurrent.futures
@@ -98,10 +98,9 @@ class TestKernel:
     def test_one_lengthscale_separation_decays_by_exp_half(self):
         log_ls = np.log(np.array([0.4, 2.0]))
         theta = hyperparameters(log_ls, math.log(3.0))
-        a = np.array([[1.0, 5.0]])
-        b = np.array([[1.4, 5.0]])  # exactly one lengthscale apart in dim 0
-        k = kernel_matrix(theta, a, b)
-        assert abs(k[0, 0] - 3.0 * math.exp(-0.5)) < 1e-12
+        # exactly one lengthscale apart in dim 0
+        k = kernel_matrix(theta, np.array([[1.0, 5.0], [1.4, 5.0]]))
+        assert abs(k[0, 1] - 3.0 * math.exp(-0.5)) < 1e-12
 
     def test_matches_elementwise_oracle_on_random_inputs(self):
         rng = np.random.default_rng(11)
@@ -109,7 +108,8 @@ class TestKernel:
         b = rng.normal(size=(5, 6))
         log_ls = rng.normal(0.0, 0.4, size=6)
         expected = kernel_oracle(log_ls, 0.3, a, b)
-        assert np.allclose(kernel_matrix(hyperparameters(log_ls, 0.3), a, b), expected, atol=1e-12)
+        k = kernel_matrix(hyperparameters(log_ls, 0.3), np.vstack([a, b]))
+        assert np.allclose(k[:4, 4:], expected, atol=1e-12)
 
     def test_gram_matrix_is_symmetric_psd(self):
         rng = np.random.default_rng(12)
@@ -131,12 +131,12 @@ class TestKernel:
         rng = np.random.default_rng(14)
         x = rng.normal(size=(30, 6))
         theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2)
-        assert np.allclose(kernel_matrix(theta, x), kernel_matrix(theta, x, x.copy()),
+        assert np.allclose(kernel_matrix(theta, x), kernel_oracle(theta[:6], theta[6], x, x),
                            rtol=1e-13, atol=1e-15)
 
     def test_rejects_wrong_input_width(self):
         with pytest.raises(ValueError, match="columns"):
-            kernel_matrix(hyperparameters(np.zeros(6), 0.0), np.zeros((3, 4)), np.zeros((2, 6)))
+            kernel_matrix(hyperparameters(np.zeros(6), 0.0), np.zeros((3, 4)))
 
     def test_rejects_non_finite_hyperparameters(self):
         x = np.zeros((3, 2))
@@ -351,21 +351,6 @@ class TestObjectiveBuffers:
         nll_and_grad(np.concatenate([np.zeros(6), [0.0], [math.log(0.1)]]), w, y)
         assert np.array_equal(w, before[0]) and np.array_equal(y, before[1])
 
-    def test_inverse_fallback_gives_the_same_value_and_gradient(self, monkeypatch):
-        # the blocked inverse reports failure, having written nothing, so
-        # the call takes the inverse from cho_solve on the whole factor
-        rng = np.random.default_rng(211)
-        n = 150
-        w, z = make_problem(rng, n)
-        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.1], [math.log(0.05)]])
-        value, grad = nll_and_grad(theta, w, z[:, 0])
-        refused = []
-        monkeypatch.setattr(gp, "_invert_lower", lambda l: refused.append(l.shape) or False)
-        value_fb, grad_fb = nll_and_grad(theta, w, z[:, 0])
-        assert refused == [(n, n)]
-        assert abs(value_fb - value) < 1e-10 * abs(value)
-        assert np.max(np.abs(grad_fb - grad)) < 1e-10 * np.max(np.abs(grad))
-
     def test_one_call_allocates_two_square_buffers(self):
         # K and the factor's work buffer, plus thin N x 7 arrays; a third
         # N x N array, such as a copy LAPACK makes of a C-ordered argument,
@@ -394,18 +379,10 @@ class TestInvertLower:
         upper = np.triu_indices(n, 1)
         work[upper] = rng.normal(size=upper[0].size)  # must survive as it is
         before = work[upper].copy()
-        assert gp._invert_lower(work)
+        gp._invert_lower(work)
         expected = np.linalg.inv(l)
         assert np.max(np.abs(np.tril(work) - expected)) < 1e-12 * np.max(np.abs(expected))
         assert np.array_equal(work[upper], before)
-
-    def test_zero_on_the_diagonal_writes_nothing(self):
-        rng = np.random.default_rng(226)
-        work = np.array(np.tril(rng.normal(size=(150, 150))) + 20.0 * np.eye(150), order="F")
-        work[120, 120] = 0.0
-        before = work.copy()
-        assert not gp._invert_lower(work)
-        assert np.array_equal(work, before)
 
 
 FACTOR_STEPS = (lambda a: gp._lapack_factor(a, np.empty(a.shape, order="F")),
@@ -450,8 +427,55 @@ class TestCholeskyJitter:
                     pass
                 assert np.array_equal(matrix, before)
 
+    def test_an_accepted_objective_factor_has_a_positive_diagonal(self):
+        # the objective inverts the factor with no check of its diagonal:
+        # dpotrf accepts a factor only when every pivot is positive, also
+        # on a matrix that needs the last jitter level, and refuses a zero
+        # pivot
+        assert gp._lapack_factor(np.ones((2, 2)), np.empty((2, 2), order="F")) is None
+        n = 50
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(n, n))
+        nearly = np.ones((n, n)) - 5e-4 * np.eye(n)  # eigenvalues n - 5e-4 and -5e-4
+        for matrix, rel in ((a @ a.T + n * np.eye(n), gp.JITTER_REL_INIT),
+                            (nearly, gp.JITTER_REL_MAX)):
+            work = np.empty((n, n), order="F")
+            l, jitter = _chol_with_jitter(matrix, 0.0, lambda k: gp._lapack_factor(k, work))
+            assert jitter == pytest.approx(rel * float(np.trace(matrix)) / n, rel=1e-12)
+            assert np.all(np.diag(l) > 0.0)
+
+
+def failing_build_factor(monkeypatch, fails):
+    """Make the model build's factor step, on the path this numpy takes,
+    report failure on each call whose number (from 1) fails(number) holds
+    true for. The bundled dpotrf still overwrites the matrix first, as a
+    failed attempt may. Returns the (0, 0) entry of the matrix each call
+    was handed, filled in as the calls come."""
+    seen = []
+    potrf = gp._bundled_potrf()
+    if potrf is None:
+        cholesky = np.linalg.cholesky
+
+        def step(a):
+            seen.append(a[0, 0])
+            if fails(len(seen)):
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", step)
+    else:
+        def step(a):
+            seen.append(a[0, 0])
+            info = potrf(a)
+            return 1 if fails(len(seen)) else info
+
+        monkeypatch.setattr(gp, "_bundled_potrf", lambda: step)
+    return seen
+
 
 class TestModelBuild:
+    # on the factor step this numpy takes; TestModelBuildOnNumpyCholesky
+    # repeats every test on numpy's Cholesky
     @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True)])
     def test_factor_and_weights_match_a_dense_solve(self, n, escalate, monkeypatch):
         rng = np.random.default_rng(220 + n)
@@ -460,15 +484,7 @@ class TestModelBuild:
         rel = gp.JITTER_REL_INIT
         calls = []
         if escalate:
-            cholesky = np.linalg.cholesky
-
-            def failing_once(a):
-                calls.append(1)
-                if len(calls) == 1:
-                    raise np.linalg.LinAlgError("Matrix is not positive definite")
-                return cholesky(a)
-
-            monkeypatch.setattr(np.linalg, "cholesky", failing_once)
+            calls = failing_build_factor(monkeypatch, lambda call: call == 1)
             rel *= 10.0
         out = _output_model(theta, w, z[:, 0])
         k = kernel_oracle(theta[:6], theta[6], w, w)
@@ -484,13 +500,7 @@ class TestModelBuild:
     def test_raises_at_maximum_jitter(self, monkeypatch):
         rng = np.random.default_rng(223)
         w, z = make_problem(rng, 12)
-        levels = []
-
-        def never(a):
-            levels.append(a[0, 0])
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
-
-        monkeypatch.setattr(np.linalg, "cholesky", never)
+        levels = failing_build_factor(monkeypatch, lambda call: True)
         with pytest.raises(ConditioningError,
                            match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
             _output_model(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
@@ -501,8 +511,8 @@ class TestModelBuild:
         assert levels[-1] / levels[0] - 1.0 == pytest.approx(gp.JITTER_REL_MAX, rel=1e-6)
 
     def test_build_allocates_two_square_arrays(self):
-        # K and the factor, plus vectors; a solve for the weights that
-        # needed another N x N array would exceed the bound
+        # at most K and a factor of its own, plus vectors; a solve for the
+        # weights that needed another N x N array would exceed the bound
         n = 400
         rng = np.random.default_rng(224)
         w, z = make_problem(rng, n)
@@ -515,6 +525,95 @@ class TestModelBuild:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * n * n * 8, peak
+
+
+class TestModelBuildOnNumpyCholesky(TestModelBuild):
+    """TestModelBuild on numpy's Cholesky, the factor step of a numpy that
+    bundles no OpenBLAS."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_cholesky(self, monkeypatch):
+        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
+
+
+def bundled_potrf():
+    """numpy's bundled dpotrf; skips the test where numpy bundles none."""
+    potrf = gp._bundled_potrf()
+    if potrf is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    return potrf
+
+
+class TestInPlaceFactor:
+    """The build's in-place factor step against numpy's Cholesky."""
+
+    # 64, 65, 130 and 400 rows end the blocked transpose on whole and
+    # partial 64 x 64 blocks
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 400])
+    def test_both_paths_give_the_same_bits(self, n, monkeypatch):
+        bundled_potrf()
+        rng = np.random.default_rng(240 + n)
+        w, z = make_problem(rng, n)
+        log_ls = rng.normal(0.0, 0.3, size=6)
+        model = manual_model(w, z, log_ls, 0.2, math.log(0.03))
+        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
+        fallback = manual_model(w, z, log_ls, 0.2, math.log(0.03))
+        for out, other in zip(model.outputs, fallback.outputs):
+            assert out.chol.flags.c_contiguous
+            assert np.array_equal(out.chol, other.chol)
+            assert np.array_equal(out.alpha, other.alpha)
+            assert out.jitter == other.jitter
+        for a, b in zip(model.query, fallback.query):
+            assert np.array_equal(a, b)
+
+    def test_a_failed_level_refills_k(self, monkeypatch):
+        # the bundled dpotrf overwrites K and then reports failure once:
+        # the next level must factor K itself again, as numpy's Cholesky
+        # does one level up
+        bundled_potrf()
+        rng = np.random.default_rng(246)
+        w, z = make_problem(rng, 130)
+        theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
+        base = _output_model(theta, w, z[:, 0])
+        with monkeypatch.context() as patch:
+            calls = failing_build_factor(patch, lambda call: call == 1)
+            out = _output_model(theta, w, z[:, 0])
+        assert len(calls) == 2
+        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
+        failing_build_factor(monkeypatch, lambda call: call == 1)
+        expected = _output_model(theta, w, z[:, 0])
+        assert out.jitter == expected.jitter == pytest.approx(10.0 * base.jitter)
+        assert np.array_equal(out.chol, expected.chol)
+        assert np.array_equal(out.alpha, expected.alpha)
+
+    def test_build_allocates_one_square_array(self):
+        # K, factored in place, plus vectors and 64-row blocks; numpy's
+        # Cholesky adds a factor of its own (TestModelBuild's bound). At
+        # N = 400 kernel_matrix's 64-row sums alone reach 0.26 N^2 doubles
+        bundled_potrf()
+        n = 800
+        rng = np.random.default_rng(247)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
+        _output_model(theta, w, z[:, 0])
+        tracemalloc.start()
+        try:
+            _output_model(theta, w, z[:, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * n * 8, peak
+
+    def test_binding_refuses_an_array_it_cannot_factor_in_place(self):
+        potrf = bundled_potrf()
+        spd = 4.0 * np.eye(3) + 1.0
+        for bad in (np.asfortranarray(spd), spd.astype(np.float32),
+                    spd[:2], np.zeros((6, 6))[::2, ::2]):
+            with pytest.raises(ValueError, match="C-ordered square float64"):
+                potrf(bad)
+        spd.flags.writeable = False
+        with pytest.raises(ValueError, match="writable"):
+            potrf(spd)
 
 
 class TestPrediction:
@@ -600,14 +699,14 @@ class TestPrediction:
 
 class TestPredictionCaches:
     def uncached_predict(self, model, w):
-        """predict written against kernel_matrix, with nothing cached but
+        """predict written against kernel_oracle, with nothing cached but
         the factor and weights."""
         ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
         xs = standardized_inputs(model)
         d = xs.shape[1]
         means, variances = [], []
         for j, out in enumerate(model.outputs):
-            ks = kernel_matrix(out.theta, ws, xs)
+            ks = kernel_oracle(out.theta[:d], out.theta[d], ws, xs)
             means.append((ks @ out.alpha) * model.target_std[j] + model.target_mean[j])
             v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
             latent = np.maximum(math.exp(out.theta[d]) - np.sum(v**2, axis=0), 0.0)
@@ -615,8 +714,8 @@ class TestPredictionCaches:
         return np.column_stack(means), np.column_stack(variances)
 
     def test_matches_the_uncached_kernel(self):
-        # the stacked query sums q (x / l^2) in its exponents where
-        # kernel_matrix sums (q / l)(x / l): a few ulps apart per exponent,
+        # the stacked query sums q (x / l^2) in its exponents where the
+        # oracle sums squared differences: a few ulps apart per exponent,
         # which the weights alpha, large where the noise is small, amplify
         # in the sums, so the two agree to 1e-10 relative and not bitwise
         rng = np.random.default_rng(28)
@@ -675,7 +774,7 @@ class TestPredictionCaches:
         q = standardized_inputs(fitted)[3]
         aug = np.concatenate([q, q * q, [1.0]])
         for j, out in enumerate(fitted.outputs):
-            k = kernel_matrix(out.theta, q, xs)[0] / math.exp(out.theta[6])
+            k = kernel_oracle(out.theta[:6], out.theta[6], q[None], xs)[0] / math.exp(out.theta[6])
             assert np.allclose(np.exp(np.minimum(block[20 * j:20 * (j + 1)] @ aug, 0.0)), k,
                                rtol=1e-12, atol=1e-300)
 
@@ -808,13 +907,18 @@ class TestBlasThreads:
         w, z = make_problem(rng, 10)
         payload = model_to_dict(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)))
         seen = []
-        factor = gp._numpy_factor
+        # inside the factor step this numpy takes
+        potrf = gp._bundled_potrf()
+        factor = gp._numpy_factor if potrf is None else potrf
 
         def recording(a):
             seen.append(blas_thread_counts())
             return factor(a)
 
-        monkeypatch.setattr(gp, "_numpy_factor", recording)
+        if potrf is None:
+            monkeypatch.setattr(gp, "_numpy_factor", recording)
+        else:
+            monkeypatch.setattr(gp, "_bundled_potrf", lambda: recording)
         model_from_dict(payload)
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
