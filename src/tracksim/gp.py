@@ -27,25 +27,24 @@ for one product with the rows, one clamp, one exp and one product with
 the weights, and scales nothing per output.
 
 One evaluation of the fit's objective works in two N x N buffers: the
-kernel matrix, and LAPACK's copy of it, whose lower triangle is factored,
-inverted through Level-3 blocks, and turned into the gradient's weights
-(alpha alpha' - K_y^-1) o K, negated, by a rank-1 update and a product
-with the kernel matrix, each step in place. The buffers belong to the fit job: each (output, start)
-optimization allocates its pair once and hands it to every objective
-call, so the fit's speed does not depend on how the allocator treats
-blocks freed before it. The gradient is read from one product of that
-triangle with an N x (D + 1) array, so no triangle is mirrored into a
-full matrix. _output_model forms one N x N array per output, K, factored
-in its own memory by the dpotrf of numpy's bundled OpenBLAS, which
-numpy's Cholesky calls on the same bytes (K is symmetric), so the factor
-has numpy's bits; a blocked transpose moves it into K's lower triangle.
-With any other numpy, its Cholesky factors K into a second array. Both
-the objective and the build take K from kernel_matrix(theta, x), exactly
-symmetric and a function of the values of theta and x alone, and share
-one jitter loop, _chol_with_jitter, the only code that adds the noise
-variance and the jitter to a diagonal; each passes it its own factor
-step. So a fitted and a loaded model take the same factor, and a model
-depends only on the bytes of its training data.
+kernel matrix K, and LAPACK's copy of it, whose lower triangle is
+factored, inverted through Level-3 blocks, and turned in place into the
+gradient's weights (alpha alpha' - K_y^-1) o K, negated. The buffers
+belong to the fit job: each (output, start) optimization allocates its
+pair once and hands it to every objective call, so the fit's speed does
+not depend on how the allocator treats blocks freed before it. The
+gradient is read from one product of that triangle with an N x (D + 1)
+array, so no triangle is mirrored into a full matrix. _output_model
+forms one N x N array per output, K, factored in its own memory by the
+dpotrf of numpy's bundled OpenBLAS, which numpy's Cholesky calls on the
+same bytes, so the factor has numpy's bits; with any other numpy, its
+Cholesky's factor is copied back into K. Both take K from
+kernel_matrix(theta, x), exactly symmetric and a function of the values
+of theta and x alone, and share one jitter loop, _chol_with_jitter: each
+attempt writes K into the array it factors, adds the noise variance and
+the jitter to that array's diagonal, and factors it in place. So a
+fitted and a loaded model take the same factor, and a model depends only
+on the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list: on a machine with two or more usable CPUs, fits of
@@ -314,44 +313,34 @@ class FitConfig:
 
 
 def _chol_with_jitter(
-    k: np.ndarray, noise_var: float, factor: Callable[[np.ndarray], Optional[np.ndarray]]
+    fill: Callable[[], np.ndarray], noise_var: float, factor: Callable[[np.ndarray], bool]
 ) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of k + (noise_var + jitter) I, k a symmetric
+    """Lower Cholesky factor of K + (noise_var + jitter) I, K a symmetric
     kernel matrix, with escalating jitter: the only code that adds either
     variance to a diagonal.
 
-    Each of the JITTER_ATTEMPTS attempts sets the diagonal of k to its own
-    values plus noise_var and then the jitter, a share of the noisy mean
-    diagonal, and hands k to factor. factor returns the lower factor,
-    either in another array or in k itself, or None when the matrix is not
-    numerically positive definite, having left k's off-diagonal entries as
-    they were. Unless k holds the factor, its diagonal is restored
-    afterwards, also when this raises. Returns (L, jitter). Raises
-    ConditioningError when the last attempt, at relative level
-    JITTER_REL_MAX, fails too.
+    Each of the JITTER_ATTEMPTS attempts writes K into the array fill()
+    returns, adds noise_var and then the jitter, a share of the noisy mean
+    diagonal, to that array's diagonal, and factors it in place: factor(a)
+    returns whether a was numerically positive definite. Returns (a,
+    jitter), a holding L. Raises ConditioningError when the last attempt,
+    at relative level JITTER_REL_MAX, fails too.
     """
-    n = k.shape[0]
-    diag = k.diagonal().copy()
     rel = JITTER_REL_INIT
-    l = None
-    try:
-        for attempt in range(1, JITTER_ATTEMPTS + 1):
-            k.flat[:: n + 1] = diag
-            k.flat[:: n + 1] += noise_var
-            jitter = rel * (float(np.trace(k)) / n)
-            k.flat[:: n + 1] += jitter
-            l = factor(k)
-            if l is not None:
-                return l, jitter
-            if attempt == JITTER_ATTEMPTS:
-                raise ConditioningError(
-                    f"Cholesky failed at maximum jitter {jitter:.3e} (relative level "
-                    f"{rel:.0e}, attempt {attempt} of {JITTER_ATTEMPTS})"
-                )
-            rel *= 10.0
-    finally:
-        if l is not k:
-            k.flat[:: n + 1] = diag
+    for attempt in range(1, JITTER_ATTEMPTS + 1):
+        a = fill()
+        n = a.shape[0]
+        a.flat[:: n + 1] += noise_var
+        jitter = rel * (float(np.trace(a)) / n)
+        a.flat[:: n + 1] += jitter
+        if factor(a):
+            return a, jitter
+        if attempt == JITTER_ATTEMPTS:
+            raise ConditioningError(
+                f"Cholesky failed at maximum jitter {jitter:.3e} (relative level "
+                f"{rel:.0e}, attempt {attempt} of {JITTER_ATTEMPTS})"
+            )
+        rel *= 10.0
 
 
 def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,30 +349,29 @@ def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((n, n)), np.empty((n, n), order="F")
 
 
-def _lapack_factor(a: np.ndarray, work: np.ndarray) -> Optional[np.ndarray]:
-    """The objective's factor step: a.T (a is symmetric) copied into work,
-    a Fortran-ordered array of a's shape, and factored there in place by
-    dpotrf, with its upper triangle zeroed, ready for dpotrs and the
-    in-place inverse. Every call copies a again, so a retry never starts
-    from a failed attempt's partial factor."""
-    np.copyto(work, a.T)
-    l, info = scipy.linalg.lapack.dpotrf(work, lower=1, clean=1, overwrite_a=1)
-    return l if info == 0 else None
+def _lapack_factor(a: np.ndarray) -> bool:
+    """The objective's factor step: a, Fortran-ordered, factored in its own
+    memory by dpotrf, with its upper triangle zeroed, ready for dpotrs and
+    the in-place inverse."""
+    _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
+    return info == 0
 
 
-def _in_place_factor(
-    a: np.ndarray, potrf: Callable[[np.ndarray], int], refill: Callable[[np.ndarray], object]
-) -> Optional[np.ndarray]:
-    """The model build's factor step where numpy bundles OpenBLAS: a,
-    C-ordered and symmetric, factored in its own memory by potrf, which
-    leaves the transposed factor in a's upper triangle. That is moved to the
-    lower triangle 64 x 64 blocks at a time and the upper triangle zeroed,
-    so a becomes the C-ordered lower factor numpy's Cholesky returns, with
-    its bits. A failed attempt has overwritten part of a, so refill(a)
-    writes a's values again before None is returned."""
+def _build_factor(a: np.ndarray) -> bool:
+    """The model build's factor step: a, C-ordered and symmetric, becomes
+    the lower factor numpy's Cholesky returns, with its bits. The dpotrf of
+    numpy's bundled OpenBLAS leaves the transposed factor in a's upper
+    triangle, moved to the lower one 64 x 64 blocks at a time; with any
+    other numpy, its Cholesky's factor is copied back into a."""
+    potrf = _bundled_potrf()
+    if potrf is None:
+        try:
+            a[...] = np.linalg.cholesky(a)
+        except np.linalg.LinAlgError:
+            return False
+        return True
     if potrf(a) != 0:
-        refill(a)
-        return None
+        return False
     n = a.shape[0]
     for r in range(0, n, 64):
         block = a[r:r + 64, r:r + 64]
@@ -391,16 +379,7 @@ def _in_place_factor(
         for c in range(r + 64, n, 64):
             a[c:c + 64, r:r + 64] = a[r:r + 64, c:c + 64].T
         a[r:r + 64, r + 64:] = 0.0
-    return a
-
-
-def _numpy_factor(a: np.ndarray) -> Optional[np.ndarray]:
-    """The model build's factor step with any other numpy: numpy's
-    Cholesky, into an array of its own."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
+    return True
 
 
 def _invert_lower(l: np.ndarray) -> None:
@@ -445,8 +424,9 @@ def nll_and_grad(
     jitter is a fixed share of the mean diagonal, so it contributes to
     both variance components.
 
-    Two N x N buffers do all the work: K, and the factor, whose lower
-    triangle becomes in place L^-1 (_invert_lower), then K_y^-1 (dlauum),
+    Two N x N buffers do all the work: K, left noise-free, and the
+    factor's, which each jitter attempt fills with K; its lower triangle
+    becomes in place L^-1 (_invert_lower), then K_y^-1 (dlauum),
     then -P, P = (alpha alpha' - K_y^-1) o K (a rank-1 update by dsyr and
     a Hadamard product with K). The gradient needs P only through
     P [U, 1], U the scaled inputs, which one dsymm reads from that
@@ -460,7 +440,11 @@ def nll_and_grad(
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
     k_buf, work = _objective_buffers(n) if buffers is None else buffers
     k = kernel_matrix(theta, inputs, out=k_buf)
-    l, jitter = _chol_with_jitter(k, noise_var, functools.partial(_lapack_factor, work=work))
+
+    def fill():  # K is symmetric: its transpose copies straight into Fortran order
+        np.copyto(work, k.T)
+        return work
+    l, jitter = _chol_with_jitter(fill, noise_var, _lapack_factor)
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
@@ -503,17 +487,13 @@ class OutputModel:
 def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
     """The complete model of one output, from its hyperparameters theta,
     the standardized training inputs and its standardized target column,
-    built without scipy. Where numpy bundles OpenBLAS, K is factored in its
-    own memory, the one N x N array formed, and refilled from kernel_matrix
-    after a failed jitter level; any other numpy's Cholesky adds a factor
-    of its own, with the same bits. The weights are solved by substitution
-    on the factor's rows."""
-    d = xs.shape[1]
-    k = kernel_matrix(theta, xs)
-    potrf = _bundled_potrf()
-    factor = _numpy_factor if potrf is None else functools.partial(
-        _in_place_factor, potrf=potrf, refill=lambda a: kernel_matrix(theta, xs, out=a))
-    chol, jitter = _chol_with_jitter(k, math.exp(theta[d + 1]), factor)
+    built without scipy. Each jitter attempt fills one N x N array with
+    kernel_matrix, which _build_factor factors in place. The weights are
+    solved by substitution on the factor's rows."""
+    n, d = xs.shape
+    k = np.empty((n, n))
+    chol, jitter = _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=k),
+                                     math.exp(theta[d + 1]), _build_factor)
     # alpha = L'^-1 L^-1 z by forward, then back substitution
     alpha = np.array(zs_col, dtype=float)
     for i in range(alpha.shape[0]):

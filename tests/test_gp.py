@@ -385,64 +385,120 @@ class TestInvertLower:
         assert np.array_equal(work[upper], before)
 
 
-FACTOR_STEPS = (lambda a: gp._lapack_factor(a, np.empty(a.shape, order="F")),
-                gp._numpy_factor)
+def filled(matrix, order):
+    """(a, fill): one array of the given memory order, and the fill
+    _chol_with_jitter calls on every attempt, which copies matrix into a
+    and returns it."""
+    a = np.empty(matrix.shape, order=order)
+
+    def fill():
+        np.copyto(a, matrix)
+        return a
+
+    return a, fill
+
+
+def build_factor_on_numpy_cholesky(a):
+    """_build_factor on the path of a numpy that bundles no OpenBLAS."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp, "_bundled_potrf", lambda: None)
+        return gp._build_factor(a)
+
+
+# (memory order of the array filled, factor step): the objective's, and the
+# model build's on the path this numpy takes and on numpy's Cholesky
+FACTOR_STEPS = (("F", gp._lapack_factor), ("C", gp._build_factor),
+                ("C", build_factor_on_numpy_cholesky))
 
 
 class TestCholeskyJitter:
-    # each property holds for the objective's factor step and the model build's
+    # each property holds for the objective's factor step and both of the
+    # model build's
     def test_well_conditioned_matrix_uses_base_jitter(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        for factor in FACTOR_STEPS:
-            l, jitter = _chol_with_jitter(spd, 0.0, factor)
+        for order, factor in FACTOR_STEPS:
+            filled_array, fill = filled(spd, order)
+            l, jitter = _chol_with_jitter(fill, 0.0, factor)
+            assert l is filled_array
             assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
             assert jitter <= 2e-10 * np.trace(spd) / 8
 
     def test_escalates_until_factorization_succeeds(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8  # smallest eigenvalue just below zero
-        for factor in FACTOR_STEPS:
-            l, jitter = _chol_with_jitter(nearly, 0.0, factor)
+        for order, factor in FACTOR_STEPS:
+            l, jitter = _chol_with_jitter(filled(nearly, order)[1], 0.0, factor)
             assert np.all(np.isfinite(l))
+            assert np.allclose(l @ l.T, nearly + jitter * np.eye(3), atol=1e-9)
             assert jitter >= 1e-9  # base level was not enough
 
     def test_raises_on_indefinite_matrix(self):
-        for factor in FACTOR_STEPS:
-            with pytest.raises(ConditioningError, match="jitter"):
-                _chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]), 0.0, factor)
-
-    def test_argument_unchanged_after_escalation_or_failure(self):
-        nearly = np.ones((3, 3))
-        nearly[0, 0] -= 1e-8
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        for factor in FACTOR_STEPS:
-            for matrix in (nearly, indefinite):
-                before = matrix.copy()
-                try:
-                    _, jitter = _chol_with_jitter(matrix, 1e-12, factor)
-                    assert jitter >= 1e-9  # base level was not enough
-                except ConditioningError:
-                    pass
-                assert np.array_equal(matrix, before)
+        for order, factor in FACTOR_STEPS:
+            with pytest.raises(ConditioningError,
+                               match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
+                _chol_with_jitter(filled(indefinite, order)[1], 0.0, factor)
+
+    def test_objective_leaves_k_noise_free_after_escalation_or_failure(self, monkeypatch):
+        # nll_and_grad multiplies by K read from buffers[0] after the
+        # factor: each jitter attempt must fill and factor the other
+        # buffer only. Inputs far from the origin next to their spread lose
+        # digits in kernel_matrix's row norms, so K needs a higher jitter
+        # level at an offset of 1e3 and fails at every level at 1e6
+        attempts = []
+        lapack_factor = gp._lapack_factor
+
+        def counting(a):
+            attempts.append(1)
+            return lapack_factor(a)
+
+        monkeypatch.setattr(gp, "_lapack_factor", counting)
+        rng = np.random.default_rng(8)
+        theta = hyperparameters(np.zeros(6), 0.0, math.log(1e-12))
+        for offset in (1e3, 1e6):
+            xs = offset + 1e-3 * rng.normal(size=(40, 6))
+            zs = rng.normal(size=40)
+            buffers = gp._objective_buffers(40)
+            attempts.clear()
+            if offset < 1e6:
+                nll_and_grad(theta, xs, zs, buffers)
+                assert 1 < len(attempts) < gp.JITTER_ATTEMPTS
+            else:
+                with pytest.raises(ConditioningError):
+                    nll_and_grad(theta, xs, zs, buffers)
+                assert len(attempts) == gp.JITTER_ATTEMPTS
+            assert np.array_equal(buffers[0], kernel_matrix(theta, xs))
 
     def test_an_accepted_objective_factor_has_a_positive_diagonal(self):
         # the objective inverts the factor with no check of its diagonal:
         # dpotrf accepts a factor only when every pivot is positive, also
         # on a matrix that needs the last jitter level, and refuses a zero
         # pivot
-        assert gp._lapack_factor(np.ones((2, 2)), np.empty((2, 2), order="F")) is None
+        assert not gp._lapack_factor(np.ones((2, 2), order="F"))
         n = 50
         rng = np.random.default_rng(5)
         a = rng.normal(size=(n, n))
         nearly = np.ones((n, n)) - 5e-4 * np.eye(n)  # eigenvalues n - 5e-4 and -5e-4
         for matrix, rel in ((a @ a.T + n * np.eye(n), gp.JITTER_REL_INIT),
                             (nearly, gp.JITTER_REL_MAX)):
-            work = np.empty((n, n), order="F")
-            l, jitter = _chol_with_jitter(matrix, 0.0, lambda k: gp._lapack_factor(k, work))
+            l, jitter = _chol_with_jitter(filled(matrix, "F")[1], 0.0, gp._lapack_factor)
             assert jitter == pytest.approx(rel * float(np.trace(matrix)) / n, rel=1e-12)
             assert np.all(np.diag(l) > 0.0)
+
+    def test_objective_factor_factors_its_argument_in_place(self):
+        # _chol_with_jitter returns the array it filled, so a dpotrf wrapper
+        # that factored a copy would hand the objective an unfactored K
+        n = 70
+        rng = np.random.default_rng(6)
+        a = rng.normal(size=(n, n))
+        spd = a @ a.T + n * np.eye(n)
+        work = np.array(spd, order="F")
+        assert gp._lapack_factor(work)
+        expected = np.linalg.cholesky(spd)
+        assert np.max(np.abs(np.tril(work) - expected)) < 1e-12 * np.max(np.abs(expected))
+        assert np.array_equal(np.triu(work, 1), np.zeros((n, n)))
 
 
 def failing_build_factor(monkeypatch, fails):
@@ -909,14 +965,14 @@ class TestBlasThreads:
         seen = []
         # inside the factor step this numpy takes
         potrf = gp._bundled_potrf()
-        factor = gp._numpy_factor if potrf is None else potrf
+        factor = np.linalg.cholesky if potrf is None else potrf
 
         def recording(a):
             seen.append(blas_thread_counts())
             return factor(a)
 
         if potrf is None:
-            monkeypatch.setattr(gp, "_numpy_factor", recording)
+            monkeypatch.setattr(np.linalg, "cholesky", recording)
         else:
             monkeypatch.setattr(gp, "_bundled_potrf", lambda: recording)
         model_from_dict(payload)
