@@ -47,12 +47,11 @@ fitted and a loaded model take the same factor, and a model depends only
 on the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
-of one list: on a machine with two or more usable CPUs, fits of
-_PARALLEL_MIN_N samples or more run the list in a pool of forked worker
-processes that ends with the fit, otherwise in the process itself. Each
-job takes the training data, the starts and the config through pickle.
-The results are merged per output in list order either way, so the
-model file has the same bytes on one CPU or several.
+of one list: where two or more CPUs are usable, the list runs in a pool
+of forked worker processes that ends with the fit, otherwise in the
+process itself. Each job takes the training data, the starts and the
+config through pickle. The results are merged per output in list order
+either way, so the model file has the same bytes on one CPU or several.
 
 Only the fit needs scipy: the objective calls scipy.linalg's LAPACK
 wrappers and the optimizer is scipy.optimize's. scipy loads each on
@@ -127,18 +126,6 @@ OPTIMIZER_FTOL = 1e-7
 # as older scipy spells some in mixed case
 _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
                  "STOP: TOTAL NO. OF ITERATIONS": "max_iter", "ABNORMAL": "line_search"}
-
-
-# Training sets smaller than this are fitted serially, because starting
-# the worker pool costs about as much as running the optimizations side
-# by side saves. Measured on 2 CPUs with the blocked-inverse objective,
-# medians of 8 fits of the clean figure-8 data (restarts 1), serial
-# against pool, two runs: 0.13/0.11 s vs 0.09/0.07 s at N=100, 0.20/0.18 s
-# vs 0.12/0.11 s at N=150, 0.36/0.37 s vs 0.22/0.21 s at N=200. The pool
-# won at N=100 too, as it did with the dpotri objective measured alongside
-# (0.11 s vs 0.08 s); the bound stays until a small-fit benchmark
-# workload settles it.
-_PARALLEL_MIN_N = 150
 
 # queries predict forms exponents for at a time, M N doubles a row. A
 # sweep of 2,000 mean-only queries on one BLAS thread (2 vCPUs with 2 MB
@@ -663,18 +650,18 @@ def _optimize_outputs(
     """(theta, info) of every output.
 
     Every (output, start) pair is one independent job of a flat list.
-    With two or more usable CPUs and at least _PARALLEL_MIN_N samples the
+    Where two or more CPUs are usable and there are two or more jobs, the
     list runs in a pool of forked workers, otherwise in this process; the
     results are merged per output in list order, and a worker's pickled
     copy of the problem gives the parent's bits, so the outcome is the
     same to the bit either way.
     """
-    n, m = zs.shape
+    m = zs.shape[1]
     starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
     problem = (xs, zs, starts, config)
     jobs = [(j, idx) for j in range(m) for idx in range(len(starts[j]))]
     workers = min(_usable_cpus(), len(jobs))
-    if n < _PARALLEL_MIN_N or workers < 2:
+    if workers < 2:
         runs = [_run_start(problem, job) for job in jobs]
     else:
         # imported here, as only a parallel fit needs them and every command imports gp

@@ -460,7 +460,6 @@ class TestTrain:
                 raise gp.ConditioningError("raised in a worker")
             return minimize(*args, **kwargs)
 
-        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
         monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(scipy.optimize, "minimize", failing_in_workers)

@@ -931,7 +931,9 @@ class TestFit:
 
 
 class TestBlasThreads:
-    def test_fit_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, monkeypatch):
+    # a forked pool cannot pickle the local _run_start these tests patch in
+    def test_fit_runs_on_one_thread_and_restores_the_count(self, two_blas_threads, serial_fit,
+                                                            monkeypatch):
         seen = []
         run_start = gp._run_start
 
@@ -946,7 +948,8 @@ class TestBlasThreads:
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
 
-    def test_thread_count_restored_when_fit_raises(self, two_blas_threads, monkeypatch):
+    def test_thread_count_restored_when_fit_raises(self, two_blas_threads, serial_fit,
+                                                   monkeypatch):
         def failing(*args):
             raise ConditioningError("every optimizer start ended non-finite")
 
@@ -998,14 +1001,12 @@ class TestBlasThreads:
 
 @pytest.fixture
 def serial_fit(monkeypatch):
-    """Fit every problem size in this process."""
-    monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 10**9)
+    """Fit in this process, as on a one-CPU machine."""
+    monkeypatch.setattr(gp, "_usable_cpus", lambda: 1)
 
 
 def force_pool(monkeypatch, tmp_path):
-    """Fit every problem size in forked workers, as on a two-CPU machine
-    with no CPU quota."""
-    monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
+    """Fit in forked workers, as on a two-CPU machine with no CPU quota."""
     monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
@@ -1039,7 +1040,6 @@ def os_thread_count():
 
 after_fork = []
 os.register_at_fork(after_in_parent=lambda: after_fork.append(os_thread_count()))
-gp._PARALLEL_MIN_N = 0
 gp._CPU_MAX = os.devnull
 os.sched_getaffinity = lambda pid: {0, 1}
 rng = np.random.default_rng(65)
@@ -1069,7 +1069,6 @@ def recording(*args):
     return run_start(*args)
 
 gp._run_start = recording
-gp._PARALLEL_MIN_N = 0
 gp._CPU_MAX = os.devnull
 os.sched_getaffinity = lambda pid: {0, 1}
 rng = np.random.default_rng(70)
@@ -1091,16 +1090,18 @@ def run_probe(probe, *args):
 
 
 class TestParallelFit:
-    def test_pool_gives_the_serial_model_bytes(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("n", [2, 30])
+    def test_pool_gives_the_serial_model_bytes(self, monkeypatch, tmp_path, n):
         # each worker job gets the training arrays through pickle, which
         # keeps the serial bits only while the kernel matrix depends on the
-        # input values alone: at this size an unpickled copy can reach
-        # another BLAS path
+        # input values alone: at 30 samples an unpickled copy can reach
+        # another BLAS path; 2 is the smallest fit FitConfig allows
         rng = np.random.default_rng(61)
-        w, z = make_problem(rng, 30)
+        w, z = make_problem(rng, n)
         config = FitConfig(max_iter=40, restarts=2, seed=6)
-        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 10**9)
-        serial = model_bytes(fit(w, z, config))
+        with monkeypatch.context() as one_cpu:
+            one_cpu.setattr(gp, "_usable_cpus", lambda: 1)
+            serial = model_bytes(fit(w, z, config))
         force_pool(monkeypatch, tmp_path)
         assert model_bytes(fit(w, z, config)) == serial
 
@@ -1156,7 +1157,6 @@ class TestParallelFit:
             sizes.append(workers)
             return pool(workers, **kwargs)
 
-        monkeypatch.setattr(gp, "_PARALLEL_MIN_N", 0)
         monkeypatch.setattr(gp, "_CPU_MAX", str(tmp_path / "no_cpu_max"))
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         rng = np.random.default_rng(68)
