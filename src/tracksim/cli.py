@@ -345,7 +345,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config(args.config)
         # every GP command runs on one BLAS thread, so its files do not
         # depend on the thread count; the others are left alone, since
-        # finding the thread controls loads both OpenBLAS copies (~5 ms)
+        # finding the thread controls costs a lookup (0.4-0.6 ms) they skip
         gp_command = args.command in ("train", "evaluate") or (
             args.command == "simulate" and cfg.slot == "gp")
         with _single_blas_thread() if gp_command else contextlib.nullcontext():

@@ -19,12 +19,15 @@ prediction time.
 
 A fitted or loaded model is complete from the start: _output_model
 builds each output at once from its theta and the standardized training
-data: the Cholesky factor of the noisy kernel matrix, its jitter and the
-weight vector. GpModel keeps what a query reads of every output in two
-arrays: the augmented training rows of all outputs and their
-block-diagonal weights. A block of queries augmented the same way pays
-for one product with the rows, one clamp, one exp and one product with
-the weights, and scales nothing per output.
+data, factoring the noisy kernel matrix to solve the weights, and keeps
+theta, the jitter and the weights, not the N x N factor: the mean needs
+the weights alone (Rasmussen & Williams 2006, Alg. 2.1), so a model
+holds O(N D) numbers. predict rebuilds the factor, per output and call,
+only when asked for the variance. GpModel keeps what a query reads of
+every output in two arrays: the augmented training rows of all outputs
+and their block-diagonal weights. A block of queries augmented the same
+way pays for one product with the rows, one clamp, one exp and one
+product with the weights, and scales nothing per output.
 
 One evaluation of the fit's objective works in two N x N buffers: the
 kernel matrix K, and LAPACK's copy of it, whose lower triangle is
@@ -34,24 +37,29 @@ belong to the fit job: each (output, start) optimization allocates its
 pair once and hands it to every objective call, so the fit's speed does
 not depend on how the allocator treats blocks freed before it. The
 gradient is read from one product of that triangle with an N x (D + 1)
-array, so no triangle is mirrored into a full matrix. _output_model
-forms one N x N array per output, K, factored in its own memory by the
-dpotrf of numpy's bundled OpenBLAS, which numpy's Cholesky calls on the
-same bytes, so the factor has numpy's bits; with any other numpy, its
-Cholesky's factor is copied back into K. Both take K from
-kernel_matrix(theta, x), exactly symmetric and a function of the values
-of theta and x alone, and share one jitter loop, _chol_with_jitter: each
-attempt writes K into the array it factors, adds the noise variance and
-the jitter to that array's diagonal, and factors it in place. So a
-fitted and a loaded model take the same factor, and a model depends only
-on the bytes of its training data.
+array, so no triangle is mirrored into a full matrix. An output's
+factor, which _output_model and predict's variance both take from
+_output_factor, is one N x N array, K, factored in its own memory by
+the dpotrf of numpy's bundled OpenBLAS, which numpy's Cholesky calls on
+the same bytes, so the factor has numpy's bits; with any other numpy,
+its Cholesky's factor is copied back into K. The objective and the
+factor take K from kernel_matrix(theta, x), exactly symmetric and a
+function of the values of theta and x alone, and share one jitter loop,
+_chol_with_jitter: each attempt writes K into the array it factors, adds
+the noise variance and the jitter to that array's diagonal, and factors
+it in place. So a fitted and a loaded model take the same factor, and a
+model depends only on the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
-of one list: where two or more CPUs are usable, the list runs in a pool
-of forked worker processes that ends with the fit, otherwise in the
-process itself. Each job takes the training data, the starts and the
-config through pickle. The results are merged per output in list order
-either way, so the model file has the same bytes on one CPU or several.
+of one list, and so are the builds of the outputs at their chosen
+theta: where two or more CPUs are usable, both lists run in one pool of
+forked worker processes that ends with the fit, otherwise in the process
+itself. So a pooled fit's parent never forms an N x N array, and its
+outputs build side by side. Each job takes the training data, the starts
+and the config through pickle, which the parent tries once before the
+pool starts, so a job pickle cannot send raises before any worker
+exists. The results are merged per output in list order either way, so
+the model file has the same bytes on one CPU or several.
 
 Only the fit needs scipy: the objective calls scipy.linalg's LAPACK
 wrappers and the optimizer is scipy.optimize's. scipy loads each on
@@ -61,16 +69,18 @@ GP imports neither; predict loads scipy.linalg only when asked for the
 variance. A parallel fit loads scipy.optimize before its pool forks, so
 no worker imports it again.
 
-The fit, model_from_dict and held_out_error's batched prediction run
-their BLAS and LAPACK calls on one OpenBLAS thread, whatever
-OPENBLAS_NUM_THREADS says, and restore the previous thread count
-afterwards. Threaded reductions sum in another order, which made the
-fitted hyperparameters depend on the thread count, and at these problem
-sizes two threads made the fit about three times slower than one. Only
-the OpenBLAS bundled with the numpy and scipy Linux wheels is pinned;
-any other BLAS keeps its own setting. numpy's copy also factors the
-model: its dpotrf is bound through ctypes, as its thread functions are,
-so building a model loads no scipy submodule.
+The fit, model_from_dict, held_out_error's batched prediction and the
+factors of predict's variance run their BLAS and LAPACK calls on one
+OpenBLAS thread, whatever OPENBLAS_NUM_THREADS says, and restore the
+previous thread count afterwards. Threaded reductions sum in another
+order, which made the fitted hyperparameters depend on the thread count,
+and at these problem sizes two threads made the fit about three times
+slower than one. Only the OpenBLAS bundled with the numpy and scipy Linux
+wheels is pinned, and scipy's only where the process has loaded it: the
+fit loads it first, and a command that never calls it does not load it
+just to pin it. Any other BLAS keeps its own setting. numpy's copy also
+factors the model: its dpotrf is bound through ctypes, as its thread
+functions are, so building a model loads no scipy submodule.
 """
 
 from __future__ import annotations
@@ -149,31 +159,50 @@ class ConditioningError(RuntimeError):
     """Kernel matrix could not be factorized even at maximum jitter."""
 
 
-def _wheel_openblas(module) -> list[ctypes.CDLL]:
-    """The OpenBLAS libraries bundled with module's Linux wheel."""
+def _wheel_openblas(module, loaded_only: bool = False) -> list[ctypes.CDLL]:
+    """The OpenBLAS libraries bundled with module's Linux wheel; with
+    loaded_only, those of them this process has loaded already, none of
+    which is loaded by the lookup."""
     site = os.path.dirname(os.path.dirname(module.__file__))
     pattern = os.path.join(site, f"{module.__name__}.libs", "libscipy_openblas*.so")
-    return [ctypes.CDLL(path) for path in sorted(glob.glob(pattern))]
+    libs = []
+    for path in sorted(glob.glob(pattern)):
+        try:  # RTLD_NOLOAD opens a library only if it is loaded already
+            libs.append(ctypes.CDLL(path, os.RTLD_NOLOAD if loaded_only else ctypes.DEFAULT_MODE))
+        except OSError:
+            if not loaded_only:
+                raise
+    return libs
 
 
 @functools.cache
-def _bundled_openblas() -> tuple:
-    """(get, set) thread-count functions of each wheel-bundled OpenBLAS.
-
-    numpy's copy exports the symbols with the ILP64 suffix "64_", scipy's
-    without; the tuple is empty when neither wheel bundles one.
-    """
+def _openblas_threads(module) -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS bundled with
+    module's Linux wheel, which this loads. numpy's copy exports the
+    symbols with the ILP64 suffix "64_", scipy's without."""
+    suffix = "64_" if module is np else ""
     found = []
-    for module, suffix in ((np, "64_"), (scipy, "")):
-        for lib in _wheel_openblas(module):
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is None or put is None:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            found.append((get, put))
+    for lib in _wheel_openblas(module):
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get is None or put is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        found.append((get, put))
     return tuple(found)
+
+
+def _bundled_openblas() -> tuple:
+    """(get, set) thread-count functions of each wheel-bundled OpenBLAS
+    this process has loaded: numpy's, which importing numpy loads, and
+    scipy's once scipy.linalg or another of its BLAS users has loaded it.
+    A command that never calls scipy's copy does not load it to pin it (a
+    fresh process paid 2.8-6.6 ms, 1.5 MB and a thread). The tuple is
+    empty when neither wheel bundles one."""
+    if _wheel_openblas(scipy, loaded_only=True):
+        return _openblas_threads(np) + _openblas_threads(scipy)
+    return _openblas_threads(np)
 
 
 @functools.cache
@@ -204,8 +233,9 @@ def _bundled_potrf() -> Optional[Callable[[np.ndarray], int]]:
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run the enclosed block on one OpenBLAS thread, then restore each
-    library's previous thread count (also when the block raises)."""
+    """Run the enclosed block on one thread of each OpenBLAS loaded at
+    its start, then restore each library's previous thread count (also
+    when the block raises)."""
     libs = _bundled_openblas()
     previous = [get() for get, _ in libs]
     for _, put in libs:
@@ -462,25 +492,34 @@ def nll_and_grad(
 
 @dataclass(frozen=True)
 class OutputModel:
-    """One output's hyperparameters theta, the Cholesky factor of its noisy
-    kernel matrix, the jitter that factorization needed and the weights."""
+    """One output's hyperparameters theta, the jitter the factorization of
+    its noisy kernel matrix needed, and the weights alpha = K_y^-1 z: all
+    the mean needs. The N x N factor is not kept; _output_factor(theta,
+    xs) gives it again, with the same bits."""
 
     theta: np.ndarray
-    chol: np.ndarray
     jitter: float
     alpha: np.ndarray
 
 
-def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
-    """The complete model of one output, from its hyperparameters theta,
-    the standardized training inputs and its standardized target column,
-    built without scipy. Each jitter attempt fills one N x N array with
-    kernel_matrix, which _build_factor factors in place. The weights are
-    solved by substitution on the factor's rows."""
+def _output_factor(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, float]:
+    """(L, jitter): the lower Cholesky factor of one output's noisy kernel
+    matrix over the standardized training inputs xs, built without scipy,
+    and the jitter it needed. Each jitter attempt fills one N x N array
+    with kernel_matrix, which _build_factor factors in place; L is that
+    array. _output_model and predict's variance both take it from here."""
     n, d = xs.shape
     k = np.empty((n, n))
-    chol, jitter = _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=k),
-                                     math.exp(theta[d + 1]), _build_factor)
+    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=k),
+                             math.exp(theta[d + 1]), _build_factor)
+
+
+def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
+    """The complete model of one output, from its hyperparameters theta,
+    the standardized training inputs and its standardized target column.
+    The weights are solved by substitution on the rows of the output's
+    factor, which is freed on return."""
+    chol, jitter = _output_factor(theta, xs)
     # alpha = L'^-1 L^-1 z by forward, then back substitution
     alpha = np.array(zs_col, dtype=float)
     for i in range(alpha.shape[0]):
@@ -488,7 +527,7 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> Outp
     for i in range(alpha.shape[0] - 1, -1, -1):
         alpha[i] /= chol[i, i]
         alpha[:i] -= chol[i, :i] * alpha[i]
-    return OutputModel(theta, chol, jitter, alpha)
+    return OutputModel(theta, jitter, alpha)
 
 
 @dataclass
@@ -558,6 +597,14 @@ def _starts(
     for _ in range(config.restarts):
         starts.append(base + rng.normal(0.0, config.restart_spread, size=d + 2))
     return [np.clip(s, low, high) for s in starts]
+
+
+def _build_output(problem: tuple, job: tuple[int, np.ndarray]) -> OutputModel:
+    """Job (j, theta) of the fit problem (xs, zs, starts, config): output
+    j's model at its chosen theta."""
+    xs, zs, _, _ = problem
+    j, theta = job
+    return _output_model(theta, xs, zs[:, j])
 
 
 def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
@@ -644,50 +691,62 @@ def _usable_cpus() -> int:
     return cpus
 
 
-def _optimize_outputs(
+def _fit_outputs(
     xs: np.ndarray, zs: np.ndarray, config: FitConfig
-) -> list[tuple[np.ndarray, dict]]:
-    """(theta, info) of every output.
+) -> list[tuple[OutputModel, dict]]:
+    """(model, info) of every output.
 
-    Every (output, start) pair is one independent job of a flat list.
-    Where two or more CPUs are usable and there are two or more jobs, the
-    list runs in a pool of forked workers, otherwise in this process; the
-    results are merged per output in list order, and a worker's pickled
-    copy of the problem gives the parent's bits, so the outcome is the
-    same to the bit either way.
+    Every (output, start) pair is one independent job of a flat list, and
+    so is every output's build at the theta its best start reached. Where
+    two or more CPUs are usable and there are two or more (output, start)
+    jobs, both lists run in one pool of forked workers, otherwise in this
+    process; the results are merged per output in list order, and a
+    worker's pickled copy of the problem gives the parent's bits, so the
+    outcome is the same to the bit either way.
     """
     m = zs.shape[1]
     starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
     problem = (xs, zs, starts, config)
     jobs = [(j, idx) for j in range(m) for idx in range(len(starts[j]))]
+    optimize = functools.partial(_run_start, problem)
+    build = functools.partial(_build_output, problem)
+
+    def run(map_fn):
+        runs = list(map_fn(optimize, jobs))
+        best = [_pick_best([start for (k, _), start in zip(jobs, runs) if k == j])
+                for j in range(m)]
+        models = map_fn(build, [(j, theta) for j, (theta, _) in enumerate(best)])
+        return [(out, info) for out, (_, info) in zip(models, best)]
+
     workers = min(_usable_cpus(), len(jobs))
     if workers < 2:
-        runs = [_run_start(problem, job) for job in jobs]
-    else:
-        # imported here, as only a parallel fit needs them and every command imports gp
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        # the parent never calls minimize here, so without this every worker would import it
-        import scipy.optimize  # noqa: F401
+        return run(map)
+    # imported here, as only a parallel fit needs them and every command imports gp
+    import multiprocessing
+    import pickle
+    from concurrent.futures import ProcessPoolExecutor
+    # the parent never calls minimize here, so without this every worker would import it
+    import scipy.optimize  # noqa: F401
 
-        # fork, not spawn or forkserver: those start every pool by importing
-        # numpy and scipy again, which eats the saving (N=500 clean fit on
-        # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
-        # serial about 3.4 s). Forking after OpenBLAS started its threads is
-        # safe: OpenBLAS stops them in its own at-fork handler, and the pool
-        # forks all its workers before it starts a thread of its own, so
-        # Python 3.12's warning about forking a multi-threaded process does
-        # not fire. The workers inherit the parent's single BLAS thread.
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            runs = list(pool.map(functools.partial(_run_start, problem), jobs))
-        finally:
-            # also when a job raised: drop the queued jobs and join every worker
-            pool.shutdown(cancel_futures=True)
-    return [_pick_best([run for (k, _), run in zip(jobs, runs) if k == j]) for j in range(m)]
+    # a job pickle cannot send raises here, before any worker exists; inside
+    # the pool it could leave pool.shutdown waiting on a job never sent
+    pickle.dumps(optimize), pickle.dumps(build)
+    # fork, not spawn or forkserver: those start every pool by importing
+    # numpy and scipy again, which eats the saving (N=500 clean fit on
+    # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
+    # serial about 3.4 s). Forking after OpenBLAS started its threads is
+    # safe: OpenBLAS stops them in its own at-fork handler, and the pool
+    # forks all its workers before it starts a thread of its own, so
+    # Python 3.12's warning about forking a multi-threaded process does
+    # not fire. The workers inherit the parent's single BLAS thread.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return run(pool.map)
+    finally:
+        # also when a job raised: drop the queued jobs and join every worker
+        pool.shutdown(cancel_futures=True)
 
 
-@_single_blas_thread()
 def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()) -> GpModel:
     """Fit both command outputs independently over the shared inputs.
 
@@ -696,31 +755,35 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
     derived from (seed, output index), so one output's data can never
     influence the other's optimization path.
     """
-    data = Dataset(inputs, targets)
-    w, z = data.inputs, data.targets
-    if len(data) > config.max_train:
-        pick_rng = np.random.default_rng([config.seed, 2])
-        idx = np.sort(
-            pick_rng.choice(len(data), size=config.max_train, replace=False)
-        )
-        w, z = w[idx], z[idx]
-    input_mean, input_std = w.mean(axis=0), _safe_std(w)
-    target_mean, target_std = z.mean(axis=0), _safe_std(z)
-    xs = (w - input_mean) / input_std
-    zs = (z - target_mean) / target_std
-    outputs, per_output = [], []
-    for j, (theta, info) in enumerate(_optimize_outputs(xs, zs, config)):
-        out = _output_model(theta, xs, zs[:, j])
-        info["jitter"] = out.jitter
-        outputs.append(out)
-        per_output.append(info)
-    report = {
-        "n_train": int(w.shape[0]),
-        "restarts": config.restarts,
-        "max_iter": config.max_iter,
-        "outputs": per_output,
-    }
-    return GpModel(w, z, input_mean, input_std, target_mean, target_std, outputs, report)
+    # the objective calls scipy.linalg's LAPACK: loaded before the pin, so
+    # that the pin finds scipy's OpenBLAS too
+    import scipy.linalg  # noqa: F401
+
+    with _single_blas_thread():
+        data = Dataset(inputs, targets)
+        w, z = data.inputs, data.targets
+        if len(data) > config.max_train:
+            pick_rng = np.random.default_rng([config.seed, 2])
+            idx = np.sort(
+                pick_rng.choice(len(data), size=config.max_train, replace=False)
+            )
+            w, z = w[idx], z[idx]
+        input_mean, input_std = w.mean(axis=0), _safe_std(w)
+        target_mean, target_std = z.mean(axis=0), _safe_std(z)
+        xs = (w - input_mean) / input_std
+        zs = (z - target_mean) / target_std
+        outputs, per_output = [], []
+        for out, info in _fit_outputs(xs, zs, config):
+            info["jitter"] = out.jitter
+            outputs.append(out)
+            per_output.append(info)
+        report = {
+            "n_train": int(w.shape[0]),
+            "restarts": config.restarts,
+            "max_iter": config.max_iter,
+            "outputs": per_output,
+        }
+        return GpModel(w, z, input_mean, input_std, target_mean, target_std, outputs, report)
 
 
 def predict(
@@ -729,18 +792,22 @@ def predict(
     """Posterior mean and observation variance of the command at w.
 
     Accepts a single 6-vector or an (M, 6) batch; returns arrays shaped
-    (2,)/(M, 2). Variance includes the fitted noise level. With
-    variance=False the triangular solve against the N x N factor is
-    skipped and the variance comes back as None; the means are the same.
-    Each query q, standardized, becomes the row [q, q o q, 1], whose
-    product with the model's augmented rows gives the exponents of both
-    outputs at once; the queries run _QUERY_ROWS at a time through one
-    block of exponents allocated per call, so a batch's memory does not
-    grow with its length. The means are the exps times the block-diagonal weights; the
-    variance reads each output's slice of the same exps. The bytes are
-    independent of the OpenBLAS thread count only inside
-    _single_blas_thread(), which the CLI commands enter; predict does not
-    pin itself, as the pin costs 4-7 us against a 24-43 us query at N = 1000.
+    (2,)/(M, 2). Variance includes the fitted noise level. The model keeps
+    no factor, so a call that asks for the variance builds, per output,
+    one N x N kernel matrix and its Cholesky factor (_output_factor, on
+    one BLAS thread, so with the bits the build had), about N^3 / 3 flops
+    each, and solves against it; the factors are freed on return. With
+    variance=False none of that is done and the variance comes back as
+    None; the means are the same. Each query q, standardized, becomes the
+    row [q, q o q, 1], whose product with the model's augmented rows gives
+    the exponents of both outputs at once; the queries run _QUERY_ROWS at
+    a time through one block of exponents allocated per call, so a batch's
+    memory does not grow with its length. The means are the exps times
+    the block-diagonal weights; the variance reads each output's slice of
+    the same exps. The bytes are independent of the OpenBLAS thread count
+    only inside _single_blas_thread(), which the CLI commands enter; a
+    mean-only predict does not pin itself, as the pin costs 4-7 us against
+    a 24-43 us query at N = 1000.
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 1
@@ -763,6 +830,11 @@ def predict(
     aug[:, 2 * d] = 1.0
     means = np.empty((w2.shape[0], weights.shape[1]))
     variances = np.empty_like(means) if variance else None
+    if variance:
+        # the standardized training inputs as fit and model_from_dict form them
+        xs = (model.inputs - model.input_mean) / model.input_std
+        with _single_blas_thread():
+            chols = [_output_factor(out.theta, xs)[0] for out in model.outputs]
     # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M N),
     # allocated once: glibc mapped or trimmed a fresh 1 MB block per 64 rows
     # once the build freed no N x N array (the recipe's held-out predictions
@@ -777,7 +849,7 @@ def predict(
             for j, out in enumerate(model.outputs):
                 signal_var = math.exp(out.theta[d])
                 ks = signal_var * e[:, j * n:(j + 1) * n]
-                vs = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
+                vs = scipy.linalg.solve_triangular(chols[j], ks.T, lower=True)
                 latent = np.maximum(signal_var - np.sum(vs**2, axis=0), 0.0)
                 var_s = latent + math.exp(out.theta[d + 1])
                 variances[i:i + _QUERY_ROWS, j] = var_s * model.target_std[j] ** 2

@@ -2,9 +2,9 @@
 
 Everything runs in-process through main(argv), on deliberately small
 trajectories so the whole file stays fast; only the BLAS thread-count
-tests and the import test start subprocesses, since OpenBLAS reads
-OPENBLAS_NUM_THREADS when it loads and a module stays in sys.modules
-once any test imported it. The determinism tests compare file bytes
+tests and the import and library-load tests start subprocesses, since
+OpenBLAS reads OPENBLAS_NUM_THREADS when it loads and a module or library
+stays loaded once any test loaded it. The determinism tests compare file bytes
 across reruns: reports embed no timestamps, so identical config and seed
 must mean identical artifacts.
 """
@@ -688,6 +688,38 @@ class TestImports:
         probe = json.loads(proc.stdout.splitlines()[-1])
         assert probe["exit"] == 0
         assert not set(absent) & set(probe["loaded"])
+
+
+# Run one command in a fresh interpreter, then name the wheel directories
+# (numpy.libs, scipy.libs) of the bundled OpenBLAS libraries mapped into it.
+MAPS_PROBE = """
+import json, sys
+from tracksim.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/maps") as fh:
+    mapped = {line.split()[-1].split("/")[-2] for line in fh if "/libscipy_openblas" in line}
+print(json.dumps({"exit": code, "mapped": sorted(mapped)}))
+"""
+
+
+class TestOpenblasLoads:
+    @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
+    @pytest.mark.parametrize("argv, scipy_loaded", [
+        (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "me"], False),
+        (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "mg"], False),
+        (["train", "d/dataset.csv", "--config", "cfg.yaml", "--out", "mt"], True),
+    ], ids=["evaluate", "simulate-gp", "train"])
+    def test_only_the_fit_loads_scipys_openblas(self, pipeline_dir, argv, scipy_loaded):
+        # pinning a library's threads needs no load of a library nothing calls
+        if not gp._openblas_threads(scipy):
+            pytest.skip("scipy bundles no OpenBLAS here")
+        proc = subprocess.run(
+            [sys.executable, "-c", MAPS_PROBE, *argv], cwd=pipeline_dir,
+            env=subprocess_env(), check=True, capture_output=True, text=True,
+        )
+        probe = json.loads(proc.stdout.splitlines()[-1])
+        assert probe["exit"] == 0
+        assert ("scipy.libs" in probe["mapped"]) == scipy_loaded, probe["mapped"]
 
 
 GP_COMMANDS = {

@@ -3,10 +3,11 @@
 Oracles: the kernel is checked against an elementwise loop over pairwise
 differences, gradients against central finite differences, and
 predictions against a dense np.linalg.solve of the full noisy kernel
-system built independently of the model's Cholesky cache.
+system built independently of the model's Cholesky factor.
 """
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -30,6 +31,7 @@ from tracksim.gp import (
     FitConfig,
     GpModel,
     _chol_with_jitter,
+    _output_factor,
     _output_model,
     fit,
     held_out_error,
@@ -166,9 +168,10 @@ class TestInputBytes:
         rng = np.random.default_rng(16)
         w, z = make_problem(rng, n)
         theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.05))
-        out = _output_model(theta, w, z[:, 1])
-        copy = _output_model(theta, pickle.loads(pickle.dumps(w)), z[:, 1])
-        assert np.array_equal(copy.chol, out.chol) and np.array_equal(copy.alpha, out.alpha)
+        unpickled = pickle.loads(pickle.dumps(w))
+        out, copy = _output_model(theta, w, z[:, 1]), _output_model(theta, unpickled, z[:, 1])
+        chol, copy_chol = _output_factor(theta, w)[0], _output_factor(theta, unpickled)[0]
+        assert np.array_equal(copy_chol, chol) and np.array_equal(copy.alpha, out.alpha)
 
 
 class TestLikelihoodGradient:
@@ -540,18 +543,21 @@ class TestModelBuild:
         rel = gp.JITTER_REL_INIT
         calls = []
         if escalate:
-            calls = failing_build_factor(monkeypatch, lambda call: call == 1)
+            # the first attempt of the build, and of the factor's rebuild, fails
+            calls = failing_build_factor(monkeypatch, lambda call: call % 2 == 1)
             rel *= 10.0
         out = _output_model(theta, w, z[:, 0])
+        assert not escalate or len(calls) == 2
+        chol, chol_jitter = _output_factor(theta, w)
+        assert chol_jitter == out.jitter
         k = kernel_oracle(theta[:6], theta[6], w, w)
         jitter = rel * (float(np.trace(k)) / n + math.exp(theta[7]))
         assert out.jitter == pytest.approx(jitter)
         k_y = k + (math.exp(theta[7]) + jitter) * np.eye(n)
         expected_alpha = np.linalg.solve(k_y, z[:, 0])
-        assert np.max(np.abs(out.chol @ out.chol.T - k_y)) < 1e-10 * np.max(np.abs(k_y))
-        assert np.array_equal(out.chol, np.tril(out.chol))
+        assert np.max(np.abs(chol @ chol.T - k_y)) < 1e-10 * np.max(np.abs(k_y))
+        assert np.array_equal(chol, np.tril(chol))
         assert np.max(np.abs(out.alpha - expected_alpha)) < 1e-10 * np.max(np.abs(expected_alpha))
-        assert not escalate or len(calls) == 2
 
     def test_raises_at_maximum_jitter(self, monkeypatch):
         rng = np.random.default_rng(223)
@@ -612,11 +618,12 @@ class TestInPlaceFactor:
         w, z = make_problem(rng, n)
         log_ls = rng.normal(0.0, 0.3, size=6)
         model = manual_model(w, z, log_ls, 0.2, math.log(0.03))
+        chols = [_output_factor(out.theta, w)[0] for out in model.outputs]
         monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
         fallback = manual_model(w, z, log_ls, 0.2, math.log(0.03))
-        for out, other in zip(model.outputs, fallback.outputs):
-            assert out.chol.flags.c_contiguous
-            assert np.array_equal(out.chol, other.chol)
+        for out, other, chol in zip(model.outputs, fallback.outputs, chols):
+            assert chol.flags.c_contiguous
+            assert np.array_equal(chol, _output_factor(other.theta, w)[0])
             assert np.array_equal(out.alpha, other.alpha)
             assert out.jitter == other.jitter
         for a, b in zip(model.query, fallback.query):
@@ -631,15 +638,17 @@ class TestInPlaceFactor:
         w, z = make_problem(rng, 130)
         theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
         base = _output_model(theta, w, z[:, 0])
+        # the first attempt of the build, and of the factor's rebuild, fails
         with monkeypatch.context() as patch:
-            calls = failing_build_factor(patch, lambda call: call == 1)
+            calls = failing_build_factor(patch, lambda call: call % 2 == 1)
             out = _output_model(theta, w, z[:, 0])
-        assert len(calls) == 2
+            assert len(calls) == 2
+            chol = _output_factor(theta, w)[0]
         monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
-        failing_build_factor(monkeypatch, lambda call: call == 1)
+        failing_build_factor(monkeypatch, lambda call: call % 2 == 1)
         expected = _output_model(theta, w, z[:, 0])
         assert out.jitter == expected.jitter == pytest.approx(10.0 * base.jitter)
-        assert np.array_equal(out.chol, expected.chol)
+        assert np.array_equal(chol, _output_factor(theta, w)[0])
         assert np.array_equal(out.alpha, expected.alpha)
 
     def test_build_allocates_one_square_array(self):
@@ -670,6 +679,78 @@ class TestInPlaceFactor:
         spd.flags.writeable = False
         with pytest.raises(ValueError, match="writable"):
             potrf(spd)
+
+
+def square_arrays(obj, n):
+    """Shapes of the arrays of n^2 or more elements reachable from obj
+    through dataclass fields, lists, tuples, dict values and the buffers
+    arrays are views of."""
+    if isinstance(obj, np.ndarray):
+        found = [obj.shape] if obj.size >= n * n else []
+        if obj.base is not None and not isinstance(obj.base, np.ndarray):
+            if memoryview(obj.base).nbytes >= n * n * obj.itemsize:
+                found.append(type(obj.base).__name__)
+        return found + ([] if obj.base is None else square_arrays(obj.base, n))
+    if dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [shape for item in obj for shape in square_arrays(item, n)]
+    return []
+
+
+class TestModelHoldsNoFactor:
+    """A model keeps O(N D) numbers: a fitted, a loaded and a pooled
+    model hold no N x N array, and neither a pooled fit's parent nor a
+    load ever holds two."""
+
+    @pytest.mark.parametrize("how", ["fitted", "loaded", "pooled"])
+    def test_no_square_array_is_reachable_from_a_model(self, how, monkeypatch, tmp_path):
+        n = 60
+        rng = np.random.default_rng(250)
+        w, z = make_problem(rng, n)
+        config = FitConfig(max_iter=5, restarts=1)
+        if how == "pooled":
+            force_pool(monkeypatch, tmp_path)
+        else:
+            monkeypatch.setattr(gp, "_usable_cpus", lambda: 1)
+        model = fit(w, z, config)
+        if how == "loaded":
+            model = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+        assert square_arrays(model, n) == []
+        assert square_arrays(np.ones((n, n))[:1], n) == [(n, n)]  # the walker sees views
+
+    def test_pooled_fit_forms_no_square_array_in_the_parent(self, forced_pool):
+        # the builds run in the workers too, so the parent holds vectors only
+        n = 400
+        rng = np.random.default_rng(251)
+        w, z = make_problem(rng, n)
+        tracemalloc.start()
+        try:
+            fit(w, z, FitConfig(max_iter=3, restarts=0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n * n * 8, peak
+
+    def test_load_forms_one_square_array_at_a_time(self):
+        # each output's K, factored in place and freed once its weights are
+        # solved; numpy's Cholesky adds a factor of its own (TestModelBuild)
+        bundled_potrf()
+        n = 400
+        rng = np.random.default_rng(252)
+        w, z = make_problem(rng, n)
+        payload = json.loads(json.dumps(model_to_dict(
+            manual_model(w, z, np.zeros(6), 0.0, math.log(0.05)))))
+        model_from_dict(payload)
+        tracemalloc.start()
+        try:
+            model_from_dict(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8, peak
 
 
 class TestPrediction:
@@ -756,7 +837,7 @@ class TestPrediction:
 class TestPredictionCaches:
     def uncached_predict(self, model, w):
         """predict written against kernel_oracle, with nothing cached but
-        the factor and weights."""
+        the weights, and the factor from _output_factor."""
         ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
         xs = standardized_inputs(model)
         d = xs.shape[1]
@@ -764,7 +845,7 @@ class TestPredictionCaches:
         for j, out in enumerate(model.outputs):
             ks = kernel_oracle(out.theta[:d], out.theta[d], ws, xs)
             means.append((ks @ out.alpha) * model.target_std[j] + model.target_mean[j])
-            v = scipy.linalg.solve_triangular(out.chol, ks.T, lower=True)
+            v = scipy.linalg.solve_triangular(_output_factor(out.theta, xs)[0], ks.T, lower=True)
             latent = np.maximum(math.exp(out.theta[d]) - np.sum(v**2, axis=0), 0.0)
             variances.append((latent + math.exp(out.theta[d + 1])) * model.target_std[j] ** 2)
         return np.column_stack(means), np.column_stack(variances)
@@ -790,6 +871,27 @@ class TestPredictionCaches:
             assert np.max(np.abs(m1 - m_q[0])) <= 1e-10 * np.max(np.abs(m_q[0]))
             assert np.max(np.abs(v1 - v_q[0])) <= 1e-10 * np.max(np.abs(v_q[0]))
             assert np.array_equal(mean_only, m1)
+
+    def test_variance_solves_against_the_output_factor(self):
+        # the model keeps no factor: predict's variance is, to the bit, the
+        # one solved against _output_factor's, from the same exps
+        rng = np.random.default_rng(32)
+        w, z = make_problem(rng, 40)
+        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
+                             input_mean=w.mean(axis=0), input_std=w.std(axis=0))
+        queries = rng.normal(size=(9, 6))
+        _, var = predict(model, queries)
+        xs = standardized_inputs(model)
+        q = (queries - model.input_mean) / model.input_std
+        aug = np.column_stack([q, q * q, np.ones(len(q))])
+        e = np.exp(np.minimum(aug @ model.query[0].T, 0.0))
+        for j, out in enumerate(model.outputs):
+            signal_var = math.exp(out.theta[6])
+            ks = signal_var * e[:, 40 * j:40 * (j + 1)]
+            v = scipy.linalg.solve_triangular(_output_factor(out.theta, xs)[0], ks.T, lower=True)
+            latent = np.maximum(signal_var - np.sum(v**2, axis=0), 0.0)
+            expected = (latent + math.exp(out.theta[7])) * model.target_std[j] ** 2
+            assert np.array_equal(var[:, j], expected)
 
     def test_a_batch_runs_in_blocks(self, monkeypatch):
         # 7 rows in blocks of 3: every row, the short last block's too, is
@@ -844,9 +946,11 @@ class TestPredictionCaches:
         for model in (fitted, loaded):
             xs = standardized_inputs(model)
             for out in model.outputs:
+                chol, jitter = _output_factor(out.theta, xs)
+                assert jitter == out.jitter
                 k = kernel_matrix(out.theta, xs)
                 expected = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(25)
-                error = np.max(np.abs(out.chol @ out.chol.T - expected))
+                error = np.max(np.abs(chol @ chol.T - expected))
                 assert error <= 1e-12 * np.max(np.abs(expected)), error
 
 
@@ -1079,13 +1183,74 @@ print(os.getpid())
 """
 
 
-def run_probe(probe, *args):
+# Run in a fresh interpreter: a pooled fit whose _run_start is a local
+# function, which pickle cannot send to a worker; the probe prints the
+# forks the fit made and the child processes left after it.
+UNPICKLABLE_PROBE = """
+import multiprocessing, os
+import numpy as np
+from tracksim import gp
+
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+gp._CPU_MAX = os.devnull
+os.sched_getaffinity = lambda pid: {0, 1}
+
+def main():
+    run_start = gp._run_start
+
+    def local(*args):
+        return run_start(*args)
+
+    gp._run_start = local
+    rng = np.random.default_rng(71)
+    w = rng.normal(0.0, 1.0, size=(20, 6))
+    z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+    try:
+        gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+    finally:
+        print(len(forks), len(multiprocessing.active_children()), flush=True)
+
+main()
+"""
+
+
+# Run in a fresh interpreter, where nothing has loaded scipy's OpenBLAS
+# yet, with two OpenBLAS threads: a serial, then a pooled fit. Each
+# objective call appends to the file named by argv[1] its pid and the
+# thread counts of every wheel OpenBLAS then loaded; the probe prints its
+# own pid.
+THREADS_PROBE = """
+import json, os, sys
+import numpy as np
+from tracksim import gp
+
+nll = gp.nll_and_grad
+
+def recording(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(json.dumps([os.getpid(), [get() for get, _ in gp._bundled_openblas()]]) + "\\n")
+    return nll(*args)
+
+gp.nll_and_grad = recording
+rng = np.random.default_rng(72)
+w = rng.normal(0.0, 1.0, size=(20, 6))
+z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+for cpus in (1, 2):
+    gp._usable_cpus = lambda: cpus
+    gp.fit(w, z, gp.FitConfig(max_iter=3, restarts=0))
+print(os.getpid())
+"""
+
+
+def run_probe(probe, *args, check=True, timeout=None, env=None):
     """Run a probe script in a fresh interpreter that imports this tracksim."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", probe, *args], env=dict(os.environ, PYTHONPATH=path),
-        check=True, capture_output=True, text=True,
+        [sys.executable, "-c", probe, *args],
+        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+        check=check, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -1192,6 +1357,27 @@ class TestParallelFit:
         probe = json.loads(run_probe(FORK_PROBE).stdout)
         assert probe["after_fork"][:2] == [1, 1]
         assert probe["fork_warnings"] == []
+
+    def test_a_job_pickle_cannot_send_raises_before_any_worker_starts(self):
+        # tried inside the pool, such a job could hang pool.shutdown
+        proc = run_probe(UNPICKLABLE_PROBE, check=False, timeout=60)
+        assert proc.returncode != 0
+        assert "Can't pickle local object" in proc.stderr, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_fit_pins_scipys_openblas_it_loads(self, tmp_path):
+        # in a process that had not loaded scipy's OpenBLAS, the fit loads
+        # it before the pin, so the serial objective calls and the
+        # workers' run on one thread of it too
+        libs = len(gp._openblas_threads(np)) + len(gp._openblas_threads(scipy))
+        if libs < 2:
+            pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
+        log = tmp_path / "threads.jsonl"
+        parent = int(run_probe(THREADS_PROBE, str(log), env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
+        rows = [json.loads(line) for line in log.read_text().splitlines()]
+        pids = {pid for pid, _ in rows}
+        assert parent in pids and len(pids) > 1
+        assert all(counts == [1] * libs for _, counts in rows)
 
     def test_workers_start_with_scipy_optimize_loaded(self, tmp_path):
         # the parent loads it before forking, so no worker imports it again
