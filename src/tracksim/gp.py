@@ -17,17 +17,17 @@ than OPTIMIZER_FTOL of its value, and its report says which. Inputs and
 targets are standardized internally; the stored transform is inverted at
 prediction time.
 
-A fitted or loaded model is complete from the start: _output_model
-builds each output at once from its theta and the standardized training
-data, factoring the noisy kernel matrix to solve the weights, and keeps
-theta, the jitter and the weights, not the N x N factor: the mean needs
-the weights alone (Rasmussen & Williams 2006, Alg. 2.1), so a model
-holds O(N D) numbers. predict rebuilds the factor, per output and call,
-only when asked for the variance. GpModel keeps what a query reads of
-every output in two arrays: the augmented training rows of all outputs
-and their block-diagonal weights. A block of queries augmented the same
-way pays for one product with the rows, one clamp, one exp and one
-product with the weights, and scales nothing per output.
+A fitted or loaded model is complete from the start. The fit builds
+each output at its chosen theta (_output_model), factoring the noisy
+kernel matrix to solve the weights alpha = K_y^-1 z, and keeps theta and
+alpha, not the N x N factor: the mean needs the weights alone (Rasmussen
+& Williams 2006, Alg. 2.1). The model file stores alpha, so loading a
+model factors nothing, and predict rebuilds the factor, per output and
+call, only when asked for the variance. GpModel keeps what a query reads
+of every output in two arrays: the augmented training rows of all
+outputs and their block-diagonal weights. A block of queries augmented
+the same way pays for one product with the rows, one clamp, one exp and
+one product with the weights, and scales nothing per output.
 
 One evaluation of the fit's objective works in two N x N buffers: the
 kernel matrix K, and LAPACK's copy of it, whose lower triangle is
@@ -38,49 +38,42 @@ pair once and hands it to every objective call, so the fit's speed does
 not depend on how the allocator treats blocks freed before it. The
 gradient is read from one product of that triangle with an N x (D + 1)
 array, so no triangle is mirrored into a full matrix. An output's
-factor, which _output_model and predict's variance both take from
-_output_factor, is one N x N array, K, factored in its own memory by
-the dpotrf of numpy's bundled OpenBLAS, which numpy's Cholesky calls on
-the same bytes, so the factor has numpy's bits; with any other numpy,
-its Cholesky's factor is copied back into K. The objective and the
-factor take K from kernel_matrix(theta, x), exactly symmetric and a
-function of the values of theta and x alone, and share one jitter loop,
-_chol_with_jitter: each attempt writes K into the array it factors, adds
-the noise variance and the jitter to that array's diagonal, and factors
-it in place. So a fitted and a loaded model take the same factor, and a
-model depends only on the bytes of its training data.
+factor (_output_factor, for the build and predict's variance) takes the
+objective's path in one N x N array: each attempt of the one jitter
+loop, _chol_with_jitter, writes K from kernel_matrix(theta, x), exactly
+symmetric and a function of the values of theta and x alone, into the
+array it factors in place with _lapack_factor. So a model depends only
+on the bytes of its training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list, and so are the builds of the outputs at their chosen
 theta: where two or more CPUs are usable, both lists run in one pool of
 forked worker processes that ends with the fit, otherwise in the process
 itself. So a pooled fit's parent never forms an N x N array, and its
-outputs build side by side. Each job takes the training data, the starts
-and the config through pickle, which the parent tries once before the
-pool starts, so a job pickle cannot send raises before any worker
-exists. The results are merged per output in list order either way, so
-the model file has the same bytes on one CPU or several.
+outputs build side by side. On Linux a worker dies with the process that
+forked it, even when that process is killed. Each job takes the training
+data, the starts and the config through pickle, which the parent tries
+once before the pool starts, so a job pickle cannot send raises before
+any worker exists. The results are merged per output in list order
+either way, so the model file has the same bytes on one CPU or several.
 
-Only the fit needs scipy: the objective calls scipy.linalg's LAPACK
-wrappers and the optimizer is scipy.optimize's. scipy loads each on
-first use, and building, loading and querying a model for its mean needs
-numpy and the OpenBLAS in its wheel alone, so a command that never fits a
-GP imports neither; predict loads scipy.linalg only when asked for the
-variance. A parallel fit loads scipy.optimize before its pool forks, so
-no worker imports it again.
+Only the fit and predict's variance need scipy: both call scipy.linalg's
+LAPACK wrappers, and the optimizer is scipy.optimize's. scipy loads each
+on first use, and loading and querying a model for its mean needs numpy
+alone, so a command that never fits a GP imports neither. A parallel fit
+loads scipy.optimize before its pool forks, so no worker imports it
+again.
 
-The fit, model_from_dict, held_out_error's batched prediction and the
-factors of predict's variance run their BLAS and LAPACK calls on one
-OpenBLAS thread, whatever OPENBLAS_NUM_THREADS says, and restore the
-previous thread count afterwards. Threaded reductions sum in another
-order, which made the fitted hyperparameters depend on the thread count,
-and at these problem sizes two threads made the fit about three times
-slower than one. Only the OpenBLAS bundled with the numpy and scipy Linux
-wheels is pinned, and scipy's only where the process has loaded it: the
-fit loads it first, and a command that never calls it does not load it
-just to pin it. Any other BLAS keeps its own setting. numpy's copy also
-factors the model: its dpotrf is bound through ctypes, as its thread
-functions are, so building a model loads no scipy submodule.
+The fit, held_out_error's batched prediction and the factors of
+predict's variance run their BLAS and LAPACK calls on one OpenBLAS
+thread, whatever OPENBLAS_NUM_THREADS says, and restore the previous
+thread count afterwards. Threaded reductions sum in another order, which
+made the fitted hyperparameters depend on the thread count, and at these
+problem sizes two threads made the fit about three times slower than
+one. Only the OpenBLAS bundled with the numpy and scipy Linux wheels is
+pinned, and scipy's only where the process has loaded it: the fit and
+predict's variance load it first, and a command that never calls it
+does not load it just to pin it. Any other BLAS keeps its own setting.
 """
 
 from __future__ import annotations
@@ -92,6 +85,8 @@ import glob
 import json
 import math
 import os
+import signal
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -101,7 +96,7 @@ import scipy
 
 KERNEL_KIND = "squared_exponential_ard"
 MODEL_FORMAT = "tracksim-gp"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # jitter added to the noisy kernel matrix before factorization, relative
 # to its mean diagonal: JITTER_REL_INIT first, then ten times the level
@@ -203,32 +198,6 @@ def _bundled_openblas() -> tuple:
     if _wheel_openblas(scipy, loaded_only=True):
         return _openblas_threads(np) + _openblas_threads(scipy)
     return _openblas_threads(np)
-
-
-@functools.cache
-def _bundled_potrf() -> Optional[Callable[[np.ndarray], int]]:
-    """dpotrf of the OpenBLAS in numpy's wheel, which numpy's Cholesky
-    calls, as a function that factors a C-ordered array in place, uplo 'L'
-    on its column-major view, and returns LAPACK's info; None when numpy
-    bundles no OpenBLAS (numpy < 2, macOS, Windows, conda)."""
-    for lib in _wheel_openblas(np):
-        potrf = getattr(lib, "scipy_dpotrf_64_", None)
-        if potrf is None:
-            continue
-        int64_p = ctypes.POINTER(ctypes.c_int64)
-        potrf.argtypes = [ctypes.c_char_p, int64_p, ctypes.c_void_p, int64_p, int64_p]
-        potrf.restype = None
-
-        def factor(a: np.ndarray) -> int:
-            if not (a.dtype == np.float64 and a.ndim == 2 and a.shape[0] == a.shape[1]
-                    and a.flags.c_contiguous and a.flags.writeable):
-                raise ValueError("dpotrf needs a writable C-ordered square float64 array")
-            n, info = ctypes.c_int64(a.shape[0]), ctypes.c_int64(0)
-            potrf(b"L", n, a.ctypes.data, n, info)
-            return info.value
-
-        return factor
-    return None
 
 
 @contextlib.contextmanager
@@ -367,36 +336,11 @@ def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lapack_factor(a: np.ndarray) -> bool:
-    """The objective's factor step: a, Fortran-ordered, factored in its own
-    memory by dpotrf, with its upper triangle zeroed, ready for dpotrs and
-    the in-place inverse."""
+    """The factor step of the objective and of _output_factor: a,
+    Fortran-ordered, factored in its own memory by dpotrf, with its upper
+    triangle zeroed, ready for dpotrs and the in-place inverse."""
     _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     return info == 0
-
-
-def _build_factor(a: np.ndarray) -> bool:
-    """The model build's factor step: a, C-ordered and symmetric, becomes
-    the lower factor numpy's Cholesky returns, with its bits. The dpotrf of
-    numpy's bundled OpenBLAS leaves the transposed factor in a's upper
-    triangle, moved to the lower one 64 x 64 blocks at a time; with any
-    other numpy, its Cholesky's factor is copied back into a."""
-    potrf = _bundled_potrf()
-    if potrf is None:
-        try:
-            a[...] = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-    if potrf(a) != 0:
-        return False
-    n = a.shape[0]
-    for r in range(0, n, 64):
-        block = a[r:r + 64, r:r + 64]
-        block[...] = np.triu(block).T
-        for c in range(r + 64, n, 64):
-            a[c:c + 64, r:r + 64] = a[r:r + 64, c:c + 64].T
-        a[r:r + 64, r + 64:] = 0.0
-    return True
 
 
 def _invert_lower(l: np.ndarray) -> None:
@@ -492,42 +436,34 @@ def nll_and_grad(
 
 @dataclass(frozen=True)
 class OutputModel:
-    """One output's hyperparameters theta, the jitter the factorization of
-    its noisy kernel matrix needed, and the weights alpha = K_y^-1 z: all
-    the mean needs. The N x N factor is not kept; _output_factor(theta,
-    xs) gives it again, with the same bits."""
+    """One output's hyperparameters theta and its weights alpha = K_y^-1 z:
+    all the mean needs, and all a model file stores of the output. The
+    N x N factor is not kept; _output_factor(theta, xs) gives it again."""
 
     theta: np.ndarray
-    jitter: float
     alpha: np.ndarray
 
 
 def _output_factor(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, float]:
     """(L, jitter): the lower Cholesky factor of one output's noisy kernel
-    matrix over the standardized training inputs xs, built without scipy,
-    and the jitter it needed. Each jitter attempt fills one N x N array
-    with kernel_matrix, which _build_factor factors in place; L is that
-    array. _output_model and predict's variance both take it from here."""
+    matrix over the standardized training inputs xs, and the jitter it
+    needed. Each jitter attempt fills one Fortran-ordered N x N array with
+    kernel_matrix, written through its transpose (K is exactly symmetric),
+    which _lapack_factor factors in place; L is that array."""
     n, d = xs.shape
-    k = np.empty((n, n))
-    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=k),
-                             math.exp(theta[d + 1]), _build_factor)
+    work = np.empty((n, n), order="F")
+    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=work.T).T,
+                             math.exp(theta[d + 1]), _lapack_factor)
 
 
-def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> OutputModel:
-    """The complete model of one output, from its hyperparameters theta,
-    the standardized training inputs and its standardized target column.
-    The weights are solved by substitution on the rows of the output's
-    factor, which is freed on return."""
+def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> tuple[OutputModel, float]:
+    """(model, jitter): the complete model of one output, from its
+    hyperparameters theta, the standardized training inputs and its
+    standardized target column, and the jitter its factor needed. The
+    weights are solved by dpotrs on the factor, which is freed on return."""
     chol, jitter = _output_factor(theta, xs)
-    # alpha = L'^-1 L^-1 z by forward, then back substitution
-    alpha = np.array(zs_col, dtype=float)
-    for i in range(alpha.shape[0]):
-        alpha[i] = (alpha[i] - chol[i, :i] @ alpha[:i]) / chol[i, i]
-    for i in range(alpha.shape[0] - 1, -1, -1):
-        alpha[i] /= chol[i, i]
-        alpha[:i] -= chol[i, :i] * alpha[i]
-    return OutputModel(theta, jitter, alpha)
+    alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
+    return OutputModel(theta, alpha), jitter
 
 
 @dataclass
@@ -599,9 +535,9 @@ def _starts(
     return [np.clip(s, low, high) for s in starts]
 
 
-def _build_output(problem: tuple, job: tuple[int, np.ndarray]) -> OutputModel:
+def _build_output(problem: tuple, job: tuple[int, np.ndarray]) -> tuple[OutputModel, float]:
     """Job (j, theta) of the fit problem (xs, zs, starts, config): output
-    j's model at its chosen theta."""
+    j's model at its chosen theta, and the jitter its factor needed."""
     xs, zs, _, _ = problem
     j, theta = job
     return _output_model(theta, xs, zs[:, j])
@@ -691,10 +627,23 @@ def _usable_cpus() -> int:
     return cpus
 
 
+def _die_with_parent(parent: int) -> None:
+    """Pool worker initializer: on Linux, have the kernel SIGKILL this
+    worker when the process that forked it dies, so a killed fit leaves no
+    worker running. A parent that died before the request took effect has
+    already handed this worker to another process, so it exits at once."""
+    if not sys.platform.startswith("linux"):
+        return
+    ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # 1: PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
+
+
 def _fit_outputs(
     xs: np.ndarray, zs: np.ndarray, config: FitConfig
 ) -> list[tuple[OutputModel, dict]]:
-    """(model, info) of every output.
+    """(model, info) of every output, info holding the jitter of its
+    build.
 
     Every (output, start) pair is one independent job of a flat list, and
     so is every output's build at the theta its best start reached. Where
@@ -716,7 +665,7 @@ def _fit_outputs(
         best = [_pick_best([start for (k, _), start in zip(jobs, runs) if k == j])
                 for j in range(m)]
         models = map_fn(build, [(j, theta) for j, (theta, _) in enumerate(best)])
-        return [(out, info) for out, (_, info) in zip(models, best)]
+        return [(out, dict(info, jitter=jitter)) for (out, jitter), (_, info) in zip(models, best)]
 
     workers = min(_usable_cpus(), len(jobs))
     if workers < 2:
@@ -739,7 +688,8 @@ def _fit_outputs(
     # forks all its workers before it starts a thread of its own, so
     # Python 3.12's warning about forking a multi-threaded process does
     # not fire. The workers inherit the parent's single BLAS thread.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_die_with_parent, initargs=(os.getpid(),))
     try:
         return run(pool.map)
     finally:
@@ -772,18 +722,15 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
         target_mean, target_std = z.mean(axis=0), _safe_std(z)
         xs = (w - input_mean) / input_std
         zs = (z - target_mean) / target_std
-        outputs, per_output = [], []
-        for out, info in _fit_outputs(xs, zs, config):
-            info["jitter"] = out.jitter
-            outputs.append(out)
-            per_output.append(info)
+        fitted = _fit_outputs(xs, zs, config)
         report = {
             "n_train": int(w.shape[0]),
             "restarts": config.restarts,
             "max_iter": config.max_iter,
-            "outputs": per_output,
+            "outputs": [info for _, info in fitted],
         }
-        return GpModel(w, z, input_mean, input_std, target_mean, target_std, outputs, report)
+        return GpModel(w, z, input_mean, input_std, target_mean, target_std,
+                       [out for out, _ in fitted], report)
 
 
 def predict(
@@ -793,13 +740,13 @@ def predict(
 
     Accepts a single 6-vector or an (M, 6) batch; returns arrays shaped
     (2,)/(M, 2). Variance includes the fitted noise level. The model keeps
-    no factor, so a call that asks for the variance builds, per output,
-    one N x N kernel matrix and its Cholesky factor (_output_factor, on
-    one BLAS thread, so with the bits the build had), about N^3 / 3 flops
-    each, and solves against it; the factors are freed on return. With
-    variance=False none of that is done and the variance comes back as
-    None; the means are the same. Each query q, standardized, becomes the
-    row [q, q o q, 1], whose product with the model's augmented rows gives
+    no factor, so a call that asks for the variance loads scipy.linalg and
+    builds, per output, one N x N kernel matrix and its Cholesky factor
+    (_output_factor, on one BLAS thread, so with the bits the fit's build
+    had), about N^3 / 3 flops each, and solves against it; the factors are
+    freed on return. With variance=False none of that is done and the
+    variance comes back as None; the means are the same. Each query q,
+    standardized, becomes the row [q, q o q, 1], whose product with the model's augmented rows gives
     the exponents of both outputs at once; the queries run _QUERY_ROWS at
     a time through one block of exponents allocated per call, so a batch's
     memory does not grow with its length. The means are the exps times
@@ -831,7 +778,10 @@ def predict(
     means = np.empty((w2.shape[0], weights.shape[1]))
     variances = np.empty_like(means) if variance else None
     if variance:
-        # the standardized training inputs as fit and model_from_dict form them
+        # loaded before the pin, so that the pin finds scipy's OpenBLAS too
+        import scipy.linalg  # noqa: F401
+
+        # the standardized training inputs as fit forms them
         xs = (model.inputs - model.input_mean) / model.input_std
         with _single_blas_thread():
             chols = [_output_factor(out.theta, xs)[0] for out in model.outputs]
@@ -897,6 +847,7 @@ def model_to_dict(model: GpModel) -> dict:
                 "log_lengthscales": out.theta[:d].tolist(),
                 "log_signal_variance": float(out.theta[d]),
                 "log_noise_variance": float(out.theta[d + 1]),
+                "alpha": out.alpha.tolist(),
             }
             for out in model.outputs
         ],
@@ -904,16 +855,23 @@ def model_to_dict(model: GpModel) -> dict:
     }
 
 
-@_single_blas_thread()
 def model_from_dict(payload: dict) -> GpModel:
+    """The model a model_to_dict payload describes, checked field by field.
+    Each output's stored weights alpha are read back, not solved again, so
+    loading factors nothing and makes no BLAS or LAPACK call; a file of
+    another format version, or one without N finite weights per output,
+    raises ValueError."""
     for key in ("format", "kernel_kind", "inputs", "targets", "standardization", "outputs"):
         if key not in payload:
             raise ValueError(f"model file missing field {key!r}")
     if payload["format"] != MODEL_FORMAT:
         raise ValueError(f"unrecognized model format {payload['format']!r}")
+    version = payload.get("version")
+    if version != MODEL_FORMAT_VERSION:
+        raise ValueError(f"model file version {version!r} is not supported (this tracksim reads "
+                         f"version {MODEL_FORMAT_VERSION}); retrain the model")
     if payload["kernel_kind"] != KERNEL_KIND:
         raise ValueError(f"unsupported kernel kind {payload['kernel_kind']!r}")
-    # LAPACK does not check finiteness, so the training arrays are checked here
     data = Dataset(payload["inputs"], payload["targets"])
     inputs, targets = data.inputs, data.targets
     if inputs.shape != (payload["n_train"], payload["input_dim"]):
@@ -935,7 +893,7 @@ def model_from_dict(payload: dict) -> GpModel:
         raise ValueError("output blocks do not match target dim")
     # every fitted model lies inside the fit's own bounds
     low, high = _bounds(d)
-    thetas = []
+    outputs = []
     for j, out in enumerate(payload["outputs"]):
         theta = np.array([*out["log_lengthscales"], out["log_signal_variance"],
                           out["log_noise_variance"]], dtype=float)
@@ -944,10 +902,12 @@ def model_from_dict(payload: dict) -> GpModel:
                 f"output {j}: hyperparameters must be {d} log lengthscales, a log signal "
                 "variance and a log noise variance inside the fit's bounds"
             )
-        thetas.append(theta)
-    xs = (inputs - input_mean) / input_std
-    zs = (targets - target_mean) / target_std
-    outputs = [_output_model(theta, xs, zs[:, j]) for j, theta in enumerate(thetas)]
+        alpha = out.get("alpha")
+        if not (isinstance(alpha, list) and len(alpha) == len(data)
+                and all(type(a) in (int, float) and math.isfinite(a) for a in alpha)):
+            raise ValueError(f"output {j}: alpha must be {len(data)} finite numbers; "
+                             "retrain the model")
+        outputs.append(OutputModel(theta, np.array(alpha, dtype=float)))
     return GpModel(inputs, targets, input_mean, input_std, target_mean, target_std, outputs,
                    payload.get("report", {}))
 

@@ -3,28 +3,11 @@
 Tests marked with @pytest.mark.criterion(ident, title) get one summary
 line each on the terminal, so a full run ends with a visible PASS/FAIL
 verdict per gating property.
-
---numpy-cholesky builds every GP model of the session's own process with
-numpy's Cholesky, the factor step of a numpy that bundles no OpenBLAS,
-so that path is tested on a machine whose numpy bundles one.
 """
 
 import pytest
 
 from tracksim import gp
-
-
-def pytest_addoption(parser):
-    parser.addoption("--numpy-cholesky", action="store_true",
-                     help="build GP models with numpy's Cholesky, not numpy's bundled dpotrf")
-
-
-@pytest.fixture(autouse=True, scope="session")
-def numpy_cholesky_session(request):
-    with pytest.MonkeyPatch.context() as patch:
-        if request.config.getoption("--numpy-cholesky"):
-            patch.setattr(gp, "_bundled_potrf", lambda: None)
-        yield
 
 
 def pytest_configure(config):

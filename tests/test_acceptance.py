@@ -226,7 +226,8 @@ def test_c4_gp_correctness(tmp_path):
     for j, out in enumerate(model.outputs):
         theta = out.theta
         gram = dense_kernel(theta[:6], theta[6], w_std, w_std)
-        ky = gram + (math.exp(theta[7]) + out.jitter) * np.eye(40)
+        jitter = model.report["outputs"][j]["jitter"]
+        ky = gram + (math.exp(theta[7]) + jitter) * np.eye(40)
         ks = dense_kernel(theta[:6], theta[6], q_std, w_std)
         mean_oracle = model.target_mean[j] + model.target_std[j] * (
             ks @ np.linalg.solve(ky, z_std[:, j])

@@ -50,12 +50,13 @@ def small_model(where, value):
     """A two-sample model file for the learned slot, with the entry at
     the key path where set to value."""
     payload = {
-        "format": gp.MODEL_FORMAT, "kernel_kind": gp.KERNEL_KIND, "n_train": 2,
+        "format": gp.MODEL_FORMAT, "version": gp.MODEL_FORMAT_VERSION,
+        "kernel_kind": gp.KERNEL_KIND, "n_train": 2,
         "input_dim": 6, "inputs": [[0.0] * 6, [1.0] * 6], "targets": [[0.0, 0.0], [1.0, 1.0]],
         "standardization": {"input_mean": [0.5] * 6, "input_std": [0.5] * 6,
                             "target_mean": [0.5, 0.5], "target_std": [0.5, 0.5]},
         "outputs": [{"log_lengthscales": [0.0] * 6, "log_signal_variance": 0.0,
-                     "log_noise_variance": -2.0} for _ in range(2)],
+                     "log_noise_variance": -2.0, "alpha": [-0.5, 0.5]} for _ in range(2)],
     }
     entry = payload
     for key in where[:-1]:
@@ -597,7 +598,8 @@ class TestEvaluate:
     @pytest.mark.parametrize("command", ["evaluate", "simulate"])
     @pytest.mark.parametrize("payload", [
         5,
-        {"format": gp.MODEL_FORMAT, "kernel_kind": gp.KERNEL_KIND, "inputs": [[0.0] * 6] * 2,
+        {"format": gp.MODEL_FORMAT, "version": gp.MODEL_FORMAT_VERSION,
+         "kernel_kind": gp.KERNEL_KIND, "inputs": [[0.0] * 6] * 2,
          "targets": [[0.0, 0.0]] * 2, "n_train": 2, "input_dim": 6, "standardization": [],
          "outputs": []},
         # the rest used to exit 1 (IndexError, OverflowError) or to run a
@@ -614,9 +616,24 @@ class TestEvaluate:
         # the in-place factorization would not notice them
         small_model(("inputs", 0), [math.nan] + [0.0] * 5),
         small_model(("targets", 1), [math.inf, 1.0]),
+        # a file holds the weights the learned slot reads from version 2 on;
+        # any other version, or weights that are not N finite numbers, must
+        # be retrained, not run
+        small_model(("version",), 1),
+        small_model(("version",), 3),
+        small_model(("version",), "2"),
+        {key: value for key, value in small_model(("version",), 2).items() if key != "version"},
+        small_model(("outputs", 0, "alpha"), None),
+        small_model(("outputs", 1, "alpha"), [0.5]),
+        small_model(("outputs", 0, "alpha"), [0.5, math.nan]),
+        small_model(("outputs", 1, "alpha"), [math.inf, 0.5]),
+        small_model(("outputs", 0, "alpha"), ["0.5", 0.5]),
+        small_model(("outputs", 0, "alpha"), 0.5),
     ], ids=["number", "standardization_list", "target_std_short", "target_mean_short",
             "input_std_short", "target_std_negative", "lengthscales_short", "noise_variance_800",
-            "signal_variance_800", "inputs_nan", "targets_infinity"])
+            "signal_variance_800", "inputs_nan", "targets_infinity", "version_1", "version_3",
+            "version_string", "version_missing", "alpha_missing", "alpha_short", "alpha_nan",
+            "alpha_infinity", "alpha_string", "alpha_number"])
     def test_model_of_the_wrong_json_types(self, tmp_path, capsys, command, payload):
         # the first two used to escape from model_from_dict as a TypeError and exit 1
         cfg = tiny_config(tmp_path, controller={"slot": "gp"})

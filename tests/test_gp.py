@@ -13,8 +13,10 @@ import math
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -82,7 +84,7 @@ def manual_model(w, z, log_ls, log_sf2, log_sn2, input_mean=None, input_std=None
     input_std = np.ones(d) if input_std is None else input_std
     xs = (w - input_mean) / input_std
     theta = hyperparameters(log_ls, log_sf2, log_sn2)
-    outputs = [_output_model(theta, xs, z[:, j]) for j in range(m)]
+    outputs = [_output_model(theta, xs, z[:, j])[0] for j in range(m)]
     return GpModel(w, z, input_mean, input_std, np.zeros(m), np.ones(m), outputs, {})
 
 
@@ -169,7 +171,8 @@ class TestInputBytes:
         w, z = make_problem(rng, n)
         theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.05))
         unpickled = pickle.loads(pickle.dumps(w))
-        out, copy = _output_model(theta, w, z[:, 1]), _output_model(theta, unpickled, z[:, 1])
+        (out, _), (copy, _) = (_output_model(theta, w, z[:, 1]),
+                               _output_model(theta, unpickled, z[:, 1]))
         chol, copy_chol = _output_factor(theta, w)[0], _output_factor(theta, unpickled)[0]
         assert np.array_equal(copy_chol, chol) and np.array_equal(copy.alpha, out.alpha)
 
@@ -401,22 +404,12 @@ def filled(matrix, order):
     return a, fill
 
 
-def build_factor_on_numpy_cholesky(a):
-    """_build_factor on the path of a numpy that bundles no OpenBLAS."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gp, "_bundled_potrf", lambda: None)
-        return gp._build_factor(a)
-
-
-# (memory order of the array filled, factor step): the objective's, and the
-# model build's on the path this numpy takes and on numpy's Cholesky
-FACTOR_STEPS = (("F", gp._lapack_factor), ("C", gp._build_factor),
-                ("C", build_factor_on_numpy_cholesky))
+# (memory order of the array filled, factor step): the one step the
+# objective and an output's factor share
+FACTOR_STEPS = (("F", gp._lapack_factor),)
 
 
 class TestCholeskyJitter:
-    # each property holds for the objective's factor step and both of the
-    # model build's
     def test_well_conditioned_matrix_uses_base_jitter(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
@@ -504,37 +497,23 @@ class TestCholeskyJitter:
         assert np.array_equal(np.triu(work, 1), np.zeros((n, n)))
 
 
-def failing_build_factor(monkeypatch, fails):
-    """Make the model build's factor step, on the path this numpy takes,
-    report failure on each call whose number (from 1) fails(number) holds
-    true for. The bundled dpotrf still overwrites the matrix first, as a
-    failed attempt may. Returns the (0, 0) entry of the matrix each call
-    was handed, filled in as the calls come."""
+def failing_factor(monkeypatch, fails):
+    """Make the factor step report failure on each call whose number (from
+    1) fails(number) holds true for. dpotrf still overwrites the matrix
+    first, as a failed attempt may. Returns the (0, 0) entry of the matrix
+    each call was handed, filled in as the calls come."""
     seen = []
-    potrf = gp._bundled_potrf()
-    if potrf is None:
-        cholesky = np.linalg.cholesky
+    factor = gp._lapack_factor
 
-        def step(a):
-            seen.append(a[0, 0])
-            if fails(len(seen)):
-                raise np.linalg.LinAlgError("Matrix is not positive definite")
-            return cholesky(a)
+    def step(a):
+        seen.append(a[0, 0])
+        return factor(a) and not fails(len(seen))
 
-        monkeypatch.setattr(np.linalg, "cholesky", step)
-    else:
-        def step(a):
-            seen.append(a[0, 0])
-            info = potrf(a)
-            return 1 if fails(len(seen)) else info
-
-        monkeypatch.setattr(gp, "_bundled_potrf", lambda: step)
+    monkeypatch.setattr(gp, "_lapack_factor", step)
     return seen
 
 
 class TestModelBuild:
-    # on the factor step this numpy takes; TestModelBuildOnNumpyCholesky
-    # repeats every test on numpy's Cholesky
     @pytest.mark.parametrize("n, escalate", [(12, False), (25, False), (40, True)])
     def test_factor_and_weights_match_a_dense_solve(self, n, escalate, monkeypatch):
         rng = np.random.default_rng(220 + n)
@@ -544,15 +523,15 @@ class TestModelBuild:
         calls = []
         if escalate:
             # the first attempt of the build, and of the factor's rebuild, fails
-            calls = failing_build_factor(monkeypatch, lambda call: call % 2 == 1)
+            calls = failing_factor(monkeypatch, lambda call: call % 2 == 1)
             rel *= 10.0
-        out = _output_model(theta, w, z[:, 0])
+        out, out_jitter = _output_model(theta, w, z[:, 0])
         assert not escalate or len(calls) == 2
         chol, chol_jitter = _output_factor(theta, w)
-        assert chol_jitter == out.jitter
+        assert chol_jitter == out_jitter
         k = kernel_oracle(theta[:6], theta[6], w, w)
         jitter = rel * (float(np.trace(k)) / n + math.exp(theta[7]))
-        assert out.jitter == pytest.approx(jitter)
+        assert out_jitter == pytest.approx(jitter)
         k_y = k + (math.exp(theta[7]) + jitter) * np.eye(n)
         expected_alpha = np.linalg.solve(k_y, z[:, 0])
         assert np.max(np.abs(chol @ chol.T - k_y)) < 1e-10 * np.max(np.abs(k_y))
@@ -562,7 +541,7 @@ class TestModelBuild:
     def test_raises_at_maximum_jitter(self, monkeypatch):
         rng = np.random.default_rng(223)
         w, z = make_problem(rng, 12)
-        levels = failing_build_factor(monkeypatch, lambda call: True)
+        levels = failing_factor(monkeypatch, lambda call: True)
         with pytest.raises(ConditioningError,
                            match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
             _output_model(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
@@ -572,90 +551,51 @@ class TestModelBuild:
         # the diagonal is 1.1 (1 + rel) at relative jitter rel
         assert levels[-1] / levels[0] - 1.0 == pytest.approx(gp.JITTER_REL_MAX, rel=1e-6)
 
-    def test_build_allocates_two_square_arrays(self):
-        # at most K and a factor of its own, plus vectors; a solve for the
-        # weights that needed another N x N array would exceed the bound
-        n = 400
-        rng = np.random.default_rng(224)
-        w, z = make_problem(rng, n)
-        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
-        _output_model(theta, w, z[:, 0])
-        tracemalloc.start()
-        try:
-            _output_model(theta, w, z[:, 0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * n * n * 8, peak
-
-
-class TestModelBuildOnNumpyCholesky(TestModelBuild):
-    """TestModelBuild on numpy's Cholesky, the factor step of a numpy that
-    bundles no OpenBLAS."""
-
-    @pytest.fixture(autouse=True)
-    def numpy_cholesky(self, monkeypatch):
-        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
-
-
-def bundled_potrf():
-    """numpy's bundled dpotrf; skips the test where numpy bundles none."""
-    potrf = gp._bundled_potrf()
-    if potrf is None:
-        pytest.skip("numpy bundles no OpenBLAS here")
-    return potrf
-
 
 class TestInPlaceFactor:
-    """The build's in-place factor step against numpy's Cholesky."""
+    """The build's factor, taken in place in one Fortran-ordered array,
+    against the objective's: the two share one path, so one set of bits."""
 
-    # 64, 65, 130 and 400 rows end the blocked transpose on whole and
-    # partial 64 x 64 blocks
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 400])
     def test_both_paths_give_the_same_bits(self, n, monkeypatch):
-        bundled_potrf()
+        # each factor step's result, copied before the objective inverts it
+        factors = []
+        factor = gp._lapack_factor
+
+        def recording(a):
+            accepted = factor(a)
+            factors.append(np.array(a))
+            return accepted
+
+        monkeypatch.setattr(gp, "_lapack_factor", recording)
         rng = np.random.default_rng(240 + n)
         w, z = make_problem(rng, n)
-        log_ls = rng.normal(0.0, 0.3, size=6)
-        model = manual_model(w, z, log_ls, 0.2, math.log(0.03))
-        chols = [_output_factor(out.theta, w)[0] for out in model.outputs]
-        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
-        fallback = manual_model(w, z, log_ls, 0.2, math.log(0.03))
-        for out, other, chol in zip(model.outputs, fallback.outputs, chols):
-            assert chol.flags.c_contiguous
-            assert np.array_equal(chol, _output_factor(other.theta, w)[0])
-            assert np.array_equal(out.alpha, other.alpha)
-            assert out.jitter == other.jitter
-        for a, b in zip(model.query, fallback.query):
-            assert np.array_equal(a, b)
+        theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.03))
+        nll_and_grad(theta, w, z[:, 0])
+        objective = factors[-1]
+        out, _ = _output_model(theta, w, z[:, 0])
+        assert factors[-1].flags.f_contiguous
+        assert np.array_equal(factors[-1], objective)
+        assert np.array_equal(out.alpha, scipy.linalg.lapack.dpotrs(objective, z[:, 0], lower=1)[0])
 
     def test_a_failed_level_refills_k(self, monkeypatch):
-        # the bundled dpotrf overwrites K and then reports failure once:
-        # the next level must factor K itself again, as numpy's Cholesky
-        # does one level up
-        bundled_potrf()
+        # dpotrf overwrites K and then reports failure once: the next level
+        # must factor K itself again, at ten times the jitter
         rng = np.random.default_rng(246)
         w, z = make_problem(rng, 130)
         theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
-        base = _output_model(theta, w, z[:, 0])
-        # the first attempt of the build, and of the factor's rebuild, fails
-        with monkeypatch.context() as patch:
-            calls = failing_build_factor(patch, lambda call: call % 2 == 1)
-            out = _output_model(theta, w, z[:, 0])
-            assert len(calls) == 2
-            chol = _output_factor(theta, w)[0]
-        monkeypatch.setattr(gp, "_bundled_potrf", lambda: None)
-        failing_build_factor(monkeypatch, lambda call: call % 2 == 1)
-        expected = _output_model(theta, w, z[:, 0])
-        assert out.jitter == expected.jitter == pytest.approx(10.0 * base.jitter)
-        assert np.array_equal(chol, _output_factor(theta, w)[0])
-        assert np.array_equal(out.alpha, expected.alpha)
+        base_jitter = _output_factor(theta, w)[1]
+        calls = failing_factor(monkeypatch, lambda call: call == 1)
+        chol, jitter = _output_factor(theta, w)
+        assert len(calls) == 2
+        assert jitter == pytest.approx(10.0 * base_jitter)
+        expected = kernel_matrix(theta, w) + (math.exp(theta[7]) + jitter) * np.eye(130)
+        assert np.max(np.abs(chol @ chol.T - expected)) < 1e-12 * np.max(np.abs(expected))
 
     def test_build_allocates_one_square_array(self):
-        # K, factored in place, plus vectors and 64-row blocks; numpy's
-        # Cholesky adds a factor of its own (TestModelBuild's bound). At
-        # N = 400 kernel_matrix's 64-row sums alone reach 0.26 N^2 doubles
-        bundled_potrf()
+        # K, factored in place, plus vectors and kernel_matrix's 64-row
+        # sums; a factor or a solve for the weights that needed another
+        # N x N array would exceed the bound
         n = 800
         rng = np.random.default_rng(247)
         w, z = make_problem(rng, n)
@@ -668,17 +608,6 @@ class TestInPlaceFactor:
         finally:
             tracemalloc.stop()
         assert peak < 1.25 * n * n * 8, peak
-
-    def test_binding_refuses_an_array_it_cannot_factor_in_place(self):
-        potrf = bundled_potrf()
-        spd = 4.0 * np.eye(3) + 1.0
-        for bad in (np.asfortranarray(spd), spd.astype(np.float32),
-                    spd[:2], np.zeros((6, 6))[::2, ::2]):
-            with pytest.raises(ValueError, match="C-ordered square float64"):
-                potrf(bad)
-        spd.flags.writeable = False
-        with pytest.raises(ValueError, match="writable"):
-            potrf(spd)
 
 
 def square_arrays(obj, n):
@@ -703,7 +632,7 @@ def square_arrays(obj, n):
 class TestModelHoldsNoFactor:
     """A model keeps O(N D) numbers: a fitted, a loaded and a pooled
     model hold no N x N array, and neither a pooled fit's parent nor a
-    load ever holds two."""
+    load ever forms one."""
 
     @pytest.mark.parametrize("how", ["fitted", "loaded", "pooled"])
     def test_no_square_array_is_reachable_from_a_model(self, how, monkeypatch, tmp_path):
@@ -734,11 +663,10 @@ class TestModelHoldsNoFactor:
             tracemalloc.stop()
         assert peak < 0.5 * n * n * 8, peak
 
-    def test_load_forms_one_square_array_at_a_time(self):
-        # each output's K, factored in place and freed once its weights are
-        # solved; numpy's Cholesky adds a factor of its own (TestModelBuild)
-        bundled_potrf()
-        n = 400
+    def test_load_forms_no_square_array(self):
+        # the file holds the weights, so a load forms no kernel matrix: the
+        # query rows (2 N x 13) and weights (2 N x 2) stay far below the bound
+        n = 800
         rng = np.random.default_rng(252)
         w, z = make_problem(rng, n)
         payload = json.loads(json.dumps(model_to_dict(
@@ -750,7 +678,23 @@ class TestModelHoldsNoFactor:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * n * n * 8, peak
+        assert peak < 0.25 * n * n * 8, peak
+
+    def test_load_factors_nothing(self, monkeypatch):
+        rng = np.random.default_rng(253)
+        w, z = make_problem(rng, 30)
+        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.03))
+        payload = json.loads(json.dumps(model_to_dict(model)))
+
+        def no_factor(*args):
+            raise AssertionError("loading a model factored a kernel matrix")
+
+        monkeypatch.setattr(gp, "_chol_with_jitter", no_factor)
+        loaded = model_from_dict(payload)
+        for out, other in zip(model.outputs, loaded.outputs):
+            assert np.array_equal(other.alpha, out.alpha)
+        for a, b in zip(model.query, loaded.query):
+            assert np.array_equal(a, b)
 
 
 class TestPrediction:
@@ -764,7 +708,8 @@ class TestPrediction:
         for j in range(2):
             out = model.outputs[j]
             k = kernel_oracle(log_ls, 0.15, w, w)
-            ky = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(30)
+            jitter = _output_factor(out.theta, w)[1]
+            ky = k + (math.exp(out.theta[7]) + jitter) * np.eye(30)
             ks = kernel_oracle(log_ls, 0.15, queries, w)
             mean_o = ks @ np.linalg.solve(ky, z[:, j])
             var_o = (
@@ -914,6 +859,8 @@ class TestPredictionCaches:
         assert len(fitted.query) == 2
         for a, b in zip(fitted.query, loaded.query):
             assert np.array_equal(a, b)
+        for out, other in zip(fitted.outputs, loaded.outputs):
+            assert np.array_equal(other.alpha, out.alpha)
         xs = standardized_inputs(fitted)
         block, weights = fitted.query
         assert block.shape == (40, 13) and block.flags.f_contiguous
@@ -937,19 +884,19 @@ class TestPredictionCaches:
                                rtol=1e-12, atol=1e-300)
 
     def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
-        # the factor helper adds the noise variance and the jitter to a copy
-        # of K, for a fitted model and for the same model loaded back
+        # the factor helper adds the noise variance and the jitter the fit
+        # reported to K, for a fitted model and for the same model loaded back
         rng = np.random.default_rng(30)
         w, z = make_problem(rng, 25)
         fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
         for model in (fitted, loaded):
             xs = standardized_inputs(model)
-            for out in model.outputs:
+            for out, info in zip(model.outputs, model.report["outputs"]):
                 chol, jitter = _output_factor(out.theta, xs)
-                assert jitter == out.jitter
+                assert jitter == info["jitter"]
                 k = kernel_matrix(out.theta, xs)
-                expected = k + (math.exp(out.theta[7]) + out.jitter) * np.eye(25)
+                expected = k + (math.exp(out.theta[7]) + jitter) * np.eye(25)
                 error = np.max(np.abs(chol @ chol.T - expected))
                 assert error <= 1e-12 * np.max(np.abs(expected)), error
 
@@ -1064,27 +1011,46 @@ class TestBlasThreads:
             fit(w, z, FitConfig(max_iter=10, restarts=0))
         assert blas_thread_counts() == two_blas_threads
 
-    def test_refresh_caches_runs_on_one_thread(self, two_blas_threads, monkeypatch):
-        # loading builds every output model's caches on one thread
-        rng = np.random.default_rng(38)
-        w, z = make_problem(rng, 10)
-        payload = model_to_dict(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)))
-        seen = []
-        # inside the factor step this numpy takes
-        potrf = gp._bundled_potrf()
-        factor = np.linalg.cholesky if potrf is None else potrf
+    def test_refresh_caches_runs_on_one_thread(self, two_blas_threads, serial_fit,
+                                                monkeypatch):
+        # the fit builds every output model on one thread: recorded inside
+        # the factor step while a build runs, not while the objective does
+        seen, building = [], []
+        factor, build = gp._lapack_factor, gp._build_output
 
-        def recording(a):
-            seen.append(blas_thread_counts())
+        def recording_factor(a):
+            if building:
+                seen.append(blas_thread_counts())
             return factor(a)
 
-        if potrf is None:
-            monkeypatch.setattr(np.linalg, "cholesky", recording)
-        else:
-            monkeypatch.setattr(gp, "_bundled_potrf", lambda: recording)
-        model_from_dict(payload)
+        def recording_build(*args):
+            building.append(1)
+            try:
+                return build(*args)
+            finally:
+                building.clear()
+
+        monkeypatch.setattr(gp, "_lapack_factor", recording_factor)
+        monkeypatch.setattr(gp, "_build_output", recording_build)
+        rng = np.random.default_rng(38)
+        w, z = make_problem(rng, 10)
+        fit(w, z, FitConfig(max_iter=5, restarts=0))
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
+
+    def test_variance_factors_on_one_thread_of_scipys_openblas(self, tmp_path):
+        # in a process that had not loaded scipy's OpenBLAS, predict loads
+        # it before the pin, so the variance's factors run on one thread of it
+        libs = len(gp._openblas_threads(np)) + len(gp._openblas_threads(scipy))
+        if libs < 2:
+            pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
+        rng = np.random.default_rng(40)
+        w, z = make_problem(rng, 20)
+        path = tmp_path / "model.json"
+        save_model(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)), str(path))
+        seen = json.loads(run_probe(VARIANCE_PROBE, str(path),
+                                    env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
+        assert seen == [[1] * libs] * 2
 
     def test_held_out_error_predicts_on_one_thread(self, two_blas_threads, monkeypatch):
         seen = []
@@ -1243,15 +1209,72 @@ print(os.getpid())
 """
 
 
-def run_probe(probe, *args, check=True, timeout=None, env=None):
-    """Run a probe script in a fresh interpreter that imports this tracksim."""
+# Run in a fresh interpreter: a pooled fit whose optimizer starts write
+# their worker's pid to the file named by argv[1] and then stall.
+STALLED_POOL_PROBE = """
+import os, sys, time
+import numpy as np
+from tracksim import gp
+
+def stalled(*args):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(30)
+
+gp._run_start = stalled
+gp._CPU_MAX = os.devnull
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(74)
+w = rng.normal(0.0, 1.0, size=(20, 6))
+z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+"""
+
+
+# Run in a fresh interpreter, where nothing has loaded scipy's OpenBLAS
+# yet: load the model file argv[1] and ask for the variance. Prints the
+# thread counts of every wheel OpenBLAS loaded at each factor step.
+VARIANCE_PROBE = """
+import json, sys
+import numpy as np
+from tracksim import gp
+
+seen = []
+factor = gp._lapack_factor
+
+def recording(a):
+    seen.append([get() for get, _ in gp._bundled_openblas()])
+    return factor(a)
+
+gp._lapack_factor = recording
+model = gp.load_model(sys.argv[1])
+gp.predict(model, model.inputs[:3], variance=True)
+print(json.dumps(seen))
+"""
+
+
+def probe_env(extra=None):
+    """The environment with this checkout's sources first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **(extra or {}))
+
+
+def run_probe(probe, *args, check=True, timeout=None, env=None):
+    """Run a probe script in a fresh interpreter that imports this tracksim."""
     return subprocess.run(
-        [sys.executable, "-c", probe, *args],
-        env=dict(os.environ, PYTHONPATH=path, **(env or {})),
+        [sys.executable, "-c", probe, *args], env=probe_env(env),
         check=check, capture_output=True, text=True, timeout=timeout,
     )
+
+
+def process_alive(pid):
+    """Whether pid names a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in ("Z", "X")
+    except FileNotFoundError:
+        return False
 
 
 class TestParallelFit:
@@ -1379,6 +1402,33 @@ class TestParallelFit:
         assert parent in pids and len(pids) > 1
         assert all(counts == [1] * libs for _, counts in rows)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="workers die with their parent on Linux only")
+    def test_workers_die_with_a_killed_fit(self, tmp_path):
+        log = tmp_path / "workers.txt"
+        probe = subprocess.Popen([sys.executable, "-c", STALLED_POOL_PROBE, str(log)],
+                                 env=probe_env())
+        pids = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(pids) < 2 and time.monotonic() < deadline and probe.poll() is None:
+                time.sleep(0.05)
+                if log.exists():  # whole lines only
+                    pids = sorted({int(pid) for pid in log.read_text().split("\n")[:-1]})
+            assert len(pids) == 2, pids
+            probe.kill()
+            probe.wait()
+            deadline = time.monotonic() + 5
+            while any(map(process_alive, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if process_alive(pid)] == []
+        finally:
+            probe.kill()
+            probe.wait()
+            for pid in pids:
+                if process_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_workers_start_with_scipy_optimize_loaded(self, tmp_path):
         # the parent loads it before forking, so no worker imports it again
         log = tmp_path / "preloaded.jsonl"
@@ -1444,8 +1494,9 @@ class TestFitReport:
         model = fit(w, z, FitConfig(max_iter=30, restarts=0, seed=2))
         for info, out in zip(model.report["outputs"], model.outputs):
             mean_diag = math.exp(out.theta[6]) + math.exp(out.theta[7])
-            assert info["jitter"] == out.jitter
-            assert math.isclose(out.jitter, gp.JITTER_REL_INIT * mean_diag, rel_tol=1e-12)
+            jitter = _output_factor(out.theta, standardized_inputs(model))[1]
+            assert info["jitter"] == jitter
+            assert math.isclose(jitter, gp.JITTER_REL_INIT * mean_diag, rel_tol=1e-12)
 
 
 class TestHeldOutError:
@@ -1511,6 +1562,15 @@ class TestPersistence:
         del bad["standardization"]
         with pytest.raises(ValueError, match="standardization"):
             model_from_dict(bad)
+        for version in (1, 3, None):
+            bad = dict(payload, version=version)
+            with pytest.raises(ValueError, match=rf"version {version} is not supported.*retrain"):
+                model_from_dict(bad)
+        for alpha in (None, [0.5] * 9, [0.5] * 9 + [math.nan], [0.5] * 9 + ["0.5"]):
+            bad = json.loads(json.dumps(payload))
+            bad["outputs"][1]["alpha"] = alpha
+            with pytest.raises(ValueError, match="output 1: alpha must be 10 finite numbers"):
+                model_from_dict(bad)
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         with pytest.raises(ValueError, match="JSON"):
