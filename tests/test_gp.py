@@ -551,6 +551,23 @@ class TestModelBuild:
         # the diagonal is 1.1 (1 + rel) at relative jitter rel
         assert levels[-1] / levels[0] - 1.0 == pytest.approx(gp.JITTER_REL_MAX, rel=1e-6)
 
+    def test_build_allocates_two_square_arrays(self):
+        # at most K and a factor of its own, plus vectors; a solve for the
+        # weights that needed another N x N array would exceed the bound
+        # (TestInPlaceFactor bounds the in-place build tighter, at one)
+        n = 400
+        rng = np.random.default_rng(224)
+        w, z = make_problem(rng, n)
+        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
+        _output_model(theta, w, z[:, 0])
+        tracemalloc.start()
+        try:
+            _output_model(theta, w, z[:, 0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * n * n * 8, peak
+
 
 class TestInPlaceFactor:
     """The build's factor, taken in place in one Fortran-ordered array,
