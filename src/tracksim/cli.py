@@ -3,7 +3,7 @@
 Exit codes form a stable scripting contract:
     0  success
     2  configuration or run-request rejected (schema, types, domains,
-       too-small datasets)
+       too-short references, too-small datasets)
     3  numerical failure (kernel conditioning, non-finite simulation state)
     4  artifact problems (missing, corrupt, or incompatible dataset/model
        files)
@@ -11,15 +11,14 @@ Exit codes form a stable scripting contract:
 
 Reports embed the fully resolved config plus content hashes of their file
 inputs and carry no timestamps, so a rerun with the same config and seed
-produces byte-identical output. train, evaluate and a gp-slot simulate
-run on one OpenBLAS thread, so with the wheels' OpenBLAS their files do
-not depend on the thread count either.
+produces byte-identical output. Every command runs on one OpenBLAS
+thread, so with the wheels' OpenBLAS no file depends on the thread count
+either.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -99,6 +98,15 @@ def _rollout_for(cfg: ExperimentConfig, seed: int, inverse_model=None) -> Rollou
     )
 
 
+def _check_reference(cfg: ExperimentConfig, command: str) -> None:
+    """Reject, as a bad run request, a reference too short for collect's
+    split, which needs two samples, one per interior row of the log;
+    evaluate extracts its held-out set as collect does, so asks the same."""
+    samples = len(cfg.trajectory())
+    if samples < 4:
+        raise ConfigError(f"{command} needs a reference of at least 4 samples, got {samples}")
+
+
 def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
                  model_path: Optional[str]) -> int:
     """One closed-loop run; writes log.csv and metrics.json."""
@@ -137,6 +145,7 @@ def cmd_collect(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     with the commands the nominal controller issued, which is what the
     learned inverse trains on.
     """
+    _check_reference(cfg, "collect")
     run_seed = cfg.seed if seed is None else seed
     log = _rollout_for(cfg, run_seed)
     data = extract_dataset(log)
@@ -237,6 +246,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     """
     if cfg.order != 2:
         raise ConfigError("evaluate runs the learned slot, which requires controller.order 2")
+    _check_reference(cfg, "evaluate")
     model, inverse = _load_inverse(model_path)
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
     per_seed = []
@@ -343,12 +353,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         cfg = load_config(args.config)
-        # every GP command runs on one BLAS thread, so its files do not
-        # depend on the thread count; the others are left alone, since
-        # finding the thread controls costs a lookup (0.4-0.6 ms) they skip
-        gp_command = args.command in ("train", "evaluate") or (
-            args.command == "simulate" and cfg.slot == "gp")
-        with _single_blas_thread() if gp_command else contextlib.nullcontext():
+        with _single_blas_thread():
             if args.command == "simulate":
                 return cmd_simulate(cfg, args.out, args.seed, args.model)
             if args.command == "collect":

@@ -52,7 +52,7 @@ forked worker processes that ends with the fit, otherwise in the process
 itself. So a pooled fit's parent never forms an N x N array, and its
 outputs build side by side. On Linux a worker dies with the process that
 forked it, even when that process is killed. Each job takes the training
-data, the starts and the config through pickle, which the parent tries
+data and its start or theta through pickle, which the parent tries
 once before the pool starts, so a job pickle cannot send raises before
 any worker exists. The results are merged per output in list order
 either way, so the model file has the same bytes on one CPU or several.
@@ -64,16 +64,18 @@ alone, so a command that never fits a GP imports neither. A parallel fit
 loads scipy.optimize before its pool forks, so no worker imports it
 again.
 
-The fit, held_out_error's batched prediction and the factors of
-predict's variance run their BLAS and LAPACK calls on one OpenBLAS
-thread, whatever OPENBLAS_NUM_THREADS says, and restore the previous
-thread count afterwards. Threaded reductions sum in another order, which
-made the fitted hyperparameters depend on the thread count, and at these
-problem sizes two threads made the fit about three times slower than
-one. Only the OpenBLAS bundled with the numpy and scipy Linux wheels is
-pinned, and scipy's only where the process has loaded it: the fit and
-predict's variance load it first, and a command that never calls it
-does not load it just to pin it. Any other BLAS keeps its own setting.
+_single_blas_thread() runs a block on one thread of each OpenBLAS the
+process has loaded, whatever OPENBLAS_NUM_THREADS says, and restores the
+previous thread counts afterwards. Every CLI command runs inside it, and
+the fit, held_out_error's batched prediction and the factors of
+predict's variance enter it themselves. Threaded reductions sum in
+another order, which made the fitted hyperparameters depend on the
+thread count, and at these problem sizes two threads made the fit about
+three times slower than one. Only the OpenBLAS bundled with the numpy
+and scipy Linux wheels is pinned, and scipy's only where the process has
+loaded it: the fit and predict's variance load it before they pin, and a
+command that never calls it does not load it just to pin it. Any other
+BLAS keeps its own setting.
 """
 
 from __future__ import annotations
@@ -154,50 +156,33 @@ class ConditioningError(RuntimeError):
     """Kernel matrix could not be factorized even at maximum jitter."""
 
 
-def _wheel_openblas(module, loaded_only: bool = False) -> list[ctypes.CDLL]:
-    """The OpenBLAS libraries bundled with module's Linux wheel; with
-    loaded_only, those of them this process has loaded already, none of
-    which is loaded by the lookup."""
-    site = os.path.dirname(os.path.dirname(module.__file__))
-    pattern = os.path.join(site, f"{module.__name__}.libs", "libscipy_openblas*.so")
-    libs = []
-    for path in sorted(glob.glob(pattern)):
-        try:  # RTLD_NOLOAD opens a library only if it is loaded already
-            libs.append(ctypes.CDLL(path, os.RTLD_NOLOAD if loaded_only else ctypes.DEFAULT_MODE))
-        except OSError:
-            if not loaded_only:
-                raise
-    return libs
-
-
-@functools.cache
-def _openblas_threads(module) -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS bundled with
-    module's Linux wheel, which this loads. numpy's copy exports the
-    symbols with the ILP64 suffix "64_", scipy's without."""
-    suffix = "64_" if module is np else ""
-    found = []
-    for lib in _wheel_openblas(module):
-        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-        put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-        if get is None or put is None:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        found.append((get, put))
-    return tuple(found)
+# (get, set) thread-count functions of each wheel OpenBLAS, by library path
+_OPENBLAS_BINDINGS: dict[str, tuple] = {}
 
 
 def _bundled_openblas() -> tuple:
-    """(get, set) thread-count functions of each wheel-bundled OpenBLAS
-    this process has loaded: numpy's, which importing numpy loads, and
-    scipy's once scipy.linalg or another of its BLAS users has loaded it.
-    A command that never calls scipy's copy does not load it to pin it (a
-    fresh process paid 2.8-6.6 ms, 1.5 MB and a thread). The tuple is
-    empty when neither wheel bundles one."""
-    if _wheel_openblas(scipy, loaded_only=True):
-        return _openblas_threads(np) + _openblas_threads(scipy)
-    return _openblas_threads(np)
+    """(get, set) thread-count functions of each OpenBLAS bundled with the
+    numpy and scipy Linux wheels that this process has loaded: numpy's,
+    which importing numpy loads, and scipy's once scipy.linalg or another
+    of its BLAS users has loaded it. A command that never calls scipy's
+    copy does not load it to pin it (a fresh process paid 2.8-6.6 ms, 1.5
+    MB and a thread). The tuple is empty when neither wheel bundles one."""
+    found = []
+    for module, suffix in ((np, "64_"), (scipy, "")):  # numpy's copy is ILP64
+        site = os.path.dirname(os.path.dirname(module.__file__))
+        for path in sorted(glob.glob(f"{site}/{module.__name__}.libs/libscipy_openblas*.so")):
+            if path not in _OPENBLAS_BINDINGS:
+                try:  # RTLD_NOLOAD opens a library only if it is loaded already
+                    lib = ctypes.CDLL(path, os.RTLD_NOLOAD)
+                except OSError:  # not loaded, so nothing is bound: the next call looks again
+                    continue
+                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+                put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                _OPENBLAS_BINDINGS[path] = (get, put)
+            found.append(_OPENBLAS_BINDINGS[path])
+    return tuple(found)
 
 
 @contextlib.contextmanager
@@ -276,9 +261,10 @@ class FitConfig:
     """Hyperparameter-optimization settings.
 
     The defaults are the experiment config's: one seeded restart and a
-    1000-sample cap is the setting the multi-variant recipe in the README
-    was tuned under, and more optimizer effort does not help closed-loop
-    tracking when the data covers a thin tube of the input space.
+    1000-sample cap, the values the README's multi-variant recipe and the
+    benchmark use; whether another cap tracks better is an open item of
+    ROADMAP.md. More optimizer effort does not help closed-loop tracking
+    when the data covers a thin tube of the input space.
     """
 
     max_iter: int = 200
@@ -298,19 +284,18 @@ class FitConfig:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
 
 
-def _chol_with_jitter(
-    fill: Callable[[], np.ndarray], noise_var: float, factor: Callable[[np.ndarray], bool]
-) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(fill: Callable[[], np.ndarray], noise_var: float) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + (noise_var + jitter) I, K a symmetric
     kernel matrix, with escalating jitter: the only code that adds either
-    variance to a diagonal.
+    variance to a diagonal, and the one caller of _lapack_factor.
 
-    Each of the JITTER_ATTEMPTS attempts writes K into the array fill()
-    returns, adds noise_var and then the jitter, a share of the noisy mean
-    diagonal, to that array's diagonal, and factors it in place: factor(a)
-    returns whether a was numerically positive definite. Returns (a,
-    jitter), a holding L. Raises ConditioningError when the last attempt,
-    at relative level JITTER_REL_MAX, fails too.
+    Each of the JITTER_ATTEMPTS attempts writes K into the Fortran-ordered
+    array fill() returns, adds noise_var and then the jitter, a share of
+    the noisy mean diagonal, to that array's diagonal, and factors it in
+    place with _lapack_factor, which says whether it was numerically
+    positive definite. Returns (a, jitter), a holding L. Raises
+    ConditioningError when the last attempt, at relative level
+    JITTER_REL_MAX, fails too.
     """
     rel = JITTER_REL_INIT
     for attempt in range(1, JITTER_ATTEMPTS + 1):
@@ -319,7 +304,7 @@ def _chol_with_jitter(
         a.flat[:: n + 1] += noise_var
         jitter = rel * (float(np.trace(a)) / n)
         a.flat[:: n + 1] += jitter
-        if factor(a):
+        if _lapack_factor(a):
             return a, jitter
         if attempt == JITTER_ATTEMPTS:
             raise ConditioningError(
@@ -336,9 +321,9 @@ def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lapack_factor(a: np.ndarray) -> bool:
-    """The factor step of the objective and of _output_factor: a,
-    Fortran-ordered, factored in its own memory by dpotrf, with its upper
-    triangle zeroed, ready for dpotrs and the in-place inverse."""
+    """The factor step of _chol_with_jitter: a, Fortran-ordered, factored
+    in its own memory by dpotrf, with its upper triangle zeroed, ready for
+    dpotrs and the in-place inverse."""
     _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     return info == 0
 
@@ -405,7 +390,7 @@ def nll_and_grad(
     def fill():  # K is symmetric: its transpose copies straight into Fortran order
         np.copyto(work, k.T)
         return work
-    l, jitter = _chol_with_jitter(fill, noise_var, _lapack_factor)
+    l, jitter = _chol_with_jitter(fill, noise_var)
     alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
     nll = (
         0.5 * float(targets @ alpha)
@@ -452,8 +437,7 @@ def _output_factor(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, float
     which _lapack_factor factors in place; L is that array."""
     n, d = xs.shape
     work = np.empty((n, n), order="F")
-    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=work.T).T,
-                             math.exp(theta[d + 1]), _lapack_factor)
+    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=work.T).T, math.exp(theta[d + 1]))
 
 
 def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> tuple[OutputModel, float]:
@@ -535,19 +519,12 @@ def _starts(
     return [np.clip(s, low, high) for s in starts]
 
 
-def _build_output(problem: tuple, job: tuple[int, np.ndarray]) -> tuple[OutputModel, float]:
-    """Job (j, theta) of the fit problem (xs, zs, starts, config): output
-    j's model at its chosen theta, and the jitter its factor needed."""
-    xs, zs, _, _ = problem
-    j, theta = job
-    return _output_model(theta, xs, zs[:, j])
-
-
-def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
-    """Job (j, idx) of the fit problem (xs, zs, starts, config): one
-    L-BFGS-B run of output j from its start idx; returns (theta, info)."""
-    xs, zs, starts, config = problem
-    j, idx = job
+def _run_start(xs: np.ndarray, zs: np.ndarray, config: FitConfig, j: int,
+               start: np.ndarray) -> tuple[np.ndarray, dict]:
+    """One L-BFGS-B run of output j, whose targets are the column j of
+    the standardized targets zs, from theta start; returns (theta, info)."""
+    # the column is taken here, in the job: one handed to a worker arrives
+    # contiguous, and that changes the bits of the objective's targets @ alpha
     zs_col = zs[:, j]
     buffers = _objective_buffers(xs.shape[0])  # every objective call of the start works in these
     rejected = 0
@@ -577,7 +554,7 @@ def _run_start(problem: tuple, job: tuple[int, int]) -> tuple[np.ndarray, dict]:
 
     result = scipy.optimize.minimize(
         objective,
-        starts[j][idx],
+        start,
         jac=True,
         method="L-BFGS-B",
         bounds=scipy.optimize.Bounds(*_bounds(xs.shape[1])),
@@ -650,21 +627,19 @@ def _fit_outputs(
     two or more CPUs are usable and there are two or more (output, start)
     jobs, both lists run in one pool of forked workers, otherwise in this
     process; the results are merged per output in list order, and a
-    worker's pickled copy of the problem gives the parent's bits, so the
+    worker's pickled copy of the data gives the parent's bits, so the
     outcome is the same to the bit either way.
     """
     m = zs.shape[1]
-    starts = [_starts(xs, zs[:, j], config, [config.seed, j]) for j in range(m)]
-    problem = (xs, zs, starts, config)
-    jobs = [(j, idx) for j in range(m) for idx in range(len(starts[j]))]
-    optimize = functools.partial(_run_start, problem)
-    build = functools.partial(_build_output, problem)
+    jobs = [(j, start) for j in range(m) for start in _starts(xs, zs[:, j], config, [config.seed, j])]
+    optimize = functools.partial(_run_start, xs, zs, config)
 
     def run(map_fn):
-        runs = list(map_fn(optimize, jobs))
-        best = [_pick_best([start for (k, _), start in zip(jobs, runs) if k == j])
+        runs = list(map_fn(optimize, *zip(*jobs)))
+        best = [_pick_best([result for (k, _), result in zip(jobs, runs) if k == j])
                 for j in range(m)]
-        models = map_fn(build, [(j, theta) for j, (theta, _) in enumerate(best)])
+        models = map_fn(_output_model, [theta for theta, _ in best], [xs] * m,
+                        [zs[:, j] for j in range(m)])
         return [(out, dict(info, jitter=jitter)) for (out, jitter), (_, info) in zip(models, best)]
 
     workers = min(_usable_cpus(), len(jobs))
@@ -679,7 +654,7 @@ def _fit_outputs(
 
     # a job pickle cannot send raises here, before any worker exists; inside
     # the pool it could leave pool.shutdown waiting on a job never sent
-    pickle.dumps(optimize), pickle.dumps(build)
+    pickle.dumps(optimize), pickle.dumps(_output_model)
     # fork, not spawn or forkserver: those start every pool by importing
     # numpy and scipy again, which eats the saving (N=500 clean fit on
     # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
@@ -752,9 +727,9 @@ def predict(
     memory does not grow with its length. The means are the exps times
     the block-diagonal weights; the variance reads each output's slice of
     the same exps. The bytes are independent of the OpenBLAS thread count
-    only inside _single_blas_thread(), which the CLI commands enter; a
-    mean-only predict does not pin itself, as the pin costs 4-7 us against
-    a 24-43 us query at N = 1000.
+    only inside _single_blas_thread(), which every CLI command enters; a
+    mean-only predict does not pin itself, as the pin costs 40-70 us, more
+    than a 23-36 us query at N = 1000.
     """
     w = np.asarray(w, dtype=float)
     single = w.ndim == 1

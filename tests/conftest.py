@@ -43,6 +43,14 @@ def blas_thread_counts():
     return [get() for get, _ in gp._bundled_openblas()]
 
 
+def wheel_openblas_count():
+    """How many OpenBLAS libraries the numpy and scipy wheels bundle here:
+    the lookup finds each once loaded, and scipy.linalg loads scipy's."""
+    import scipy.linalg  # noqa: F401
+
+    return len(gp._bundled_openblas())
+
+
 @pytest.fixture
 def two_blas_threads():
     """Set every bundled OpenBLAS to two threads for the test, then back."""

@@ -61,6 +61,17 @@ def test_clean_runs_exit_zero(record):
     assert all(w["all_correct"] for w in written["workloads"].values())
 
 
+@pytest.mark.parametrize("value", ["1", None])
+def test_environment_records_the_settings_runs_depend_on(monkeypatch, value):
+    for name in ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+    info = bench_record.environment(ROOT)
+    assert info["OPENBLAS_NUM_THREADS"] == info["PYTHONDONTWRITEBYTECODE"] == value
+
+
 def test_records_each_sides_source_line_count(record):
     _, written = record({})
     assert written["src_lines"] == {"base": 3, "change": 4}

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import yaml
-from conftest import blas_thread_counts
+from conftest import blas_thread_counts, wheel_openblas_count
 
 from tracksim import cli, gp
 from tracksim.cli import main
@@ -249,6 +249,23 @@ class TestConfigErrors:
         assert main(argv) == 2
         assert "controller.slot" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["collect", "evaluate"])
+    @pytest.mark.parametrize("end, ramp_time, samples", [(0.002, 0.01, 2), (0.01, 0.05, 3)])
+    def test_reference_too_short_to_collect_rejected(self, tmp_path, capsys, command, end,
+                                                     ramp_time, samples):
+        # such a log yields too few samples to split, which used to exit 1
+        model = tmp_path / "model.json"  # a valid two-sample model
+        model.write_text(json.dumps(small_model(("kernel_kind",), gp.KERNEL_KIND)))
+        cfg = tiny_config(tmp_path, plant="nominal", trajectory={
+            "kind": "waypoints", "points": [[0.0, 0.0], [end, 0.0]], "cruise_speed": 0.3,
+            "ramp_time": ramp_time})
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--out", str(out), "--model", str(model)]
+        assert main(argv[:-2] if command == "collect" else argv) == 2
+        assert (f"{command} needs a reference of at least 4 samples, got {samples}"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_subcommand_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -722,14 +739,17 @@ print(json.dumps({"exit": code, "mapped": sorted(mapped)}))
 class TestOpenblasLoads:
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
     @pytest.mark.parametrize("argv, scipy_loaded", [
+        (["gains-check", "--config", "cfg.yaml"], False),
+        (["collect", "--config", "cfg.yaml", "--out", "mc"], False),
+        (["simulate", "--config", "cfg.yaml", "--out", "ms"], False),
         (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "me"], False),
         (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "mg"], False),
         (["train", "d/dataset.csv", "--config", "cfg.yaml", "--out", "mt"], True),
-    ], ids=["evaluate", "simulate-gp", "train"])
+    ], ids=["gains-check", "collect", "simulate", "evaluate", "simulate-gp", "train"])
     def test_only_the_fit_loads_scipys_openblas(self, pipeline_dir, argv, scipy_loaded):
         # pinning a library's threads needs no load of a library nothing calls
-        if not gp._openblas_threads(scipy):
-            pytest.skip("scipy bundles no OpenBLAS here")
+        if wheel_openblas_count() < 2:
+            pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
         proc = subprocess.run(
             [sys.executable, "-c", MAPS_PROBE, *argv], cwd=pipeline_dir,
             env=subprocess_env(), check=True, capture_output=True, text=True,
@@ -739,23 +759,27 @@ class TestOpenblasLoads:
         assert ("scipy.libs" in probe["mapped"]) == scipy_loaded, probe["mapped"]
 
 
-GP_COMMANDS = {
+# the commands that write files besides train, whose model has its own
+# thread-count test (TestTrain), with the output directory last
+FILE_COMMANDS = {
+    "collect": ["collect", "--config", "cfg.yaml", "--out", "c"],
+    "simulate": ["simulate", "--config", "cfg.yaml", "--out", "s"],
     "evaluate": ["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"],
     "simulate-gp": ["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"],
 }
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("argv, pinned", [
-        (["gains-check", "--config", "cfg.yaml"], False),
-        (["collect", "--config", "cfg.yaml", "--out", "c"], False),
-        (["simulate", "--config", "cfg.yaml", "--out", "s"], False),
-        (["train", "d/dataset.csv", "--config", "cfg.yaml", "--out", "t"], True),
-        (GP_COMMANDS["evaluate"], True),
-        (GP_COMMANDS["simulate-gp"], True),
+    @pytest.mark.parametrize("argv", [
+        ["gains-check", "--config", "cfg.yaml"],
+        FILE_COMMANDS["collect"],
+        FILE_COMMANDS["simulate"],
+        ["train", "d/dataset.csv", "--config", "cfg.yaml", "--out", "t"],
+        FILE_COMMANDS["evaluate"],
+        FILE_COMMANDS["simulate-gp"],
     ], ids=["gains-check", "collect", "simulate", "train", "evaluate", "simulate-gp"])
-    def test_only_gp_commands_run_on_one_thread(self, pipeline_dir, two_blas_threads,
-                                                monkeypatch, argv, pinned):
+    def test_every_command_runs_on_one_thread(self, pipeline_dir, two_blas_threads,
+                                              monkeypatch, argv):
         # record the thread counts where each command starts its work
         seen = []
         for name in ("validate_gains", "rollout", "load_dataset"):
@@ -765,8 +789,7 @@ class TestBlasThreads:
             monkeypatch.setattr(cli, name, recording)
         monkeypatch.chdir(pipeline_dir)
         assert main(argv) == 0
-        expected = [1] * len(two_blas_threads) if pinned else two_blas_threads
-        assert seen and all(counts == expected for counts in seen)
+        assert seen and all(counts == [1] * len(two_blas_threads) for counts in seen)
         assert blas_thread_counts() == two_blas_threads
 
     def test_gp_command_files_identical_across_thread_counts(self, pipeline_dir, tmp_path):
@@ -774,7 +797,7 @@ class TestBlasThreads:
             pytest.skip("numpy and scipy bundle no OpenBLAS here")
         digests = {}
         for threads in ("1", "2"):
-            for name, argv in GP_COMMANDS.items():
+            for name, argv in FILE_COMMANDS.items():
                 out = tmp_path / f"{name}{threads}"
                 subprocess.run(
                     [sys.executable, "-m", "tracksim.cli", *argv[:-1], str(out)],
@@ -783,6 +806,7 @@ class TestBlasThreads:
                 )
                 digests.setdefault(threads, {}).update(
                     {f"{name}/{p.name}": sha256(p) for p in out.iterdir()})
-        # the error CSV and report of evaluate, the log and metrics of simulate
-        assert len(digests["1"]) == 4
+        # collect's log, three datasets and report, the log and metrics of
+        # each simulate, and evaluate's error CSV and report
+        assert len(digests["1"]) == 11
         assert digests["1"] == digests["2"]

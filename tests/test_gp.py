@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
-from conftest import blas_thread_counts
+from conftest import blas_thread_counts, wheel_openblas_count
 
 from tracksim import gp
 from tracksim.control import Gains
@@ -334,12 +334,10 @@ class TestObjectiveBuffers:
         w, z = make_problem(rng, 30)
         xs, zs = (w - w.mean(axis=0)) / w.std(axis=0), (z - z.mean(axis=0)) / z.std(axis=0)
         config = FitConfig(max_iter=20, restarts=1)
-        starts = [gp._starts(xs, zs[:, j], config, [config.seed, j]) for j in range(2)]
-        problem = (xs, zs, starts, config)
         pairs = []
-        for job in [(0, 0), (1, 1)]:
+        for j, idx in [(0, 0), (1, 1)]:
             seen.clear()
-            gp._run_start(problem, job)
+            gp._run_start(xs, zs, config, j, gp._starts(xs, zs[:, j], config, [config.seed, j])[idx])
             assert len(seen) > 1
             k_buf, work = seen[0]
             assert k_buf.shape == work.shape == (30, 30)
@@ -391,11 +389,10 @@ class TestInvertLower:
         assert np.array_equal(work[upper], before)
 
 
-def filled(matrix, order):
-    """(a, fill): one array of the given memory order, and the fill
-    _chol_with_jitter calls on every attempt, which copies matrix into a
-    and returns it."""
-    a = np.empty(matrix.shape, order=order)
+def filled(matrix):
+    """(a, fill): one Fortran-ordered array, and the fill _chol_with_jitter
+    calls on every attempt, which copies matrix into a and returns it."""
+    a = np.empty(matrix.shape, order="F")
 
     def fill():
         np.copyto(a, matrix)
@@ -404,38 +401,30 @@ def filled(matrix, order):
     return a, fill
 
 
-# (memory order of the array filled, factor step): the one step the
-# objective and an output's factor share
-FACTOR_STEPS = (("F", gp._lapack_factor),)
-
-
 class TestCholeskyJitter:
     def test_well_conditioned_matrix_uses_base_jitter(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        for order, factor in FACTOR_STEPS:
-            filled_array, fill = filled(spd, order)
-            l, jitter = _chol_with_jitter(fill, 0.0, factor)
-            assert l is filled_array
-            assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
-            assert jitter <= 2e-10 * np.trace(spd) / 8
+        filled_array, fill = filled(spd)
+        l, jitter = _chol_with_jitter(fill, 0.0)
+        assert l is filled_array
+        assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
+        assert jitter <= 2e-10 * np.trace(spd) / 8
 
     def test_escalates_until_factorization_succeeds(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8  # smallest eigenvalue just below zero
-        for order, factor in FACTOR_STEPS:
-            l, jitter = _chol_with_jitter(filled(nearly, order)[1], 0.0, factor)
-            assert np.all(np.isfinite(l))
-            assert np.allclose(l @ l.T, nearly + jitter * np.eye(3), atol=1e-9)
-            assert jitter >= 1e-9  # base level was not enough
+        l, jitter = _chol_with_jitter(filled(nearly)[1], 0.0)
+        assert np.all(np.isfinite(l))
+        assert np.allclose(l @ l.T, nearly + jitter * np.eye(3), atol=1e-9)
+        assert jitter >= 1e-9  # base level was not enough
 
     def test_raises_on_indefinite_matrix(self):
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
-        for order, factor in FACTOR_STEPS:
-            with pytest.raises(ConditioningError,
-                               match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
-                _chol_with_jitter(filled(indefinite, order)[1], 0.0, factor)
+        with pytest.raises(ConditioningError,
+                           match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
+            _chol_with_jitter(filled(indefinite)[1], 0.0)
 
     def test_objective_leaves_k_noise_free_after_escalation_or_failure(self, monkeypatch):
         # nll_and_grad multiplies by K read from buffers[0] after the
@@ -479,7 +468,7 @@ class TestCholeskyJitter:
         nearly = np.ones((n, n)) - 5e-4 * np.eye(n)  # eigenvalues n - 5e-4 and -5e-4
         for matrix, rel in ((a @ a.T + n * np.eye(n), gp.JITTER_REL_INIT),
                             (nearly, gp.JITTER_REL_MAX)):
-            l, jitter = _chol_with_jitter(filled(matrix, "F")[1], 0.0, gp._lapack_factor)
+            l, jitter = _chol_with_jitter(filled(matrix)[1], 0.0)
             assert jitter == pytest.approx(rel * float(np.trace(matrix)) / n, rel=1e-12)
             assert np.all(np.diag(l) > 0.0)
 
@@ -1033,7 +1022,7 @@ class TestBlasThreads:
         # the fit builds every output model on one thread: recorded inside
         # the factor step while a build runs, not while the objective does
         seen, building = [], []
-        factor, build = gp._lapack_factor, gp._build_output
+        factor, build = gp._lapack_factor, gp._output_model
 
         def recording_factor(a):
             if building:
@@ -1048,7 +1037,7 @@ class TestBlasThreads:
                 building.clear()
 
         monkeypatch.setattr(gp, "_lapack_factor", recording_factor)
-        monkeypatch.setattr(gp, "_build_output", recording_build)
+        monkeypatch.setattr(gp, "_output_model", recording_build)
         rng = np.random.default_rng(38)
         w, z = make_problem(rng, 10)
         fit(w, z, FitConfig(max_iter=5, restarts=0))
@@ -1058,7 +1047,7 @@ class TestBlasThreads:
     def test_variance_factors_on_one_thread_of_scipys_openblas(self, tmp_path):
         # in a process that had not loaded scipy's OpenBLAS, predict loads
         # it before the pin, so the variance's factors run on one thread of it
-        libs = len(gp._openblas_threads(np)) + len(gp._openblas_threads(scipy))
+        libs = wheel_openblas_count()
         if libs < 2:
             pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
         rng = np.random.default_rng(40)
@@ -1068,6 +1057,13 @@ class TestBlasThreads:
         seen = json.loads(run_probe(VARIANCE_PROBE, str(path),
                                     env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
         assert seen == [[1] * libs] * 2
+
+    def test_lookup_finds_scipys_openblas_once_loaded(self):
+        # every CLI command looks the libraries up before train's fit loads
+        # scipy's OpenBLAS, and that miss must not hide it from the fit's pin
+        if wheel_openblas_count() < 2:
+            pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
+        assert json.loads(run_probe(LOOKUP_PROBE).stdout) == [1, 2]
 
     def test_held_out_error_predicts_on_one_thread(self, two_blas_threads, monkeypatch):
         seen = []
@@ -1270,6 +1266,17 @@ print(json.dumps(seen))
 """
 
 
+# Run in a fresh interpreter: the OpenBLAS libraries found before and after
+# scipy.linalg is imported.
+LOOKUP_PROBE = """
+import json
+from tracksim import gp
+before = len(gp._bundled_openblas())
+import scipy.linalg
+print(json.dumps([before, len(gp._bundled_openblas())]))
+"""
+
+
 def probe_env(extra=None):
     """The environment with this checkout's sources first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
@@ -1409,7 +1416,7 @@ class TestParallelFit:
         # in a process that had not loaded scipy's OpenBLAS, the fit loads
         # it before the pin, so the serial objective calls and the
         # workers' run on one thread of it too
-        libs = len(gp._openblas_threads(np)) + len(gp._openblas_threads(scipy))
+        libs = wheel_openblas_count()
         if libs < 2:
             pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
         log = tmp_path / "threads.jsonl"

@@ -19,7 +19,8 @@ neither side), and a noise band: the pairs split into two back-to-back
 recordings of half the pairs each, and the band is the largest relative
 difference between the two halves' medians on either side. It also
 records nproc, the Python, numpy and scipy versions, and the thread
-count and build of each OpenBLAS, as the benchmark reports them, and
+count and build of each OpenBLAS, as the benchmark reports them, the
+OPENBLAS_NUM_THREADS and PYTHONDONTWRITEBYTECODE settings, and
 each side's line count of src/tracksim/*.py (as ``wc -l`` counts), so
 the size of the code is kept next to its speed.
 
@@ -129,7 +130,10 @@ def environment(checkout: str) -> dict:
         info = module.environment()
     finally:
         sys.path.pop(0)
-    info["OPENBLAS_NUM_THREADS"] = os.environ.get("OPENBLAS_NUM_THREADS")
+    # the BLAS threads, and whether each CLI stage compiles the sources it
+    # imports at start (compiling src/tracksim took 23 ms on a 2-vCPU machine)
+    for name in ("OPENBLAS_NUM_THREADS", "PYTHONDONTWRITEBYTECODE"):
+        info[name] = os.environ.get(name)
     return info
 
 
