@@ -13,7 +13,9 @@ Reports embed the fully resolved config plus content hashes of their file
 inputs and carry no timestamps, so a rerun with the same config and seed
 produces byte-identical output. Every command runs on one OpenBLAS
 thread, so with the wheels' OpenBLAS no file depends on the thread count
-either.
+either. Where the CLI is what loads numpy and OPENBLAS_NUM_THREADS is
+unset, OpenBLAS also starts on one thread, so it spawns no thread pool
+that no command uses.
 """
 
 from __future__ import annotations
@@ -25,6 +27,10 @@ import json
 import os
 import sys
 from typing import Optional
+
+if "numpy" not in sys.modules:
+    # read once, when each OpenBLAS loads: numpy's below, scipy's in train
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -101,7 +107,8 @@ def _rollout_for(cfg: ExperimentConfig, seed: int, inverse_model=None) -> Rollou
 def _check_reference(cfg: ExperimentConfig, command: str) -> None:
     """Reject, as a bad run request, a reference too short for collect's
     split, which needs two samples, one per interior row of the log;
-    evaluate extracts its held-out set as collect does, so asks the same."""
+    evaluate extracts its held-out set as collect does, so asks the same,
+    and gains-check rejects what those commands reject."""
     samples = len(cfg.trajectory())
     if samples < 4:
         raise ConfigError(f"{command} needs a reference of at least 4 samples, got {samples}")
@@ -300,6 +307,7 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
 
 def cmd_gains_check(cfg: ExperimentConfig) -> int:
     """Print closed-loop pole magnitudes; exit 0 iff the trackers accept them."""
+    _check_reference(cfg, "gains-check")
     mags = validate_gains(cfg.gains, cfg.order)
     try:
         assert_stable(cfg.gains, cfg.order)

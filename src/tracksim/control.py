@@ -23,10 +23,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .kinematics import (
-    OffsetPose,
+    Pose,
     PoseDelta,
     TrackCommand,
     VehicleParams,
+    checked_pose,
     inverse_first_order,
     inverse_second_order,
 )
@@ -114,19 +115,20 @@ def assert_stable(gains: Gains, order: int) -> None:
 
 def first_order_step(
     ref: ReferencePoint,
-    measured: OffsetPose,
+    measured: Pose,
     gains: Gains,
     params: VehicleParams,
 ) -> TrackCommand:
     """One first-order control step: feedforward plus proportional feedback."""
     kpx, kpy = gains.kp
-    u = np.array([ref.dx + kpx * (ref.x - measured.x), ref.dy + kpy * (ref.y - measured.y)])
-    return inverse_first_order(u, measured.phi, params)
+    x, y, phi = measured
+    u = np.array([ref.dx + kpx * (ref.x - x), ref.dy + kpy * (ref.y - y)])
+    return inverse_first_order(u, phi, params)
 
 
 def second_order_step(
     ref: ReferencePoint,
-    measured: OffsetPose,
+    measured: Pose,
     measured_delta: PoseDelta,
     gains: Gains,
     params: VehicleParams,
@@ -147,13 +149,14 @@ def second_order_step(
     if gains.kd is None:
         raise ValueError("second-order control requires kd gains")
     (kpx, kpy), (kdx, kdy) = gains.kp, gains.kd
+    x, y, phi = measured
     u = np.array([
-        ref.dx_next + kdx * (ref.dx - measured_delta.dx) + kpx * (ref.x - measured.x),
-        ref.dy_next + kdy * (ref.dy - measured_delta.dy) + kpy * (ref.y - measured.y),
+        ref.dx_next + kdx * (ref.dx - measured_delta.dx) + kpx * (ref.x - x),
+        ref.dy_next + kdy * (ref.dy - measured_delta.dy) + kpy * (ref.y - y),
     ])
     if inverse_model is None:
-        return inverse_second_order(u, measured_delta, measured.phi, params)
-    return inverse_model(u, measured_delta, measured.phi)
+        return inverse_second_order(u, measured_delta, phi, params)
+    return inverse_model(u, measured_delta, phi)
 
 
 class FirstOrderTracker:
@@ -164,10 +167,10 @@ class FirstOrderTracker:
         self.gains = gains
         self.params = params
 
-    def command(self, ref: ReferencePoint, pose_b: OffsetPose) -> TrackCommand:
+    def command(self, ref: ReferencePoint, pose_b: Pose) -> TrackCommand:
         return first_order_step(ref, pose_b, self.gains, self.params)
 
-    def observe(self, realized_delta: PoseDelta) -> None:
+    def observe(self, realized_delta: tuple[float, float, float]) -> None:
         # first-order law carries no velocity state
         pass
 
@@ -179,7 +182,9 @@ class SecondOrderTracker:
     reconstructs the one-interval-old pose and reference from its stored
     state; callers just hand in the current pose and current reference
     sample. The vehicle is assumed at rest on the first step (zero delta,
-    reference held still).
+    reference held still). The delta is kept as the (dx, dy, dphi) floats
+    a plant step returns; the PoseDelta the inverse reads is built from
+    them once per command.
     """
 
     def __init__(
@@ -192,20 +197,22 @@ class SecondOrderTracker:
         self.gains = gains
         self.params = params
         self.inverse_model = inverse_model
-        self.last_delta = PoseDelta(0.0, 0.0, 0.0)
+        self.last_delta = (0.0, 0.0, 0.0)
         self._prev_ref: Optional[ReferencePoint] = None
 
-    def command(self, ref: ReferencePoint, pose_b: OffsetPose) -> TrackCommand:
+    def command(self, ref: ReferencePoint, pose_b: Pose) -> TrackCommand:
         if self._prev_ref is None:
             # virtual pre-start sample: reference at rest where it begins
             self._prev_ref = ReferencePoint(ref.x, ref.y, 0.0, 0.0, ref.dx, ref.dy)
-        d = self.last_delta
-        pose_then = OffsetPose(pose_b.x - d.dx, pose_b.y - d.dy, pose_b.phi - d.dphi)
+        x, y, phi = pose_b
+        dx, dy, dphi = self.last_delta
+        pose_then = checked_pose(x - dx, y - dy, phi - dphi)
         cmd = second_order_step(
-            self._prev_ref, pose_then, d, self.gains, self.params, self.inverse_model
+            self._prev_ref, pose_then, PoseDelta(dx, dy, dphi), self.gains, self.params,
+            self.inverse_model,
         )
         self._prev_ref = ref
         return cmd
 
-    def observe(self, realized_delta: PoseDelta) -> None:
+    def observe(self, realized_delta: tuple[float, float, float]) -> None:
         self.last_delta = realized_delta

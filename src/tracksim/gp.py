@@ -721,36 +721,46 @@ def predict(
     had), about N^3 / 3 flops each, and solves against it; the factors are
     freed on return. With variance=False none of that is done and the
     variance comes back as None; the means are the same. Each query q,
-    standardized, becomes the row [q, q o q, 1], whose product with the model's augmented rows gives
-    the exponents of both outputs at once; the queries run _QUERY_ROWS at
-    a time through one block of exponents allocated per call, so a batch's
-    memory does not grow with its length. The means are the exps times
-    the block-diagonal weights; the variance reads each output's slice of
-    the same exps. The bytes are independent of the OpenBLAS thread count
-    only inside _single_blas_thread(), which every CLI command enters; a
-    mean-only predict does not pin itself, as the pin costs 40-70 us, more
-    than a 23-36 us query at N = 1000.
+    standardized, becomes the row [q, q o q, 1], whose product with the
+    model's augmented rows gives the exponents of both outputs at once
+    (_exp_weighted); the queries run _QUERY_ROWS at a time through one
+    block of exponents allocated per call, so a batch's memory does not
+    grow with its length. A single 6-vector asked for its mean alone, the
+    learned slot's query, skips that block loop: its arrays are its own,
+    allocated per call, so a returned mean is never overwritten by a
+    later call, and its bits are those of the row queried as a one-row
+    batch. The means are the exps times the block-diagonal weights; the
+    variance reads each output's slice of the same exps. The bytes are
+    independent of the OpenBLAS thread count only inside
+    _single_blas_thread(), which every CLI command enters; a mean-only
+    predict does not pin itself, as the pin costs 40-70 us, more than a
+    15 us query at N = 1000 (p50 of 3,000, 2 vCPUs, one or two threads).
     """
     w = np.asarray(w, dtype=float)
-    single = w.ndim == 1
-    w2 = np.atleast_2d(w)
-    if w2.shape[1] != model.inputs.shape[1]:
-        raise ValueError(
-            f"query must have {model.inputs.shape[1]} columns, got {w2.shape[1]}"
-        )
-    if not np.all(np.isfinite(w2)):
+    d = model.inputs.shape[1]
+    width = w.shape[-1] if w.ndim else 1
+    if w.ndim > 2 or width != d:
+        raise ValueError(f"query must have {d} columns, got {width}")
+    if not np.isfinite(w).all():
         raise ValueError("prediction query contains non-finite values")
-    d = w2.shape[1]
     block, weights = model.query
-    n = model.inputs.shape[0]
     # augmented queries [q, q o q, 1], q the standardized inputs
-    aug = np.empty((w2.shape[0], 2 * d + 1))
-    q = aug[:, :d]
-    np.subtract(w2, model.input_mean, out=q)
+    aug = np.empty(w.shape[:-1] + (2 * d + 1,))
+    q = aug[..., :d]
+    np.subtract(w, model.input_mean, out=q)
     q /= model.input_std
-    np.multiply(q, q, out=aug[:, d:2 * d])
-    aug[:, 2 * d] = 1.0
-    means = np.empty((w2.shape[0], weights.shape[1]))
+    np.multiply(q, q, out=aug[..., d:2 * d])
+    aug[..., 2 * d] = 1.0
+    if w.ndim == 1 and not variance:
+        # one row, one product each way: what the learned slot asks per step
+        mean = _exp_weighted(aug, block, weights)[0]
+        mean *= model.target_std
+        mean += model.target_mean
+        return mean, None
+    if w.ndim < 2:
+        aug = aug.reshape(1, -1)
+    n = model.inputs.shape[0]
+    means = np.empty((aug.shape[0], weights.shape[1]))
     variances = np.empty_like(means) if variance else None
     if variance:
         # loaded before the pin, so that the pin finds scipy's OpenBLAS too
@@ -766,10 +776,8 @@ def predict(
     # at N = 1000, 2 vCPUs, medians of 20 processes: 13.7 ms against 10.4 ms)
     exponents = np.empty((min(aug.shape[0], _QUERY_ROWS), block.shape[0]))
     for i in range(0, aug.shape[0], _QUERY_ROWS):
-        e = np.matmul(aug[i:i + _QUERY_ROWS], block.T, out=exponents[:aug.shape[0] - i])
-        np.minimum(e, 0.0, out=e)
-        np.exp(e, out=e)
-        np.matmul(e, weights, out=means[i:i + _QUERY_ROWS])
+        _, e = _exp_weighted(aug[i:i + _QUERY_ROWS], block, weights,
+                             exponents[:aug.shape[0] - i], means[i:i + _QUERY_ROWS])
         if variance:
             for j, out in enumerate(model.outputs):
                 signal_var = math.exp(out.theta[d])
@@ -780,9 +788,22 @@ def predict(
                 variances[i:i + _QUERY_ROWS, j] = var_s * model.target_std[j] ** 2
     means *= model.target_std
     means += model.target_mean
-    if single:
+    if w.ndim == 1:
         return means[0], None if variances is None else variances[0]
     return means, variances
+
+
+def _exp_weighted(aug: np.ndarray, block: np.ndarray, weights: np.ndarray,
+                  exponents: Optional[np.ndarray] = None,
+                  out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(means, exps): the standardized means of the augmented queries aug,
+    one row or a block of rows, and the exps of their clamped exponents,
+    formed in exponents and out when given, else in new arrays. ndarray.dot
+    makes the BLAS call np.matmul makes, at less overhead per call."""
+    e = aug.dot(block.T, out=exponents)
+    np.minimum(e, 0.0, out=e)
+    np.exp(e, out=e)
+    return e.dot(weights, out=out), e
 
 
 @_single_blas_thread()

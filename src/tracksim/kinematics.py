@@ -15,6 +15,11 @@ interval's delta.
 
 All pose deltas produced here live on the offset pose (x_B, y_B, phi)
 unless a function says otherwise.
+
+The inverses, which a control loop calls every step, form their 2 x 3
+products with ndarray.dot: the same BLAS gemv as the @ operator, so the
+same bits, at half its call overhead. Plain float arithmetic would not
+give those bits, as the gemv kernel fuses its multiply-adds.
 """
 
 from __future__ import annotations
@@ -86,33 +91,33 @@ class VehicleParams:
             )
 
 
-@dataclass(frozen=True)
-class Pose2:
-    """Planar pose of the vehicle center; phi stored wrapped to (-pi, pi]."""
-
-    x: float
-    y: float
-    phi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.phi)):
-            raise ValueError(f"pose components must be finite, got {self}")
-        object.__setattr__(self, "phi", wrap_angle(self.phi))
+# planar pose (x, y, phi) of the vehicle center or of the offset point,
+# phi wrapped to (-pi, pi]; both points share the heading
+Pose = tuple[float, float, float]
 
 
-class OffsetPose(Pose2):
-    """Pose of the offset output point; same heading as the center pose."""
+def checked_pose(x: float, y: float, phi: float) -> Pose:
+    """The pose (x, y, phi) with phi wrapped; ValueError unless all are finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"pose components must be finite, got {(x, y, phi)}")
+    return x, y, wrap_angle(phi)
 
-    def xy(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+
+def check_delta(dx: float, dy: float, dphi: float) -> None:
+    """Raise ValueError unless (dx, dy, dphi) is a finite one-interval
+    increment: a single step can never rotate by half a turn."""
+    if not (math.isfinite(dx) and math.isfinite(dy) and math.isfinite(dphi)):
+        raise ValueError(f"delta components must be finite, got {(dx, dy, dphi)}")
+    if abs(dphi) >= math.pi:
+        raise ValueError(f"|dphi| must be < pi, got {dphi}")
 
 
 @dataclass(frozen=True)
 class PoseDelta:
     """One-interval pose increment (dx, dy, dphi).
 
-    dphi is a genuine per-step increment, not a wrapped angle; a single
-    step can never rotate by half a turn, so |dphi| < pi is enforced.
+    dphi is a genuine per-step increment, not a wrapped angle, checked by
+    check_delta.
     """
 
     dx: float
@@ -120,10 +125,7 @@ class PoseDelta:
     dphi: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy) and math.isfinite(self.dphi)):
-            raise ValueError(f"delta components must be finite, got {self}")
-        if abs(self.dphi) >= math.pi:
-            raise ValueError(f"|dphi| must be < pi, got {self.dphi}")
+        check_delta(self.dx, self.dy, self.dphi)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dphi])
@@ -147,28 +149,22 @@ class TrackCommand:
         return np.array([self.left, self.right])
 
 
-def offset_point(pose: Pose2, params: VehicleParams) -> OffsetPose:
+def offset_point(pose: Pose, params: VehicleParams) -> Pose:
     """Project the center pose to the offset output point.
 
     The point sits `offset` meters along the heading axis:
     x_B = x + offset*cos(phi), y_B = y + offset*sin(phi).
     """
+    x, y, phi = pose
     b = params.offset
-    return OffsetPose(
-        pose.x + b * math.cos(pose.phi),
-        pose.y + b * math.sin(pose.phi),
-        pose.phi,
-    )
+    return checked_pose(x + b * math.cos(phi), y + b * math.sin(phi), phi)
 
 
-def center_pose(pose_b: OffsetPose, params: VehicleParams) -> Pose2:
+def center_pose(pose_b: Pose, params: VehicleParams) -> Pose:
     """Inverse of offset_point: recover the center pose."""
+    x, y, phi = pose_b
     b = params.offset
-    return Pose2(
-        pose_b.x - b * math.cos(pose_b.phi),
-        pose_b.y - b * math.sin(pose_b.phi),
-        pose_b.phi,
-    )
+    return checked_pose(x - b * math.cos(phi), y - b * math.sin(phi), phi)
 
 
 def center_model_matrix(phi: float, params: VehicleParams) -> np.ndarray:
@@ -285,7 +281,7 @@ def inverse_first_order(
     if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_first_order requires finite inputs")
     ts = params.sample_time
-    left, right = (offset_model_pinv(phi, params) @ np.array([ux / ts, uy / ts, 0.0])).tolist()
+    left, right = offset_model_pinv(phi, params).dot(np.array([ux / ts, uy / ts, 0.0])).tolist()
     return TrackCommand(left, right)
 
 
@@ -338,7 +334,7 @@ def inverse_second_order(
     if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_second_order requires finite inputs")
     ts, a, d = params.sample_time, params.actuator_alpha, current_delta
-    vel_now = offset_model_pinv(phi, params) @ np.array([d.dx / ts, d.dy / ts, d.dphi / ts])
-    vel_next = offset_model_pinv(phi + d.dphi, params) @ np.array([ux / ts, uy / ts, 0.0])
+    vel_now = offset_model_pinv(phi, params).dot(np.array([d.dx / ts, d.dy / ts, d.dphi / ts]))
+    vel_next = offset_model_pinv(phi + d.dphi, params).dot(np.array([ux / ts, uy / ts, 0.0]))
     (now_l, now_r), (next_l, next_r) = vel_now.tolist(), vel_next.tolist()
     return TrackCommand((next_l - a * now_l) / (1.0 - a), (next_r - a * now_r) / (1.0 - a))

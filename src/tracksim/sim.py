@@ -5,8 +5,13 @@ plants at a fixed sample time: the nominal plant integrates the offset
 pose under the exact difference model (so nominal control is exact on
 it), while the slip plant integrates the vehicle center through the
 tilted-plane slip equations and reports offset-pose deltas by
-differencing, the way odometry would. Each plant keeps both poses,
-offset and center, and updates them once per step.
+differencing, the way odometry would. Each plant keeps its state as
+plain floats: both poses, offset and center, as (x, y, phi) tuples, the
+filtered track speeds and the slip state, all updated once per step; a
+step returns the realized offset delta as (dx, dy, dphi). Per step the
+loop builds only what the inverse-model slot's signature asks for: the
+desired translation as an array, the newest delta as a PoseDelta, and
+the TrackCommand the inverse returns.
 
 Log rows follow one convention throughout: row k holds the pose read at
 step k (before moving), the command issued at step k, and the offset
@@ -33,17 +38,18 @@ from .control import (
 )
 from .gp import Dataset, GpModel, atomic_write_text, predict
 from .kinematics import (
-    OffsetPose,
-    Pose2,
+    Pose,
     PoseDelta,
     TrackCommand,
     VehicleParams,
     center_pose,
+    check_delta,
+    checked_pose,
     offset_model_matrix,
     offset_point,
     wrap_angle,
 )
-from .terrain3d import SlipPlaneWorld, SlipState, slip_forward, slip_ratios
+from .terrain3d import SlipPlaneWorld, slip_forward, slip_ratios
 
 # dense polyline spacing used to represent the waypoint spline; small
 # enough that chord error is far below the waypoint-hit tolerance
@@ -101,16 +107,11 @@ def _trajectory_from_positions(
     deltas = np.diff(positions, axis=0)
     if not math.isfinite(float(np.max(np.abs(deltas))) / sample_time):
         raise ValueError(f"sample_time {sample_time} is too small: the reference speeds overflow")
+    # plain floats, which the control law reads every step
+    points, steps = positions.tolist(), deltas.tolist()
     samples = tuple(
-        ReferencePoint(
-            positions[k, 0],
-            positions[k, 1],
-            deltas[k, 0],
-            deltas[k, 1],
-            deltas[k + 1, 0],
-            deltas[k + 1, 1],
-        )
-        for k in range(positions.shape[0] - 2)
+        ReferencePoint(*points[k], *steps[k], *steps[k + 1])
+        for k in range(len(points) - 2)
     )
     return ReferenceTrajectory(samples)
 
@@ -316,21 +317,13 @@ def make_waypoint_path(
 # plants
 
 
-@dataclass(frozen=True)
-class PlantStep:
-    """What one plant step realized."""
-
-    delta: PoseDelta  # offset-pose delta, world frame
-    left_speed: float  # filtered track speeds after actuator lag
-    right_speed: float
-    slip: SlipState
-
-
-def _actuate(vel: tuple[float, float], cmd: TrackCommand, params: VehicleParams) -> tuple:
-    """Clip the command at the track-speed bound, then low-pass it from the
-    (left, right) speeds vel with the pole params.actuator_alpha."""
+def _actuate(vel: tuple[float, float], left: float, right: float,
+            params: VehicleParams) -> tuple[float, float]:
+    """Clip the command (left, right) at the track-speed bound, then
+    low-pass it from the (left, right) speeds vel with the pole
+    params.actuator_alpha."""
     vmax, alpha = params.max_track_speed, params.actuator_alpha
-    left, right = min(max(cmd.left, -vmax), vmax), min(max(cmd.right, -vmax), vmax)
+    left, right = min(max(left, -vmax), vmax), min(max(right, -vmax), vmax)
     return alpha * vel[0] + (1.0 - alpha) * left, alpha * vel[1] + (1.0 - alpha) * right
 
 
@@ -338,28 +331,29 @@ class NominalPlant:
     """Integrates the offset pose under the exact difference model.
 
     Its tracks lag by params.actuator_alpha; a plant without lag is given
-    params with actuator_alpha 0.
+    params with actuator_alpha 0. It has no slip, so slip stays zero.
     """
 
-    def __init__(self, params: VehicleParams, start: OffsetPose):
+    def __init__(self, params: VehicleParams, start: Pose):
         self.params = params
-        self.offset = start
-        self.center = center_pose(start, params)
-        self._vel = (0.0, 0.0)
+        self.offset = checked_pose(*start)
+        self.center = center_pose(self.offset, params)
+        self.vel = (0.0, 0.0)
+        self.slip = (0.0, 0.0, 0.0)
 
-    def step(self, cmd: TrackCommand) -> PlantStep:
-        self._vel = _actuate(self._vel, cmd, self.params)
-        d = self.params.sample_time * (
-            offset_model_matrix(self.offset.phi, self.params) @ self._vel
-        )
-        delta = PoseDelta(d[0], d[1], d[2])
-        self.offset = OffsetPose(
-            self.offset.x + delta.dx,
-            self.offset.y + delta.dy,
-            self.offset.phi + delta.dphi,
-        )
-        self.center = center_pose(self.offset, self.params)
-        return PlantStep(delta, *self._vel, SlipState())
+    def step(self, left: float, right: float) -> tuple[float, float, float]:
+        """Drive one interval under the command; the realized offset delta."""
+        params = self.params
+        self.vel = _actuate(self.vel, left, right, params)
+        x, y, phi = self.offset
+        # ndarray.dot: the BLAS gemv of @, at less call overhead
+        dx, dy, dphi = (
+            params.sample_time * offset_model_matrix(phi, params).dot(self.vel)
+        ).tolist()
+        check_delta(dx, dy, dphi)
+        self.offset = checked_pose(x + dx, y + dy, phi + dphi)
+        self.center = center_pose(self.offset, params)
+        return dx, dy, dphi
 
 
 class SlipPlant:
@@ -374,34 +368,34 @@ class SlipPlant:
         self,
         params: VehicleParams,
         world: SlipPlaneWorld,
-        start: Pose2,
+        start: Pose,
         rng: np.random.Generator,
     ):
         self.params = params
         self.world = world
-        self.center = start
-        self.offset = offset_point(start, params)
-        self._vel = (0.0, 0.0)
+        self.center = checked_pose(*start)
+        self.offset = offset_point(self.center, params)
+        self.vel = (0.0, 0.0)
+        self.slip = (0.0, 0.0, 0.0)
         self._rng = rng
 
-    def step(self, cmd: TrackCommand) -> PlantStep:
-        self._vel = _actuate(self._vel, cmd, self.params)
-        realized = TrackCommand(*self._vel)
-        slip = slip_ratios(realized, self.world)
-        delta_c = slip_forward(self.center, realized, slip, self.world, self.params)
-        dx, dy, dphi = delta_c.dx, delta_c.dy, delta_c.dphi
-        if self.world.noise_sigma > 0.0:
-            noise = self._rng.normal(0.0, self.world.noise_sigma, size=3)
-            dx, dy, dphi = dx + noise[0], dy + noise[1], dphi + noise[2]
-        before = self.offset
-        self.center = Pose2(self.center.x + dx, self.center.y + dy, self.center.phi + dphi)
-        after = self.offset = offset_point(self.center, self.params)
-        delta_b = PoseDelta(
-            after.x - before.x,
-            after.y - before.y,
-            wrap_angle(after.phi - before.phi),
-        )
-        return PlantStep(delta_b, *self._vel, slip)
+    def step(self, left: float, right: float) -> tuple[float, float, float]:
+        """Drive one interval under the command; the realized offset delta."""
+        params, world = self.params, self.world
+        self.vel = vl, vr = _actuate(self.vel, left, right, params)
+        self.slip = slip_ratios(vl, vr, world)
+        x, y, phi = self.center
+        dx, dy, dphi = slip_forward(phi, vl, vr, self.slip, world, params)
+        check_delta(dx, dy, dphi)
+        if world.noise_sigma > 0.0:
+            nx, ny, nphi = self._rng.normal(0.0, world.noise_sigma, size=3).tolist()
+            dx, dy, dphi = dx + nx, dy + ny, dphi + nphi
+        bx, by, bphi = self.offset
+        self.center = checked_pose(x + dx, y + dy, phi + dphi)
+        self.offset = ax, ay, aphi = offset_point(self.center, params)
+        delta = ax - bx, ay - by, wrap_angle(aphi - bphi)
+        check_delta(*delta)
+        return delta
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +505,7 @@ def rollout(
         if math.hypot(p.dx, p.dy) > 1e-12:
             phi0 = math.atan2(p.dy, p.dx)
             break
-    start_b = OffsetPose(traj.samples[0].x, traj.samples[0].y, phi0)
+    start_b = checked_pose(traj.samples[0].x, traj.samples[0].y, phi0)
     # Actuator lag: the nominal plant mirrors the model the controller
     # inverts, so it lags only under the order-2 law; the slip plant is
     # the world, so its tracks always lag by params.actuator_alpha.
@@ -525,25 +519,22 @@ def rollout(
 
     rows = []
     for k, ref in enumerate(traj.samples):
-        pose_b, center = machine.offset, machine.center
-        # the pose, delta, and command types reject non-finite values, so
-        # divergence surfaces as ValueError inside the step; a float power
-        # that overflows (a large slip exponent) raises OverflowError
+        (x, y, phi), (x_b, y_b, _) = machine.center, machine.offset
+        # the plants and the command and delta types reject non-finite
+        # values, so divergence surfaces as ValueError inside the step; a
+        # float power that overflows (a large slip exponent) raises
+        # OverflowError
         try:
-            cmd = tracker.command(ref, pose_b)
-            step = machine.step(cmd)
+            cmd = tracker.command(ref, machine.offset)
+            delta = machine.step(cmd.left, cmd.right)
         except (ValueError, OverflowError) as exc:
             raise NumericsError(
                 f"loop state went non-finite at step {k}: {exc}"
             ) from exc
-        delta, slip = step.delta, step.slip
         # one value per _LOG_FIELDS entry, in order
         rows.append((
-            ref.x, ref.y, center.x, center.y, center.phi, pose_b.x, pose_b.y,
-            delta.dx, delta.dy, delta.dphi, cmd.left, cmd.right,
-            step.left_speed, step.right_speed,
-            slip.left_ratio, slip.right_ratio, slip.beta,
-            math.hypot(ref.x - pose_b.x, ref.y - pose_b.y),
+            ref.x, ref.y, x, y, phi, x_b, y_b, *delta, cmd.left, cmd.right,
+            *machine.vel, *machine.slip, math.hypot(ref.x - x_b, ref.y - y_b),
         ))
         tracker.observe(delta)
     return RolloutLog(*np.array(rows).T.copy())
@@ -563,9 +554,10 @@ def learned_inverse(model: GpModel) -> InverseModelFn:
         )
 
     def fn(u: np.ndarray, delta: PoseDelta, phi: float) -> TrackCommand:
-        w = np.array([u[0], u[1], delta.dx, delta.dy, delta.dphi, phi])
-        mean, _ = predict(model, w, variance=False)
-        return TrackCommand(float(mean[0]), float(mean[1]))
+        ux, uy = u.tolist()
+        mean, _ = predict(model, np.array([ux, uy, delta.dx, delta.dy, delta.dphi, phi]),
+                          variance=False)
+        return TrackCommand(*mean.tolist())
 
     return fn
 

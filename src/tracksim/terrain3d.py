@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import Pose2, PoseDelta, TrackCommand, VehicleParams, wrap_angle
+from .kinematics import Pose, VehicleParams
 
 # slip ratios are kept strictly below 1 so that realized speeds never
 # reverse sign relative to the command
@@ -84,15 +84,6 @@ class Pose3:
     roll: float
 
 
-@dataclass(frozen=True)
-class SlipState:
-    """Per-step slip description: longitudinal ratios and lateral angle."""
-
-    left_ratio: float = 0.0
-    right_ratio: float = 0.0
-    beta: float = 0.0
-
-
 def pitch_on_plane(slope: float, yaw: float) -> float:
     """Vehicle pitch imposed by the plane at a given world yaw."""
     return math.atan(-math.tan(slope) * math.cos(yaw))
@@ -112,15 +103,16 @@ def plane_height(x: float, world: SlipPlaneWorld) -> float:
     return (world.ride_height + x * math.sin(world.slope)) / math.cos(world.slope)
 
 
-def lift_pose(pose: Pose2, world: SlipPlaneWorld) -> Pose3:
-    """Extend a planar world pose to the full 3D pose on the plane."""
+def lift_pose(pose: Pose, world: SlipPlaneWorld) -> Pose3:
+    """Extend a planar world pose (x, y, yaw) to the full 3D pose on the plane."""
+    x, y, yaw = pose
     return Pose3(
-        x=pose.x,
-        y=pose.y,
-        z=plane_height(pose.x, world),
-        yaw=pose.phi,
-        pitch=pitch_on_plane(world.slope, pose.phi),
-        roll=roll_on_plane(world.slope, pose.phi),
+        x=x,
+        y=y,
+        z=plane_height(x, world),
+        yaw=yaw,
+        pitch=pitch_on_plane(world.slope, yaw),
+        roll=roll_on_plane(world.slope, yaw),
     )
 
 
@@ -161,8 +153,9 @@ def plane_to_world_rates(
     )
 
 
-def slip_ratios(cmd: TrackCommand, world: SlipPlaneWorld) -> SlipState:
-    """Slip state produced by a pair of track speeds on this terrain.
+def slip_ratios(vl: float, vr: float, world: SlipPlaneWorld) -> tuple[float, float, float]:
+    """Slip state (a_l, a_r, beta) of the track speeds (vl, vr) on this
+    terrain: the longitudinal slip ratios and the lateral slip angle.
 
     The left ratio magnitude is base_slip * (1 + sin|slope| / friction),
     clamped to [0, 0.95]; the right ratio follows the coupling relation
@@ -171,7 +164,6 @@ def slip_ratios(cmd: TrackCommand, world: SlipPlaneWorld) -> SlipState:
     so the relation itself stays exact. A track commanded to stand still
     has no defined slip ratio and gets 0.
     """
-    vl, vr = cmd.left, cmd.right
     mag = world.base_slip * (1.0 + math.sin(abs(world.slope)) / world.friction)
     mag = min(mag, MAX_SLIP_RATIO)
     if mag == 0.0 or (vl == 0.0 and vr == 0.0):
@@ -195,26 +187,30 @@ def slip_ratios(cmd: TrackCommand, world: SlipPlaneWorld) -> SlipState:
         if dv != 0.0
         else 0.0
     )
-    return SlipState(a_l, a_r, beta)
+    return a_l, a_r, beta
 
 
 def slip_forward(
-    pose: Pose2,
-    cmd: TrackCommand,
-    slip: SlipState,
+    phi: float,
+    vl: float,
+    vr: float,
+    slip: tuple[float, float, float],
     world: SlipPlaneWorld,
     params: VehicleParams,
-) -> PoseDelta:
-    """One Euler step of the slip-afflicted plant; center delta, world frame.
+) -> tuple[float, float, float]:
+    """One Euler step of the slip-afflicted plant at world yaw phi, under
+    track speeds (vl, vr) and the slip state (a_l, a_r, beta) of
+    slip_ratios; center delta (dx, dy, dphi), world frame.
 
     Realized per-track ground speeds are cmd * (1 - ratio). Their mean
     advances the vehicle along its heading (foreshortened by the pitch the
     plane imposes), their difference turns it (distorted by slope and
     pitch), and the lateral slip angle rotates the realized translation.
     """
-    theta = pitch_on_plane(world.slope, pose.phi)
-    v_left = cmd.left * (1.0 - slip.left_ratio)
-    v_right = cmd.right * (1.0 - slip.right_ratio)
+    a_l, a_r, beta = slip
+    theta = pitch_on_plane(world.slope, phi)
+    v_left = vl * (1.0 - a_l)
+    v_right = vr * (1.0 - a_r)
     speed = 0.5 * (v_left + v_right)
     yaw_rate = (
         (v_right - v_left)
@@ -224,7 +220,7 @@ def slip_forward(
     )
     ts = params.sample_time
     step = ts * speed * math.cos(theta)
-    dx = step * math.cos(pose.phi)
-    dy = step * math.sin(pose.phi)
-    cb, sb = math.cos(slip.beta), math.sin(slip.beta)
-    return PoseDelta(cb * dx - sb * dy, sb * dx + cb * dy, ts * yaw_rate)
+    dx = step * math.cos(phi)
+    dy = step * math.sin(phi)
+    cb, sb = math.cos(beta), math.sin(beta)
+    return cb * dx - sb * dy, sb * dx + cb * dy, ts * yaw_rate

@@ -31,12 +31,10 @@ from tracksim.gp import (
     save_model,
 )
 from tracksim.kinematics import (
-    OffsetPose,
-    Pose2,
     PoseDelta,
-    TrackCommand,
     VehicleParams,
     center_model_matrix,
+    checked_pose,
     forward_first_order,
     forward_second_order,
     inverse_first_order,
@@ -130,12 +128,12 @@ def test_c2_error_dynamics_match_analytic_recurrences():
     pose = np.array([*(refs[0].position() - initial), phi])
     errors1 = []
     for ref in refs:
-        pose_b = OffsetPose(*pose)
-        errors1.append(ref.position() - pose_b.xy())
+        pose_b = checked_pose(*pose.tolist())
+        errors1.append(ref.position() - pose_b[:2])
         cmd = tracker.command(ref, pose_b)
         delta = forward_first_order(pose[2], cmd, PARAMS)
         pose = pose + delta.as_array()
-        tracker.observe(delta)
+        tracker.observe((delta.dx, delta.dy, delta.dphi))
     errors1 = np.array(errors1)
     for t in range(500):
         assert np.max(np.abs(errors1[t + 1] - (1.0 - kp) * errors1[t])) < 1e-9
@@ -148,13 +146,13 @@ def test_c2_error_dynamics_match_analytic_recurrences():
     vel = np.zeros(2)
     errors2 = []
     for ref in refs:
-        pose_b = OffsetPose(*pose)
-        errors2.append(ref.position() - pose_b.xy())
+        pose_b = checked_pose(*pose.tolist())
+        errors2.append(ref.position() - pose_b[:2])
         cmd = tracker2.command(ref, pose_b)
         vel = a * vel + (1.0 - a) * cmd.as_array()
         delta = ts * (offset_model_matrix(pose[2], PARAMS) @ vel)
         pose = pose + delta
-        tracker2.observe(PoseDelta(*delta))
+        tracker2.observe(tuple(delta.tolist()))
     errors2 = np.array(errors2)
     for t in range(500):
         residual = errors2[t + 2] + (kd - 1.0) * errors2[t + 1] + (kp - kd) * errors2[t]
@@ -347,7 +345,7 @@ def test_c8_plane_geometry_and_slip_relations():
             slope=float(rng.uniform(-1.2, 1.2)),
             ride_height=float(rng.uniform(0.0, 0.5)),
         )
-        pose = Pose2(*rng.uniform(-5, 5, size=2), float(rng.uniform(-4, 4)))
+        pose = checked_pose(*rng.uniform(-5, 5, size=2).tolist(), float(rng.uniform(-4, 4)))
         p3 = lift_pose(pose, world)
         normal = np.array([-math.sin(world.slope), 0.0, math.cos(world.slope)])
         assert abs(normal @ np.array([p3.x, p3.y, p3.z]) - world.ride_height) < 1e-12
@@ -364,17 +362,18 @@ def test_c8_plane_geometry_and_slip_relations():
             friction=float(rng.uniform(0.3, 1.5)),
             slip_exponent=float(rng.uniform(0.5, 3.0)),
         )
-        vl, vr = rng.uniform(0.05, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
-        slip = slip_ratios(TrackCommand(vl, vr), world)
+        vl, vr = (rng.uniform(0.05, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)).tolist()
+        a_l, a_r, _ = slip_ratios(vl, vr, world)
         want = -math.copysign(1.0, vl * vr) * abs(vl / vr) ** world.slip_exponent
-        assert slip.right_ratio / slip.left_ratio == pytest.approx(want, rel=1e-10)
+        assert a_r / a_l == pytest.approx(want, rel=1e-10)
 
     # zero-slip flat world: one plant step equals the planar unicycle
     ideal = VehicleParams(steering_efficiency=1.0)
     flat = SlipPlaneWorld(slope=0.0, base_slip=0.0, beta_gain=0.0)
     for _ in range(200):
-        pose = Pose2(*rng.uniform(-3, 3, size=2), float(rng.uniform(-3, 3)))
-        cmd = TrackCommand(*rng.uniform(-2, 2, size=2))
-        step = slip_forward(pose, cmd, slip_ratios(cmd, flat), flat, ideal)
-        oracle = ideal.sample_time * (center_model_matrix(pose.phi, ideal) @ cmd.as_array())
-        assert np.max(np.abs(step.as_array() - oracle)) < 1e-12
+        rng.uniform(-3, 3, size=2)  # a position: the slip step reads only the heading
+        phi = float(rng.uniform(-3, 3))
+        vl, vr = rng.uniform(-2, 2, size=2).tolist()
+        step = slip_forward(phi, vl, vr, slip_ratios(vl, vr, flat), flat, ideal)
+        oracle = ideal.sample_time * (center_model_matrix(phi, ideal) @ np.array([vl, vr]))
+        assert np.max(np.abs(np.array(step) - oracle)) < 1e-12

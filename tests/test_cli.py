@@ -250,19 +250,24 @@ class TestConfigErrors:
         assert "controller.slot" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["collect", "evaluate"])
+    @pytest.mark.parametrize("command", ["collect", "evaluate", "gains-check"])
     @pytest.mark.parametrize("end, ramp_time, samples", [(0.002, 0.01, 2), (0.01, 0.05, 3)])
     def test_reference_too_short_to_collect_rejected(self, tmp_path, capsys, command, end,
                                                      ramp_time, samples):
-        # such a log yields too few samples to split, which used to exit 1
+        # such a log yields too few samples to split, which used to exit 1;
+        # gains-check, which exited 0, rejects what the run commands reject
         model = tmp_path / "model.json"  # a valid two-sample model
         model.write_text(json.dumps(small_model(("kernel_kind",), gp.KERNEL_KIND)))
         cfg = tiny_config(tmp_path, plant="nominal", trajectory={
             "kind": "waypoints", "points": [[0.0, 0.0], [end, 0.0]], "cruise_speed": 0.3,
             "ramp_time": ramp_time})
         out = tmp_path / "out"
-        argv = [command, "--config", cfg, "--out", str(out), "--model", str(model)]
-        assert main(argv[:-2] if command == "collect" else argv) == 2
+        argv = {
+            "collect": ["collect", "--config", cfg, "--out", str(out)],
+            "evaluate": ["evaluate", "--config", cfg, "--out", str(out), "--model", str(model)],
+            "gains-check": ["gains-check", "--config", cfg],
+        }[command]
+        assert main(argv) == 2
         assert (f"{command} needs a reference of at least 4 samples, got {samples}"
                 in capsys.readouterr().err)
         assert not out.exists()
@@ -736,6 +741,30 @@ print(json.dumps({"exit": code, "mapped": sorted(mapped)}))
 """
 
 
+# thread counts of the bundled OpenBLAS libraries as numpy alone loads them
+NUMPY_THREADS_PROBE = """
+import json
+import numpy
+from tracksim import gp
+print(json.dumps([get() for get, _ in gp._bundled_openblas()]))
+"""
+
+# the same counts once importing the CLI has loaded numpy, and where the
+# command starts its work
+CLI_THREADS_PROBE = """
+import json, sys
+from tracksim import cli, gp
+counts = lambda: [get() for get, _ in gp._bundled_openblas()]
+at_load, in_command = counts(), []
+def recording(*args, _fn=cli.validate_gains):
+    in_command.append(counts())
+    return _fn(*args)
+cli.validate_gains = recording
+code = cli.main(sys.argv[1:])
+print(json.dumps({"exit": code, "at_load": at_load, "in_command": in_command}))
+"""
+
+
 class TestOpenblasLoads:
     @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
     @pytest.mark.parametrize("argv, scipy_loaded", [
@@ -791,6 +820,29 @@ class TestBlasThreads:
         assert main(argv) == 0
         assert seen and all(counts == [1] * len(two_blas_threads) for counts in seen)
         assert blas_thread_counts() == two_blas_threads
+
+    @pytest.mark.parametrize("threads", [None, "2"], ids=["unset", "two"])
+    def test_openblas_starts_on_one_thread_unless_asked(self, pipeline_dir, threads):
+        # the CLI's default applies only where OPENBLAS_NUM_THREADS is unset;
+        # a set count is numpy's own at load, and the pin still runs the
+        # command on one thread
+        if not gp._bundled_openblas():
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        env = subprocess_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+
+        def probe(script, *argv):
+            proc = subprocess.run([sys.executable, "-c", script, *argv], cwd=pipeline_dir,
+                                  env=env, check=True, capture_output=True, text=True)
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        numpy_alone = probe(NUMPY_THREADS_PROBE)
+        cli_probe = probe(CLI_THREADS_PROBE, "gains-check", "--config", "cfg.yaml")
+        assert cli_probe["exit"] == 0
+        assert cli_probe["at_load"] == ([1] if threads is None else numpy_alone)
+        assert cli_probe["in_command"] == [[1]]
 
     def test_gp_command_files_identical_across_thread_counts(self, pipeline_dir, tmp_path):
         if not gp._bundled_openblas():

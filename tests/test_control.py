@@ -22,10 +22,10 @@ from tracksim.control import (
     validate_gains,
 )
 from tracksim.kinematics import (
-    OffsetPose,
     PoseDelta,
     TrackCommand,
     VehicleParams,
+    checked_pose,
     forward_first_order,
     inverse_second_order,
     offset_model_matrix,
@@ -56,12 +56,12 @@ def run_first_order(refs, gains, initial_error):
     pose = np.array([*(refs[0].position() - initial_error), phi])
     errors = []
     for ref in refs:
-        pose_b = OffsetPose(*pose)
-        errors.append(ref.position() - pose_b.xy())
+        pose_b = checked_pose(*pose.tolist())
+        errors.append(ref.position() - pose_b[:2])
         cmd = tracker.command(ref, pose_b)
         delta = forward_first_order(pose[2], cmd, PARAMS)
         pose = pose + delta.as_array()
-        tracker.observe(delta)
+        tracker.observe((delta.dx, delta.dy, delta.dphi))
     return np.array(errors)
 
 
@@ -75,13 +75,13 @@ def run_second_order(refs, gains, initial_error, tracker=None):
     vel = np.zeros(2)
     errors = []
     for ref in refs:
-        pose_b = OffsetPose(*pose)
-        errors.append(ref.position() - pose_b.xy())
+        pose_b = checked_pose(*pose.tolist())
+        errors.append(ref.position() - pose_b[:2])
         cmd = tracker.command(ref, pose_b)
         vel = a * vel + (1.0 - a) * cmd.as_array()
         delta = ts * (offset_model_matrix(pose[2], PARAMS) @ vel)
         pose = pose + delta
-        tracker.observe(PoseDelta(*delta))
+        tracker.observe(tuple(delta.tolist()))
     return np.array(errors)
 
 
@@ -201,18 +201,18 @@ def test_on_reference_start_stays_exact():
 
 def test_zero_gains_give_pure_feedforward():
     ref = ReferencePoint(1.0, 2.0, 0.01, -0.02, 0.015, -0.01)
-    measured = OffsetPose(0.7, 2.2, 0.3)
+    measured = (0.7, 2.2, 0.3)
     delta = PoseDelta(0.012, -0.018, 0.02)
     zero = Gains(kp=(0.0, 0.0), kd=(0.0, 0.0))
     got = second_order_step(ref, measured, delta, zero, PARAMS)
-    want = inverse_second_order(ref.next_delta(), delta, measured.phi, PARAMS)
+    want = inverse_second_order(ref.next_delta(), delta, measured[2], PARAMS)
     assert got.left == pytest.approx(want.left, abs=1e-15)
     assert got.right == pytest.approx(want.right, abs=1e-15)
 
     got1 = first_order_step(ref, measured, Gains(kp=(0.0, 0.0)), PARAMS)
     from tracksim.kinematics import inverse_first_order
 
-    want1 = inverse_first_order(ref.delta(), measured.phi, PARAMS)
+    want1 = inverse_first_order(ref.delta(), measured[2], PARAMS)
     assert got1.left == pytest.approx(want1.left, abs=1e-15)
 
 
@@ -220,7 +220,7 @@ def test_second_order_step_requires_kd():
     ref = ReferencePoint(0, 0, 0, 0, 0, 0)
     with pytest.raises(ValueError):
         second_order_step(
-            ref, OffsetPose(0, 0, 0), PoseDelta(0.0, 0.0, 0.0), Gains(kp=(0.1, 0.1)), PARAMS
+            ref, (0.0, 0.0, 0.0), PoseDelta(0.0, 0.0, 0.0), Gains(kp=(0.1, 0.1)), PARAMS
         )
 
 
@@ -236,11 +236,11 @@ def test_pluggable_inverse_model_receives_control_terms():
     gains = Gains(kp=(0.02, 0.02), kd=(0.05, 0.05))
     tracker = SecondOrderTracker(gains, PARAMS, inverse_model=fake_inverse)
     ref = ReferencePoint(1.0, 1.0, 0.01, 0.0, 0.01, 0.0)
-    pose_b = OffsetPose(0.9, 1.05, 0.2)
+    pose_b = (0.9, 1.05, 0.2)
     cmd = tracker.command(ref, pose_b)
     assert (cmd.left, cmd.right) == (0.11, -0.22)
     # first call runs against the virtual at-rest sample
-    expect_u = ref.delta() + np.array(gains.kp) * (ref.position() - pose_b.xy())
+    expect_u = ref.delta() + np.array(gains.kp) * (ref.position() - np.array(pose_b[:2]))
     assert np.allclose(calls["u"], expect_u, atol=1e-15)
-    assert calls["phi"] == pytest.approx(pose_b.phi)
+    assert calls["phi"] == pytest.approx(pose_b[2])
     assert calls["delta"].as_array() == pytest.approx([0.0, 0.0, 0.0])

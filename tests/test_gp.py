@@ -907,6 +907,58 @@ class TestPredictionCaches:
                 assert error <= 1e-12 * np.max(np.abs(expected)), error
 
 
+def recipe_shaped_model(seed=40, n=1000):
+    """A model of the recipe's shape: N = 1000 training rows of six inputs
+    and two outputs, standardized both ways. The weights are drawn, not
+    solved: the mean reads only them, so no factor is formed."""
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(n, 6)) * np.array([0.02, 0.02, 0.02, 0.02, 0.01, 1.5])
+    z = rng.normal(0.2, 0.3, size=(n, 2))
+    outputs = [gp.OutputModel(np.append(rng.normal(0.0, 0.3, size=6), [0.2, -6.0]),
+                              rng.normal(size=n)) for _ in range(2)]
+    return GpModel(w, z, w.mean(axis=0), w.std(axis=0), z.mean(axis=0), z.std(axis=0),
+                   outputs, {})
+
+
+class TestOneRowQuery:
+    """The learned slot's query: one 1-D row, mean only."""
+
+    def test_one_row_mean_is_the_bits_of_the_row_queried_alone(self):
+        # a row alone in its block of a batch takes the one-row products
+        # too; rows that share a block are one matrix product, whose sums
+        # may round apart from these in the last bits
+        model = recipe_shaped_model()
+        rng = np.random.default_rng(41)
+        queries = model.inputs[rng.choice(1000, size=20)] + rng.normal(0.0, 0.01, size=(20, 6))
+        for q in queries:
+            mean, none = predict(model, q, variance=False)
+            assert none is None and mean.shape == (2,)
+            assert np.array_equal(mean, predict(model, q[None], variance=False)[0][0])
+            tail = np.vstack([model.inputs[:gp._QUERY_ROWS], q])
+            assert np.array_equal(mean, predict(model, tail, variance=False)[0][-1])
+
+    def test_a_returned_mean_is_not_overwritten_by_the_next_call(self):
+        model = recipe_shaped_model()
+        first, _ = predict(model, model.inputs[0], variance=False)
+        kept = first.copy()
+        second, _ = predict(model, model.inputs[1], variance=False)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("variance", [False, True])
+    def test_a_bad_row_raises_the_batch_error(self, variance):
+        model = recipe_shaped_model(n=20)
+        for width in (5, 7):
+            with pytest.raises(ValueError, match=f"query must have 6 columns, got {width}"):
+                predict(model, np.zeros(width), variance=variance)
+        for bad in (math.nan, math.inf, -math.inf):
+            q = np.zeros(6)
+            q[4] = bad
+            with pytest.raises(ValueError, match="prediction query contains non-finite values"):
+                predict(model, q, variance=variance)
+
+
 class TestFit:
     def test_learns_smooth_inverse_map(self):
         rng = np.random.default_rng(31)

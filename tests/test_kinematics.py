@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from tracksim.kinematics import (
-    OffsetPose,
-    Pose2,
     PoseDelta,
     TrackCommand,
     VehicleParams,
     center_model_matrix,
     center_model_pinv,
     center_pose,
+    check_delta,
+    checked_pose,
     consistency_condition,
     forward_first_order,
     forward_second_order,
@@ -60,16 +60,22 @@ def test_wrap_angle_range_and_boundaries():
 
 
 def test_pose_wraps_phi():
-    p = Pose2(1.0, 2.0, 7.0)
-    assert -math.pi < p.phi <= math.pi
-    assert math.cos(p.phi) == pytest.approx(math.cos(7.0))
+    x, y, phi = checked_pose(1.0, 2.0, 7.0)
+    assert (x, y) == (1.0, 2.0)
+    assert -math.pi < phi <= math.pi
+    assert math.cos(phi) == pytest.approx(math.cos(7.0))
+    for bad in ((math.nan, 0.0, 0.0), (0.0, math.inf, 0.0), (0.0, 0.0, math.nan)):
+        with pytest.raises(ValueError):
+            checked_pose(*bad)
 
 
 def test_pose_delta_rejects_half_turn_and_nan():
-    with pytest.raises(ValueError):
-        PoseDelta(0.0, 0.0, math.pi)
-    with pytest.raises(ValueError):
-        PoseDelta(float("nan"), 0.0, 0.0)
+    # the dataclass and the plants' float check are one check
+    for check in (PoseDelta, check_delta):
+        with pytest.raises(ValueError):
+            check(0.0, 0.0, math.pi)
+        with pytest.raises(ValueError):
+            check(float("nan"), 0.0, 0.0)
 
 
 def test_vehicle_params_validation():
@@ -93,22 +99,20 @@ def test_vehicle_params_validation():
 
 def test_offset_point_matches_trig_oracle():
     params = VehicleParams(offset=0.15)
-    pose = Pose2(0.3, -0.4, math.pi / 4)
-    got = offset_point(pose, params)
-    assert got.x == pytest.approx(0.3 + 0.15 * math.cos(math.pi / 4), abs=1e-15)
-    assert got.y == pytest.approx(-0.4 + 0.15 * math.sin(math.pi / 4), abs=1e-15)
-    assert got.phi == pose.phi
+    pose = (0.3, -0.4, math.pi / 4)
+    x, y, phi = offset_point(pose, params)
+    assert x == pytest.approx(0.3 + 0.15 * math.cos(math.pi / 4), abs=1e-15)
+    assert y == pytest.approx(-0.4 + 0.15 * math.sin(math.pi / 4), abs=1e-15)
+    assert phi == pose[2]
 
 
 def test_offset_point_round_trip():
     rng = np.random.default_rng(1)
     for _ in range(200):
         params = random_params(rng)
-        pose = Pose2(*rng.uniform(-5, 5, size=2), float(rng.uniform(-4, 4)))
+        pose = checked_pose(*rng.uniform(-5, 5, size=2).tolist(), float(rng.uniform(-4, 4)))
         back = center_pose(offset_point(pose, params), params)
-        assert back.x == pytest.approx(pose.x, abs=1e-12)
-        assert back.y == pytest.approx(pose.y, abs=1e-12)
-        assert back.phi == pytest.approx(pose.phi, abs=1e-12)
+        assert back == pytest.approx(pose, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

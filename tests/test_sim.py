@@ -16,8 +16,6 @@ from tracksim import sim
 from tracksim.control import Gains
 from tracksim.gp import Dataset
 from tracksim.kinematics import (
-    OffsetPose,
-    Pose2,
     PoseDelta,
     TrackCommand,
     VehicleParams,
@@ -47,7 +45,7 @@ from tracksim.sim import (
     save_log,
     split_dataset,
 )
-from tracksim.terrain3d import SlipPlaneWorld
+from tracksim.terrain3d import SlipPlaneWorld, slip_ratios
 
 PARAMS = VehicleParams()
 GAINS2 = Gains(kp=(0.02, 0.02), kd=(0.05, 0.05))
@@ -205,53 +203,52 @@ class TestWaypointPath:
 
 class TestPlants:
     def test_nominal_plant_single_step_matches_kinematic_model(self):
-        start = OffsetPose(0.3, -0.2, 0.4)
+        start = (0.3, -0.2, 0.4)
         plant = NominalPlant(replace(PARAMS, actuator_alpha=0.0), start)
-        cmd = TrackCommand(0.3, 0.5)
-        step = plant.step(cmd)
-        want = forward_first_order(0.4, cmd, PARAMS)
-        assert step.delta.dx == pytest.approx(want.dx, abs=1e-15)
-        assert step.delta.dy == pytest.approx(want.dy, abs=1e-15)
-        assert step.delta.dphi == pytest.approx(want.dphi, abs=1e-15)
+        dx, dy, dphi = plant.step(0.3, 0.5)
+        want = forward_first_order(0.4, TrackCommand(0.3, 0.5), PARAMS)
+        assert dx == pytest.approx(want.dx, abs=1e-15)
+        assert dy == pytest.approx(want.dy, abs=1e-15)
+        assert dphi == pytest.approx(want.dphi, abs=1e-15)
 
     def test_nominal_plant_actuator_lag_filters_commands(self):
-        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.1), OffsetPose(0, 0, 0))
-        s1 = plant.step(TrackCommand(1.0, 1.0))
-        s2 = plant.step(TrackCommand(1.0, 1.0))
-        assert s1.left_speed == pytest.approx(0.9, abs=1e-15)
-        assert s2.left_speed == pytest.approx(0.99, abs=1e-15)
+        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.1), (0.0, 0.0, 0.0))
+        plant.step(1.0, 1.0)
+        assert plant.vel[0] == pytest.approx(0.9, abs=1e-15)
+        plant.step(1.0, 1.0)
+        assert plant.vel[0] == pytest.approx(0.99, abs=1e-15)
 
     def test_nominal_plant_saturates_track_speeds(self):
-        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.0), OffsetPose(0, 0, 0))
-        step = plant.step(TrackCommand(10.0, -10.0))
-        assert step.left_speed == PARAMS.max_track_speed
-        assert step.right_speed == -PARAMS.max_track_speed
+        plant = NominalPlant(replace(PARAMS, actuator_alpha=0.0), (0.0, 0.0, 0.0))
+        plant.step(10.0, -10.0)
+        assert plant.vel == (PARAMS.max_track_speed, -PARAMS.max_track_speed)
 
     def test_slip_plant_flat_no_slip_drives_straight(self):
         world = SlipPlaneWorld()
         rng = np.random.default_rng(0)
-        plant = SlipPlant(PARAMS, world, Pose2(1.0, 2.0, 0.3), rng)
+        plant = SlipPlant(PARAMS, world, (1.0, 2.0, 0.3), rng)
         v = 0.4
-        step = plant.step(TrackCommand(v, v))
+        dx, dy, dphi = plant.step(v, v)
         realized = (1.0 - PARAMS.actuator_alpha) * v
         want = realized * PARAMS.sample_time
-        assert step.delta.dx == pytest.approx(want * math.cos(0.3), abs=1e-12)
-        assert step.delta.dy == pytest.approx(want * math.sin(0.3), abs=1e-12)
-        assert step.delta.dphi == pytest.approx(0.0, abs=1e-15)
-        assert step.slip.left_ratio == 0.0 and step.slip.beta == 0.0
+        assert dx == pytest.approx(want * math.cos(0.3), abs=1e-12)
+        assert dy == pytest.approx(want * math.sin(0.3), abs=1e-12)
+        assert dphi == pytest.approx(0.0, abs=1e-15)
+        a_l, _, beta = plant.slip
+        assert a_l == 0.0 and beta == 0.0
 
     def test_slip_plant_reports_offset_point_differences(self):
         world = SlipPlaneWorld(slope=0.3, base_slip=0.1, friction=0.6, beta_gain=0.05)
-        plant = SlipPlant(PARAMS, world, Pose2(0.0, 0.0, 0.7), np.random.default_rng(1))
+        plant = SlipPlant(PARAMS, world, (0.0, 0.0, 0.7), np.random.default_rng(1))
         before_b = plant.offset
         before_c = plant.center
-        step = plant.step(TrackCommand(0.5, 0.3))
+        dx, dy, _ = plant.step(0.5, 0.3)
         after_b = plant.offset
         want = offset_point(plant.center, PARAMS)
-        assert after_b.x == pytest.approx(want.x, abs=1e-15)
-        assert step.delta.dx == pytest.approx(after_b.x - before_b.x, abs=1e-15)
-        assert step.delta.dy == pytest.approx(after_b.y - before_b.y, abs=1e-15)
-        assert plant.center.x != before_c.x
+        assert after_b[0] == pytest.approx(want[0], abs=1e-15)
+        assert dx == pytest.approx(after_b[0] - before_b[0], abs=1e-15)
+        assert dy == pytest.approx(after_b[1] - before_b[1], abs=1e-15)
+        assert plant.center[0] != before_c[0]
 
     def test_slip_plant_measures_the_offset_point_once_per_step(self, monkeypatch):
         calls = []
@@ -262,24 +259,24 @@ class TestPlants:
 
         monkeypatch.setattr(sim, "offset_point", counted)
         world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
-        plant = SlipPlant(PARAMS, world, Pose2(0.0, 0.0, 0.7), np.random.default_rng(1))
-        assert calls == [Pose2(0.0, 0.0, 0.7)]
+        plant = SlipPlant(PARAMS, world, (0.0, 0.0, 0.7), np.random.default_rng(1))
+        assert calls == [(0.0, 0.0, 0.7)]
         for k in range(1, 6):
-            plant.step(TrackCommand(0.5, 0.3))
+            plant.step(0.5, 0.3)
             assert len(calls) == 1 + k
             assert calls[-1] == plant.center
 
     def test_slip_plant_noise_is_seeded(self):
         world = SlipPlaneWorld(noise_sigma=1e-3)
         mk = lambda seed: SlipPlant(
-            PARAMS, world, Pose2(0, 0, 0), np.random.default_rng(seed)
+            PARAMS, world, (0.0, 0.0, 0.0), np.random.default_rng(seed)
         )
         a, b, c = mk(7), mk(7), mk(8)
-        da = a.step(TrackCommand(0.5, 0.4)).delta
-        db = b.step(TrackCommand(0.5, 0.4)).delta
-        dc = c.step(TrackCommand(0.5, 0.4)).delta
-        assert da.dx == db.dx and da.dy == db.dy and da.dphi == db.dphi
-        assert da.dx != dc.dx
+        da = a.step(0.5, 0.4)
+        db = b.step(0.5, 0.4)
+        dc = c.step(0.5, 0.4)
+        assert da == db
+        assert da[0] != dc[0]
 
 
 class TestRollout:
@@ -345,6 +342,28 @@ class TestRollout:
         with pytest.raises(NumericsError, match="step 7"):
             rollout(traj, GAINS2, 2, PARAMS, plant=plant, world=world, inverse_model=diverging)
         assert len(calls) == 8
+
+    def test_overflowing_slip_ratio_aborts_at_its_step(self, monkeypatch):
+        # the plant, not the command, fails: |v_l / v_r| ** n overflows a
+        # float for a huge slip exponent at the first step whose left track
+        # runs faster than its right, after steps that turned the other way
+        traj = make_figure8(amplitude=0.5, period_steps=120, sample_time=0.05)
+        world = SlipPlaneWorld(slope=0.61, base_slip=0.1, slip_exponent=1.0e300)
+        speeds = []
+
+        def recorded(vl, vr, world):
+            speeds.append((vl, vr))
+            return slip_ratios(vl, vr, world)
+
+        monkeypatch.setattr(sim, "slip_ratios", recorded)
+        with pytest.raises(NumericsError) as info:
+            rollout(traj, GAINS2, 2, PARAMS, plant="slip", world=world)
+        assert isinstance(info.value.__cause__, OverflowError)
+        *ran, (vl, vr) = speeds
+        assert len(ran) > 0
+        assert all(abs(a / b) <= 1.0 for a, b in ran if b != 0.0)
+        assert abs(vl / vr) > 1.0
+        assert str(info.value).startswith(f"loop state went non-finite at step {len(ran)}:")
 
     def test_argument_validation(self):
         traj = make_circle(radius=1.0, period_steps=100)

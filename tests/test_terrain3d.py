@@ -12,16 +12,14 @@ import numpy as np
 import pytest
 
 from tracksim.kinematics import (
-    Pose2,
-    TrackCommand,
     VehicleParams,
     center_model_matrix,
+    checked_pose,
 )
 from tracksim.terrain3d import (
     MAX_SLIP_RATIO,
     Pose3,
     SlipPlaneWorld,
-    SlipState,
     lift_pose,
     pitch_on_plane,
     plane_height,
@@ -34,6 +32,7 @@ from tracksim.terrain3d import (
 )
 
 PARAMS = VehicleParams()
+NO_SLIP = (0.0, 0.0, 0.0)
 
 
 def rotation_zyx(yaw, pitch, roll):
@@ -57,7 +56,7 @@ def test_lift_pose_satisfies_plane_constraints():
             slope=float(rng.uniform(-1.2, 1.2)),
             ride_height=float(rng.uniform(0.0, 0.5)),
         )
-        pose = Pose2(*rng.uniform(-5, 5, size=2), float(rng.uniform(-4, 4)))
+        pose = checked_pose(*rng.uniform(-5, 5, size=2).tolist(), float(rng.uniform(-4, 4)))
         p3 = lift_pose(pose, world)
         normal = np.array([-math.sin(world.slope), 0.0, math.cos(world.slope)])
         # center stays at ride_height along the normal from the plane
@@ -72,7 +71,7 @@ def test_lift_pose_satisfies_plane_constraints():
 
 def test_lift_pose_flat_world_is_planar():
     world = SlipPlaneWorld(slope=0.0, ride_height=0.07)
-    p3 = lift_pose(Pose2(1.0, -2.0, 0.8), world)
+    p3 = lift_pose((1.0, -2.0, 0.8), world)
     assert p3 == Pose3(1.0, -2.0, 0.07, 0.8, 0.0, 0.0)
 
 
@@ -151,63 +150,61 @@ def test_slip_ratio_relation_exact():
             friction=float(rng.uniform(0.2, 1.5)),
             slip_exponent=float(rng.uniform(0.5, 3.0)),
         )
-        vl, vr = rng.uniform(0.05, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)
-        slip = slip_ratios(TrackCommand(vl, vr), world)
+        vl, vr = (rng.uniform(0.05, 2.0, size=2) * rng.choice([-1.0, 1.0], size=2)).tolist()
+        a_l, a_r, _ = slip_ratios(vl, vr, world)
         want_ratio = -math.copysign(1.0, vl * vr) * abs(vl / vr) ** world.slip_exponent
-        assert slip.right_ratio / slip.left_ratio == pytest.approx(
-            want_ratio, rel=1e-10
-        )
-        assert abs(slip.left_ratio) <= MAX_SLIP_RATIO + 1e-15
-        assert abs(slip.right_ratio) <= MAX_SLIP_RATIO + 1e-15
+        assert a_r / a_l == pytest.approx(want_ratio, rel=1e-10)
+        assert abs(a_l) <= MAX_SLIP_RATIO + 1e-15
+        assert abs(a_r) <= MAX_SLIP_RATIO + 1e-15
 
 
 def test_slip_ratio_examples():
     world = SlipPlaneWorld(base_slip=0.1, slip_exponent=1.0)
-    s = slip_ratios(TrackCommand(1.0, 0.5), world)
-    assert s.right_ratio / s.left_ratio == pytest.approx(-2.0, abs=1e-12)
-    s = slip_ratios(TrackCommand(1.0, -0.5), world)
-    assert s.right_ratio / s.left_ratio == pytest.approx(2.0, abs=1e-12)
+    a_l, a_r, _ = slip_ratios(1.0, 0.5, world)
+    assert a_r / a_l == pytest.approx(-2.0, abs=1e-12)
+    a_l, a_r, _ = slip_ratios(1.0, -0.5, world)
+    assert a_r / a_l == pytest.approx(2.0, abs=1e-12)
     world2 = SlipPlaneWorld(base_slip=0.1, slip_exponent=2.0)
-    s = slip_ratios(TrackCommand(1.0, 0.5), world2)
-    assert s.right_ratio / s.left_ratio == pytest.approx(-4.0, abs=1e-12)
+    a_l, a_r, _ = slip_ratios(1.0, 0.5, world2)
+    assert a_r / a_l == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_slip_magnitude_grade_scaling():
     flat = SlipPlaneWorld(slope=0.0, base_slip=0.1, friction=0.6)
-    assert slip_ratios(TrackCommand(1.0, 1.0), flat).left_ratio == pytest.approx(0.1)
+    assert slip_ratios(1.0, 1.0, flat)[0] == pytest.approx(0.1)
     alpha = math.radians(35.0)
     tilted = SlipPlaneWorld(slope=alpha, base_slip=0.1, friction=0.6)
     want = 0.1 * (1.0 + math.sin(alpha) / 0.6)
-    assert slip_ratios(TrackCommand(1.0, 1.0), tilted).left_ratio == pytest.approx(
+    assert slip_ratios(1.0, 1.0, tilted)[0] == pytest.approx(
         want, abs=1e-12
     )
     # steep + slippery saturates at the clamp
     extreme = SlipPlaneWorld(slope=alpha, base_slip=0.5, friction=0.6)
-    assert slip_ratios(TrackCommand(1.0, 1.0), extreme).left_ratio == pytest.approx(
+    assert slip_ratios(1.0, 1.0, extreme)[0] == pytest.approx(
         MAX_SLIP_RATIO
     )
 
 
 def test_zero_and_single_track_commands():
     world = SlipPlaneWorld(base_slip=0.2)
-    assert slip_ratios(TrackCommand(0.0, 0.0), world) == SlipState()
-    s = slip_ratios(TrackCommand(0.0, 1.0), world)
-    assert s.left_ratio == 0.0 and s.right_ratio == pytest.approx(0.2)
-    s = slip_ratios(TrackCommand(1.0, 0.0), world)
-    assert s.right_ratio == 0.0 and s.left_ratio == pytest.approx(0.2)
+    assert slip_ratios(0.0, 0.0, world) == NO_SLIP
+    a_l, a_r, _ = slip_ratios(0.0, 1.0, world)
+    assert a_l == 0.0 and a_r == pytest.approx(0.2)
+    a_l, a_r, _ = slip_ratios(1.0, 0.0, world)
+    assert a_r == 0.0 and a_l == pytest.approx(0.2)
 
 
 def test_beta_sign_and_saturation():
     world = SlipPlaneWorld(base_slip=0.0, beta_gain=0.05)
     # hard left turn (right track faster): positive speed difference
-    s = slip_ratios(TrackCommand(-1.0, 1.0), world)
-    assert s.beta == pytest.approx(0.05)
-    s = slip_ratios(TrackCommand(1.0, -1.0), world)
-    assert s.beta == pytest.approx(-0.05)
+    beta = slip_ratios(-1.0, 1.0, world)[2]
+    assert beta == pytest.approx(0.05)
+    beta = slip_ratios(1.0, -1.0, world)[2]
+    assert beta == pytest.approx(-0.05)
     # gentle turn stays below the saturated angle
-    s = slip_ratios(TrackCommand(0.95, 1.0), world)
-    assert 0.0 < s.beta < 0.05
-    assert s.beta == pytest.approx(0.05 * 0.05 / 0.5, abs=1e-12)
+    beta = slip_ratios(0.95, 1.0, world)[2]
+    assert 0.0 < beta < 0.05
+    assert beta == pytest.approx(0.05 * 0.05 / 0.5, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +216,12 @@ def test_zero_slip_flat_step_equals_center_unicycle():
     world = SlipPlaneWorld(slope=0.0, base_slip=0.0, beta_gain=0.0)
     ideal = VehicleParams(steering_efficiency=1.0)
     for _ in range(200):
-        pose = Pose2(*rng.uniform(-3, 3, size=2), float(rng.uniform(-3, 3)))
-        cmd = TrackCommand(*rng.uniform(-2, 2, size=2))
-        got = slip_forward(pose, cmd, slip_ratios(cmd, world), world, ideal)
-        oracle = ideal.sample_time * (
-            center_model_matrix(pose.phi, ideal) @ cmd.as_array()
-        )
-        assert np.allclose(got.as_array(), oracle, atol=1e-12)
+        rng.uniform(-3, 3, size=2)  # a position: the slip step reads only the heading
+        phi = float(rng.uniform(-3, 3))
+        vl, vr = rng.uniform(-2, 2, size=2).tolist()
+        got = slip_forward(phi, vl, vr, slip_ratios(vl, vr, world), world, ideal)
+        oracle = ideal.sample_time * (center_model_matrix(phi, ideal) @ np.array([vl, vr]))
+        assert np.allclose(got, oracle, atol=1e-12)
 
 
 def test_slip_step_matches_plane_frame_route():
@@ -236,49 +232,46 @@ def test_slip_step_matches_plane_frame_route():
         world = SlipPlaneWorld(
             slope=float(rng.uniform(-1.0, 1.0)), base_slip=0.0, beta_gain=0.0
         )
-        pose = Pose2(*rng.uniform(-3, 3, size=2), float(rng.uniform(-math.pi, math.pi)))
-        cmd = TrackCommand(*rng.uniform(-2, 2, size=2))
-        got = slip_forward(pose, cmd, SlipState(), world, PARAMS)
+        rng.uniform(-3, 3, size=2)  # a position: the slip step reads only the heading
+        phi = float(rng.uniform(-math.pi, math.pi))
+        vl, vr = rng.uniform(-2, 2, size=2).tolist()
+        dx, dy, dphi = slip_forward(phi, vl, vr, NO_SLIP, world, PARAMS)
 
-        yaw_p = world_yaw_to_plane(pose.phi, world)
-        speed = 0.5 * (cmd.left + cmd.right)
-        turn = (cmd.right - cmd.left) / PARAMS.tread
+        yaw_p = world_yaw_to_plane(phi, world)
+        speed = 0.5 * (vl + vr)
+        turn = (vr - vl) / PARAMS.tread
         rates_p = np.array(
             [speed * math.cos(yaw_p), speed * math.sin(yaw_p), turn]
         )
         world_rates = plane_to_world_rates(rates_p, yaw_p, world)
         ts = PARAMS.sample_time
-        assert got.dx == pytest.approx(ts * world_rates[0], abs=1e-12)
-        assert got.dy == pytest.approx(ts * world_rates[1], abs=1e-12)
-        assert got.dphi == pytest.approx(ts * world_rates[3], abs=1e-12)
+        assert dx == pytest.approx(ts * world_rates[0], abs=1e-12)
+        assert dy == pytest.approx(ts * world_rates[1], abs=1e-12)
+        assert dphi == pytest.approx(ts * world_rates[3], abs=1e-12)
 
 
 def test_lateral_slip_rotates_translation_only():
     world = SlipPlaneWorld(slope=0.0)
-    pose = Pose2(0.0, 0.0, 0.0)
-    cmd = TrackCommand(1.0, 1.0)
-    base = slip_forward(pose, cmd, SlipState(), world, PARAMS)
+    base = slip_forward(0.0, 1.0, 1.0, NO_SLIP, world, PARAMS)
     beta = 0.3
-    skewed = slip_forward(pose, cmd, SlipState(0.0, 0.0, beta), world, PARAMS)
+    skewed = slip_forward(0.0, 1.0, 1.0, (0.0, 0.0, beta), world, PARAMS)
     rot = np.array(
         [[math.cos(beta), -math.sin(beta)], [math.sin(beta), math.cos(beta)]]
     )
-    assert np.allclose(skewed.xy(), rot @ base.xy(), atol=1e-15)
-    assert skewed.dphi == base.dphi
+    assert np.allclose(skewed[:2], rot @ np.array(base[:2]), atol=1e-15)
+    assert skewed[2] == base[2]
 
 
 def test_grade_widens_forward_displacement_gap():
     # equal track speeds, facing upslope: the realized advance shrinks
     # monotonically as the grade rises (beta off: the claim is longitudinal)
     world_kwargs = dict(base_slip=0.1, friction=0.6, beta_gain=0.0)
-    pose = Pose2(0.0, 0.0, 0.0)
-    cmd = TrackCommand(1.0, 1.0)
     commanded = PARAMS.sample_time * 1.0
     gaps = []
     for slope in np.linspace(0.0, 1.2, 25):
         world = SlipPlaneWorld(slope=float(slope), **world_kwargs)
-        got = slip_forward(pose, cmd, slip_ratios(cmd, world), world, PARAMS)
-        gaps.append(commanded - got.dx)
+        dx, _, _ = slip_forward(0.0, 1.0, 1.0, slip_ratios(1.0, 1.0, world), world, PARAMS)
+        gaps.append(commanded - dx)
     assert gaps[0] == pytest.approx(0.0, abs=1e-12)  # flat, equal speeds: no gap
     assert all(b >= a - 1e-15 for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] > 1e-3
