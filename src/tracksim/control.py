@@ -36,9 +36,9 @@ from .kinematics import (
 STABILITY_MARGIN = 1e-9
 
 # signature shared by the closed-form inverse and learned replacements:
-# (desired next offset delta (2,), current measured delta, heading at the
-# start of that delta) -> track command
-InverseModelFn = Callable[[np.ndarray, PoseDelta, float], TrackCommand]
+# (desired next offset translation (dx, dy), current measured delta,
+# heading at the start of that delta) -> track command
+InverseModelFn = Callable[[tuple[float, float], PoseDelta, float], TrackCommand]
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def first_order_step(
     """One first-order control step: feedforward plus proportional feedback."""
     kpx, kpy = gains.kp
     x, y, phi = measured
-    u = np.array([ref.dx + kpx * (ref.x - x), ref.dy + kpy * (ref.y - y)])
+    u = ref.dx + kpx * (ref.x - x), ref.dy + kpy * (ref.y - y)
     return inverse_first_order(u, phi, params)
 
 
@@ -150,10 +150,10 @@ def second_order_step(
         raise ValueError("second-order control requires kd gains")
     (kpx, kpy), (kdx, kdy) = gains.kp, gains.kd
     x, y, phi = measured
-    u = np.array([
+    u = (
         ref.dx_next + kdx * (ref.dx - measured_delta.dx) + kpx * (ref.x - x),
         ref.dy_next + kdy * (ref.dy - measured_delta.dy) + kpy * (ref.y - y),
-    ])
+    )
     if inverse_model is None:
         return inverse_second_order(u, measured_delta, phi, params)
     return inverse_model(u, measured_delta, phi)

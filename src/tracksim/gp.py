@@ -709,41 +709,60 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
 
 
 def predict(
-    model: GpModel, w: np.ndarray, variance: bool = True
+    model: GpModel, w: np.ndarray | tuple, variance: bool = True
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Posterior mean and observation variance of the command at w.
 
-    Accepts a single 6-vector or an (M, 6) batch; returns arrays shaped
-    (2,)/(M, 2). Variance includes the fitted noise level. The model keeps
-    no factor, so a call that asks for the variance loads scipy.linalg and
-    builds, per output, one N x N kernel matrix and its Cholesky factor
-    (_output_factor, on one BLAS thread, so with the bits the fit's build
-    had), about N^3 / 3 flops each, and solves against it; the factors are
-    freed on return. With variance=False none of that is done and the
-    variance comes back as None; the means are the same. Each query q,
-    standardized, becomes the row [q, q o q, 1], whose product with the
-    model's augmented rows gives the exponents of both outputs at once
-    (_exp_weighted); the queries run _QUERY_ROWS at a time through one
-    block of exponents allocated per call, so a batch's memory does not
-    grow with its length. A single 6-vector asked for its mean alone, the
-    learned slot's query, skips that block loop: its arrays are its own,
-    allocated per call, so a returned mean is never overwritten by a
-    later call, and its bits are those of the row queried as a one-row
-    batch. The means are the exps times the block-diagonal weights; the
-    variance reads each output's slice of the same exps. The bytes are
-    independent of the OpenBLAS thread count only inside
-    _single_blas_thread(), which every CLI command enters; a mean-only
-    predict does not pin itself, as the pin costs 40-70 us, more than a
-    15 us query at N = 1000 (p50 of 3,000, 2 vCPUs, one or two threads).
+    Accepts a single 6-vector (a 1-D array, or a tuple of six reals) or an
+    (M, 6) batch (an array, or a list of rows; a tuple is read as one
+    row); returns arrays shaped (2,)/(M, 2). Variance includes the
+    fitted noise level. The model keeps no factor, so a call that asks for
+    the variance loads scipy.linalg and builds, per output, one N x N
+    kernel matrix and its Cholesky factor (_output_factor, on one BLAS
+    thread, so with the bits the fit's build had), about N^3 / 3 flops
+    each, and solves against it; the factors are freed on return. With
+    variance=False none of that is done and the variance comes back as
+    None; the means are the same. Each query q, standardized, becomes the
+    row [q, q o q, 1], whose product with the model's augmented rows gives
+    the exponents of both outputs at once (_exp_weighted); the queries run
+    _QUERY_ROWS at a time through one block of exponents allocated per
+    call, so a batch's memory does not grow with its length. A single
+    query asked for its mean alone, the learned slot's query, skips that
+    block loop: its row is standardized in floats, the same IEEE
+    operations as the batch's, and made into [q, q o q, 1] by one np.array
+    call; its arrays are its own, allocated per call, so a returned mean is
+    never overwritten by a later call, and its bits are those of the row
+    queried as a one-row batch or as the lone last row of a batch. A row
+    that shares a block of a batch with others goes through one matrix
+    product instead, whose sums may round otherwise: it agrees with the
+    same row queried alone to about 1e-9 relative, not to the bit. The
+    means are the exps times the block-diagonal weights; the variance
+    reads each output's slice of the same exps. The bytes are independent
+    of the OpenBLAS thread count only inside _single_blas_thread(), which
+    every CLI command enters; a mean-only predict does not pin itself, as
+    the pin costs 40-70 us, more than a query at N = 1000.
     """
-    w = np.asarray(w, dtype=float)
     d = model.inputs.shape[1]
+    block, weights = model.query
+    if not variance and (type(w) is tuple or isinstance(w, np.ndarray) and w.ndim == 1):
+        # one row, mean only: what the learned slot asks per step
+        row = w if type(w) is tuple else w.tolist()
+        if len(row) != d:
+            raise ValueError(f"query must have {d} columns, got {len(row)}")
+        if not all(map(math.isfinite, row)):
+            raise ValueError("prediction query contains non-finite values")
+        q = [(v - m) / s for v, m, s in
+             zip(row, model.input_mean.tolist(), model.input_std.tolist())]
+        mean = _exp_weighted(np.array(q + [v * v for v in q] + [1.0]), block, weights)[0]
+        mean *= model.target_std
+        mean += model.target_mean
+        return mean, None
+    w = np.asarray(w, dtype=float)
     width = w.shape[-1] if w.ndim else 1
     if w.ndim > 2 or width != d:
         raise ValueError(f"query must have {d} columns, got {width}")
     if not np.isfinite(w).all():
         raise ValueError("prediction query contains non-finite values")
-    block, weights = model.query
     # augmented queries [q, q o q, 1], q the standardized inputs
     aug = np.empty(w.shape[:-1] + (2 * d + 1,))
     q = aug[..., :d]
@@ -751,12 +770,6 @@ def predict(
     q /= model.input_std
     np.multiply(q, q, out=aug[..., d:2 * d])
     aug[..., 2 * d] = 1.0
-    if w.ndim == 1 and not variance:
-        # one row, one product each way: what the learned slot asks per step
-        mean = _exp_weighted(aug, block, weights)[0]
-        mean *= model.target_std
-        mean += model.target_mean
-        return mean, None
     if w.ndim < 2:
         aug = aug.reshape(1, -1)
     n = model.inputs.shape[0]

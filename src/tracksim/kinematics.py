@@ -16,10 +16,14 @@ interval's delta.
 All pose deltas produced here live on the offset pose (x_B, y_B, phi)
 unless a function says otherwise.
 
-The inverses, which a control loop calls every step, form their 2 x 3
-products with ndarray.dot: the same BLAS gemv as the @ operator, so the
-same bits, at half its call overhead. Plain float arithmetic would not
-give those bits, as the gemv kernel fuses its multiply-adds.
+The inverses, which a control loop calls every step, take the desired
+translation as a pair of floats and form their pseudoinverse products in
+plain float arithmetic (_pinv_times), one rounding per multiply and per
+add. So a closed-form command has the same bits on any machine: a BLAS
+gemv would leave it to the CPU's kernel whether its multiply-adds are
+fused. The matrix builders (offset_model_pinv, offset_model_matrix) and
+the forward models stay on numpy; they are the oracles the tests check
+the inverses against.
 """
 
 from __future__ import annotations
@@ -265,24 +269,30 @@ def forward_first_order(
     return PoseDelta(delta[0], delta[1], delta[2])
 
 
+def _pinv_times(phi: float, vx: float, vy: float, params: VehicleParams) -> tuple[float, float]:
+    """Track speeds (left, right): offset_model_pinv(phi, params) times the
+    offset-point translation rate (vx, vy, .), in floats. The pinv's third
+    column is zero, so the heading rate does not enter."""
+    c, s = math.cos(phi), math.sin(phi)
+    r = 0.5 * params.tread / (params.steering_efficiency * params.offset)
+    return (c + r * s) * vx + (s - r * c) * vy, (c - r * s) * vx + (s + r * c) * vy
+
+
 def inverse_first_order(
-    desired: np.ndarray, phi: float, params: VehicleParams
+    desired: tuple[float, float], phi: float, params: VehicleParams
 ) -> TrackCommand:
     """First-order inverse: track speeds realizing a desired offset delta.
 
     Args:
-        desired: length-2 (dx, dy) offset-point delta over one interval.
+        desired: the (dx, dy) offset-point delta wanted over one interval,
+            two reals (a float pair, or any length-2 sequence).
         phi: current heading [rad].
     """
-    desired = np.asarray(desired, dtype=float)
-    if desired.shape != (2,):
-        raise ValueError(f"desired must have shape (2,), got {desired.shape}")
-    ux, uy = desired.tolist()
+    ux, uy = map(float, desired)
     if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_first_order requires finite inputs")
     ts = params.sample_time
-    left, right = offset_model_pinv(phi, params).dot(np.array([ux / ts, uy / ts, 0.0])).tolist()
-    return TrackCommand(left, right)
+    return TrackCommand(*_pinv_times(phi, ux / ts, uy / ts, params))
 
 
 def forward_second_order(
@@ -311,7 +321,7 @@ def forward_second_order(
 
 
 def inverse_second_order(
-    desired_next: np.ndarray,
+    desired_next: tuple[float, float],
     current_delta: PoseDelta,
     phi: float,
     params: VehicleParams,
@@ -319,22 +329,17 @@ def inverse_second_order(
     """Second-order inverse: command whose filtered effect yields desired_next.
 
     Args:
-        desired_next: length-2 (dx, dy) offset delta wanted over the next
-            interval (realized at heading phi + current_delta.dphi).
+        desired_next: the (dx, dy) offset delta wanted over the next
+            interval (realized at heading phi + current_delta.dphi), two
+            reals (a float pair, or any length-2 sequence).
         current_delta: offset delta realized over the interval starting at
             phi; encodes the current track-speed state.
         phi: heading at the start of current_delta [rad].
     """
-    desired_next = np.asarray(desired_next, dtype=float)
-    if desired_next.shape != (2,):
-        raise ValueError(
-            f"desired_next must have shape (2,), got {desired_next.shape}"
-        )
-    ux, uy = desired_next.tolist()
+    ux, uy = map(float, desired_next)
     if not (math.isfinite(phi) and math.isfinite(ux) and math.isfinite(uy)):
         raise ValueError("inverse_second_order requires finite inputs")
     ts, a, d = params.sample_time, params.actuator_alpha, current_delta
-    vel_now = offset_model_pinv(phi, params).dot(np.array([d.dx / ts, d.dy / ts, d.dphi / ts]))
-    vel_next = offset_model_pinv(phi + d.dphi, params).dot(np.array([ux / ts, uy / ts, 0.0]))
-    (now_l, now_r), (next_l, next_r) = vel_now.tolist(), vel_next.tolist()
+    now_l, now_r = _pinv_times(phi, d.dx / ts, d.dy / ts, params)
+    next_l, next_r = _pinv_times(phi + d.dphi, ux / ts, uy / ts, params)
     return TrackCommand((next_l - a * now_l) / (1.0 - a), (next_r - a * now_r) / (1.0 - a))

@@ -10,8 +10,10 @@ plain floats: both poses, offset and center, as (x, y, phi) tuples, the
 filtered track speeds and the slip state, all updated once per step; a
 step returns the realized offset delta as (dx, dy, dphi). Per step the
 loop builds only what the inverse-model slot's signature asks for: the
-desired translation as an array, the newest delta as a PoseDelta, and
-the TrackCommand the inverse returns.
+newest delta as a PoseDelta and the TrackCommand the inverse returns;
+the desired translation is a float pair. No plant step and no
+closed-form inverse makes a BLAS call, so their bits do not depend on the
+BLAS library or its kernel; only the learned slot's GP query does.
 
 Log rows follow one convention throughout: row k holds the pose read at
 step k (before moving), the command issued at step k, and the offset
@@ -45,7 +47,6 @@ from .kinematics import (
     center_pose,
     check_delta,
     checked_pose,
-    offset_model_matrix,
     offset_point,
     wrap_angle,
 )
@@ -68,6 +69,10 @@ MAX_REFERENCE_EXTENT = 1e6
 # most points a waypoint spline is traced with: a 1 km path at
 # SPLINE_SPACING, 16 MB of points
 MAX_SPLINE_POINTS = 1_000_000
+
+# steps of slip-plant noise drawn at a time; a block of rows is the same
+# sequence of draws as one normal(size=3) per step
+NOISE_BLOCK = 256
 
 
 class NumericsError(RuntimeError):
@@ -344,12 +349,15 @@ class NominalPlant:
     def step(self, left: float, right: float) -> tuple[float, float, float]:
         """Drive one interval under the command; the realized offset delta."""
         params = self.params
-        self.vel = _actuate(self.vel, left, right, params)
+        self.vel = vl, vr = _actuate(self.vel, left, right, params)
         x, y, phi = self.offset
-        # ndarray.dot: the BLAS gemv of @, at less call overhead
-        dx, dy, dphi = (
-            params.sample_time * offset_model_matrix(phi, params).dot(self.vel)
-        ).tolist()
+        # offset_model_matrix(phi, params) times the speeds, in floats
+        c, s = math.cos(phi), math.sin(phi)
+        chi, d, ts = params.steering_efficiency, params.tread, params.sample_time
+        k = chi * params.offset / d
+        dx = ts * ((0.5 * c + k * s) * vl + (0.5 * c - k * s) * vr)
+        dy = ts * ((0.5 * s - k * c) * vl + (0.5 * s + k * c) * vr)
+        dphi = ts * (-chi / d * vl + chi / d * vr)
         check_delta(dx, dy, dphi)
         self.offset = checked_pose(x + dx, y + dy, phi + dphi)
         self.center = center_pose(self.offset, params)
@@ -362,6 +370,7 @@ class SlipPlant:
     The controller's offset point is measured on the world x-y
     projection of the center pose; offset deltas are reported by
     differencing those measurements, the way odometry would see them.
+    The center-motion noise is drawn from rng NOISE_BLOCK steps at a time.
     """
 
     def __init__(
@@ -378,6 +387,7 @@ class SlipPlant:
         self.vel = (0.0, 0.0)
         self.slip = (0.0, 0.0, 0.0)
         self._rng = rng
+        self._noise: list[list[float]] = []  # drawn rows, next one last
 
     def step(self, left: float, right: float) -> tuple[float, float, float]:
         """Drive one interval under the command; the realized offset delta."""
@@ -388,7 +398,10 @@ class SlipPlant:
         dx, dy, dphi = slip_forward(phi, vl, vr, self.slip, world, params)
         check_delta(dx, dy, dphi)
         if world.noise_sigma > 0.0:
-            nx, ny, nphi = self._rng.normal(0.0, world.noise_sigma, size=3).tolist()
+            if not self._noise:
+                block = self._rng.normal(0.0, world.noise_sigma, size=(NOISE_BLOCK, 3))
+                self._noise = block.tolist()[::-1]
+            nx, ny, nphi = self._noise.pop()
             dx, dy, dphi = dx + nx, dy + ny, dphi + nphi
         bx, by, bphi = self.offset
         self.center = checked_pose(x + dx, y + dy, phi + dphi)
@@ -553,10 +566,9 @@ def learned_inverse(model: GpModel) -> InverseModelFn:
             f"inputs {model.inputs.shape}, outputs {len(model.outputs)}"
         )
 
-    def fn(u: np.ndarray, delta: PoseDelta, phi: float) -> TrackCommand:
-        ux, uy = u.tolist()
-        mean, _ = predict(model, np.array([ux, uy, delta.dx, delta.dy, delta.dphi, phi]),
-                          variance=False)
+    def fn(u: tuple[float, float], delta: PoseDelta, phi: float) -> TrackCommand:
+        ux, uy = u
+        mean, _ = predict(model, (ux, uy, delta.dx, delta.dy, delta.dphi, phi), variance=False)
         return TrackCommand(*mean.tolist())
 
     return fn

@@ -43,8 +43,9 @@ class SlipPlaneWorld:
         friction: dynamic friction coefficient, > 0; lower friction
             amplifies the grade-driven slip growth.
         beta_gain: lateral slip angle reached during hard turns [rad].
-        noise_sigma: standard deviation of zero-mean Gaussian noise added
-            by the plant to each realized delta component (0 disables).
+        noise_sigma: standard deviation of zero-mean Gaussian noise the
+            slip plant adds to each step's realized center motion, to x
+            and y [m] and to yaw [rad] (0 disables).
     """
 
     slope: float = 0.0

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -862,3 +863,34 @@ class TestBlasThreads:
         # each simulate, and evaluate's error CSV and report
         assert len(digests["1"]) == 11
         assert digests["1"] == digests["2"]
+
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                        reason="the OpenBLAS core type named here is x86-64's")
+    def test_closed_form_files_identical_across_blas_kernels(self, tmp_path):
+        # OpenBLAS picks its kernels by CPU, and a kernel decides whether
+        # its multiply-adds are fused; Prescott's kernels have no FMA. The
+        # closed-form slot and both plants make no BLAS call, so collect's
+        # files and a nominal-slot simulate's do not depend on the kernel
+        if not gp._bundled_openblas():
+            pytest.skip("numpy bundles no OpenBLAS here")
+        tiny_config(tmp_path)
+        tiny_config(tmp_path, name="slip.yaml", plant="slip",
+                    world={"alpha": 0.6, "base_slip": 0.1, "noise_sigma": 0.0005, "seed": 100})
+        default = subprocess_env()
+        default.pop("OPENBLAS_CORETYPE", None)
+        digests = {}
+        for kernel, env in (("default", default), ("Prescott", dict(default, OPENBLAS_CORETYPE="Prescott"))):
+            for cfg in ("cfg.yaml", "slip.yaml"):
+                for command in ("collect", "simulate"):
+                    out = tmp_path / f"{kernel}-{cfg}-{command}"
+                    subprocess.run(
+                        [sys.executable, "-m", "tracksim.cli", command, "--config", cfg,
+                         "--out", str(out)],
+                        cwd=tmp_path, env=env, check=True, capture_output=True,
+                    )
+                    digests.setdefault(kernel, {}).update(
+                        {f"{cfg}/{command}/{p.name}": sha256(p) for p in out.iterdir()})
+        # per config, collect's log, three datasets and report, and the
+        # simulate's log and metrics
+        assert len(digests["default"]) == 14
+        assert digests["default"] == digests["Prescott"]

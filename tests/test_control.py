@@ -228,7 +228,7 @@ def test_pluggable_inverse_model_receives_control_terms():
     calls = {}
 
     def fake_inverse(u, delta, phi):
-        calls["u"] = u.copy()
+        calls["u"] = u
         calls["delta"] = delta
         calls["phi"] = phi
         return TrackCommand(0.11, -0.22)
@@ -241,6 +241,8 @@ def test_pluggable_inverse_model_receives_control_terms():
     assert (cmd.left, cmd.right) == (0.11, -0.22)
     # first call runs against the virtual at-rest sample
     expect_u = ref.delta() + np.array(gains.kp) * (ref.position() - np.array(pose_b[:2]))
+    # the desired translation arrives as a pair of plain floats
+    assert type(calls["u"]) is tuple and all(type(v) is float for v in calls["u"])
     assert np.allclose(calls["u"], expect_u, atol=1e-15)
     assert calls["phi"] == pytest.approx(pose_b[2])
     assert calls["delta"].as_array() == pytest.approx([0.0, 0.0, 0.0])

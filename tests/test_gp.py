@@ -921,7 +921,8 @@ def recipe_shaped_model(seed=40, n=1000):
 
 
 class TestOneRowQuery:
-    """The learned slot's query: one 1-D row, mean only."""
+    """The learned slot's query: one row, mean only, as a 1-D array or a
+    tuple of floats."""
 
     def test_one_row_mean_is_the_bits_of_the_row_queried_alone(self):
         # a row alone in its block of a batch takes the one-row products
@@ -937,6 +938,17 @@ class TestOneRowQuery:
             tail = np.vstack([model.inputs[:gp._QUERY_ROWS], q])
             assert np.array_equal(mean, predict(model, tail, variance=False)[0][-1])
 
+    def test_a_float_row_is_the_bits_of_the_array_row(self):
+        # the learned slot hands its six inputs as a tuple of floats
+        model = recipe_shaped_model()
+        rng = np.random.default_rng(42)
+        queries = model.inputs[rng.choice(1000, size=20)] + rng.normal(0.0, 0.01, size=(20, 6))
+        for q in queries:
+            mean, none = predict(model, tuple(q.tolist()), variance=False)
+            assert none is None and mean.shape == (2,)
+            assert np.array_equal(mean, predict(model, q, variance=False)[0])
+            assert np.array_equal(mean, predict(model, q[None], variance=False)[0][0])
+
     def test_a_returned_mean_is_not_overwritten_by_the_next_call(self):
         model = recipe_shaped_model()
         first, _ = predict(model, model.inputs[0], variance=False)
@@ -950,13 +962,15 @@ class TestOneRowQuery:
     def test_a_bad_row_raises_the_batch_error(self, variance):
         model = recipe_shaped_model(n=20)
         for width in (5, 7):
-            with pytest.raises(ValueError, match=f"query must have 6 columns, got {width}"):
-                predict(model, np.zeros(width), variance=variance)
+            for row in (np.zeros(width), (0.0,) * width):
+                with pytest.raises(ValueError, match=f"query must have 6 columns, got {width}"):
+                    predict(model, row, variance=variance)
         for bad in (math.nan, math.inf, -math.inf):
             q = np.zeros(6)
             q[4] = bad
-            with pytest.raises(ValueError, match="prediction query contains non-finite values"):
-                predict(model, q, variance=variance)
+            for row in (q, tuple(q.tolist())):
+                with pytest.raises(ValueError, match="prediction query contains non-finite values"):
+                    predict(model, row, variance=variance)
 
 
 class TestFit:

@@ -268,6 +268,37 @@ def test_pure_rotation_moves_only_the_offset_point():
         assert delta.dy == pytest.approx(expect * math.cos(phi), abs=1e-13)
 
 
+def test_float_inverses_match_the_pinv_oracle():
+    # the inverses multiply in floats; offset_model_pinv is their oracle,
+    # to 1e-14 of the magnitudes each product sums
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        params = random_params(rng)
+        ts, a = params.sample_time, params.actuator_alpha
+        phi = float(rng.uniform(-math.pi, math.pi))
+        desired = rng.uniform(-0.1, 0.1, size=2)
+        pair = tuple(desired.tolist())
+        rate = np.append(desired, 0.0) / ts
+
+        first = inverse_first_order(pair, phi, params)
+        assert type(first.left) is float and type(first.right) is float
+        pinv = offset_model_pinv(phi, params)
+        got = np.array([first.left, first.right])
+        assert np.all(np.abs(got - pinv @ rate) <= 1e-14 * (np.abs(pinv) @ np.abs(rate)))
+        # an array gives the bits of the float pair
+        assert inverse_first_order(desired, phi, params) == first
+
+        current = PoseDelta(*rng.uniform(-0.05, 0.05, size=2), float(rng.uniform(-0.3, 0.3)))
+        second = inverse_second_order(pair, current, phi, params)
+        now_rate = current.as_array() / ts
+        pinv_next = offset_model_pinv(phi + current.dphi, params)
+        want = (pinv_next @ rate - a * (pinv @ now_rate)) / (1.0 - a)
+        scale = (np.abs(pinv_next) @ np.abs(rate) + a * (np.abs(pinv) @ np.abs(now_rate))) / (1.0 - a)
+        got = np.array([second.left, second.right])
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert inverse_second_order(desired, current, phi, params) == second
+
+
 def test_first_order_rejects_bad_input():
     params = VehicleParams()
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from tracksim.kinematics import (
     VehicleParams,
     forward_first_order,
     inverse_second_order,
+    offset_model_matrix,
     offset_point,
 )
 from tracksim.sim import (
@@ -265,6 +266,41 @@ class TestPlants:
             plant.step(0.5, 0.3)
             assert len(calls) == 1 + k
             assert calls[-1] == plant.center
+
+    def test_nominal_plant_step_matches_the_model_matrix(self):
+        # the step multiplies in floats; offset_model_matrix is its oracle
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            params = VehicleParams(
+                tread=float(rng.uniform(0.2, 1.0)),
+                steering_efficiency=float(rng.uniform(0.3, 1.0)),
+                offset=float(rng.uniform(0.05, 0.5) * rng.choice([-1.0, 1.0])),
+                sample_time=float(rng.uniform(0.01, 0.1)),
+                actuator_alpha=0.0,
+            )
+            phi = float(rng.uniform(-math.pi, math.pi))
+            speeds = rng.uniform(-params.max_track_speed, params.max_track_speed, size=2)
+            plant = NominalPlant(params, (0.0, 0.0, phi))
+            got = np.array(plant.step(*speeds.tolist()))
+            m = offset_model_matrix(phi, params)
+            want = params.sample_time * (m @ speeds)
+            scale = params.sample_time * (np.abs(m) @ np.abs(speeds))
+            assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+    def test_slip_plant_noise_blocks_are_the_per_step_draws(self, monkeypatch):
+        # the noise is drawn NOISE_BLOCK steps at a time; across a block
+        # boundary it is, to the bit, one normal(size=3) draw per step.
+        # Without the slip model's motion the center moves by the noise alone
+        monkeypatch.setattr(sim, "slip_forward", lambda *args: (0.0, 0.0, 0.0))
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
+        plant = SlipPlant(PARAMS, world, (0.0, 0.0, 0.0), np.random.default_rng(3))
+        rng = np.random.default_rng(3)
+        x = y = phi = 0.0
+        for _ in range(sim.NOISE_BLOCK + 5):
+            plant.step(0.5, 0.3)
+            nx, ny, nphi = rng.normal(0.0, 1e-3, size=3).tolist()
+            x, y, phi = x + nx, y + ny, phi + nphi
+            assert plant.center == (x, y, phi)
 
     def test_slip_plant_noise_is_seeded(self):
         world = SlipPlaneWorld(noise_sigma=1e-3)
