@@ -104,27 +104,15 @@ def _rollout_for(cfg: ExperimentConfig, seed: int, inverse_model=None) -> Rollou
     )
 
 
-def _check_reference(cfg: ExperimentConfig, command: str) -> None:
-    """Reject, as a bad run request, a reference too short for collect's
-    split, which needs two samples, one per interior row of the log;
-    evaluate extracts its held-out set as collect does, so asks the same,
-    and gains-check rejects what those commands reject."""
-    samples = len(cfg.trajectory())
-    if samples < 4:
-        raise ConfigError(f"{command} needs a reference of at least 4 samples, got {samples}")
-
-
 def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
                  model_path: Optional[str]) -> int:
     """One closed-loop run; writes log.csv and metrics.json."""
     run_seed = cfg.seed if seed is None else seed
     inverse = None
-    model_hash = None
     if cfg.slot == "gp":
         if model_path is None:
             raise ConfigError("controller.slot 'gp' requires --model")
         _, inverse = _load_inverse(model_path)
-        model_hash = _sha256_file(model_path)
     log = _rollout_for(cfg, run_seed, inverse)
     metrics = cartesian_error(log)
     save_log(log, os.path.join(out, "log.csv"))
@@ -135,8 +123,8 @@ def cmd_simulate(cfg: ExperimentConfig, out: str, seed: Optional[int],
         "mean_error": metrics.mean_error,
         "max_error": metrics.max_error,
     }
-    if model_hash is not None:
-        payload["model_sha256"] = model_hash
+    if inverse is not None:
+        payload["model_sha256"] = _sha256_file(model_path)
     _write_report(os.path.join(out, "metrics.json"), cfg, payload)
     print(
         f"simulate: {payload['steps']} steps, mean error "
@@ -152,7 +140,6 @@ def cmd_collect(cfg: ExperimentConfig, out: str, seed: Optional[int]) -> int:
     with the commands the nominal controller issued, which is what the
     learned inverse trains on.
     """
-    _check_reference(cfg, "collect")
     run_seed = cfg.seed if seed is None else seed
     log = _rollout_for(cfg, run_seed)
     data = extract_dataset(log)
@@ -253,7 +240,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
     """
     if cfg.order != 2:
         raise ConfigError("evaluate runs the learned slot, which requires controller.order 2")
-    _check_reference(cfg, "evaluate")
     model, inverse = _load_inverse(model_path)
     seeds = [seed] if seed is not None else list(cfg.eval_seeds)
     per_seed = []
@@ -307,7 +293,6 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
 
 def cmd_gains_check(cfg: ExperimentConfig) -> int:
     """Print closed-loop pole magnitudes; exit 0 iff the trackers accept them."""
-    _check_reference(cfg, "gains-check")
     mags = validate_gains(cfg.gains, cfg.order)
     try:
         assert_stable(cfg.gains, cfg.order)

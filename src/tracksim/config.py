@@ -220,8 +220,8 @@ def parse_config(raw: Any) -> ExperimentConfig:
     """Validate a parsed YAML document and resolve it against the defaults.
 
     Raises:
-        ConfigError: unknown keys, wrong types, or values the domain types
-            or the reference builders reject (the message names the key).
+        ConfigError: unknown keys, wrong types, out-of-domain values, or a
+            reference of fewer than 4 samples (the message names the key).
     """
     raw = _require_mapping(raw, "config")
     unknown = sorted(set(raw) - set(_TOP_LEVEL_KEYS))
@@ -290,6 +290,10 @@ def parse_config(raw: Any) -> ExperimentConfig:
     spec = dict(trajectory)
     build = _TRAJECTORY_BUILDERS[spec.pop("kind")]
     reference = _checked("trajectory", build, sample_time=params.sample_time, **spec)
+    # collect's dataset has one sample per interior log row, and its split needs two
+    if len(reference) < 4:
+        raise ConfigError(f"trajectory: the reference has {len(reference)} samples, "
+                          "fewer than the 4 every command needs")
 
     resolved = {
         "vehicle": vehicle,

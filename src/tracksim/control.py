@@ -36,8 +36,10 @@ from .kinematics import (
 STABILITY_MARGIN = 1e-9
 
 # signature shared by the closed-form inverse and learned replacements:
-# (desired next offset translation (dx, dy), current measured delta,
-# heading at the start of that delta) -> track command
+# (desired next offset translation (dx, dy), the PoseDelta the plant
+# realized at the previous step (zeros at the first), heading at the start
+# of that delta) -> the TrackCommand whose .left/.right the plant runs,
+# logged as vl_cmd/vr_cmd. Wrappers around a slot read these attributes.
 InverseModelFn = Callable[[tuple[float, float], PoseDelta, float], TrackCommand]
 
 

@@ -58,11 +58,11 @@ any worker exists. The results are merged per output in list order
 either way, so the model file has the same bytes on one CPU or several.
 
 Only the fit and predict's variance need scipy: both call scipy.linalg's
-LAPACK wrappers, and the optimizer is scipy.optimize's. scipy loads each
-on first use, and loading and querying a model for its mean needs numpy
-alone, so a command that never fits a GP imports neither. A parallel fit
-loads scipy.optimize before its pool forks, so no worker imports it
-again.
+LAPACK wrappers, and the optimizer is scipy.optimize's. Each function
+that calls scipy imports it, and loading and querying a model for its
+mean needs numpy alone, so a command that never fits a GP imports no part
+of scipy. A parallel fit loads scipy.optimize before its pool forks, so
+no worker imports it again.
 
 _single_blas_thread() runs a block on one thread of each OpenBLAS the
 process has loaded, whatever OPENBLAS_NUM_THREADS says, and restores the
@@ -94,7 +94,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy
 
 KERNEL_KIND = "squared_exponential_ard"
 MODEL_FORMAT = "tracksim-gp"
@@ -168,7 +167,9 @@ def _bundled_openblas() -> tuple:
     copy does not load it to pin it (a fresh process paid 2.8-6.6 ms, 1.5
     MB and a thread). The tuple is empty when neither wheel bundles one."""
     found = []
-    for module, suffix in ((np, "64_"), (scipy, "")):  # numpy's copy is ILP64
+    for module, suffix in ((np, "64_"), (sys.modules.get("scipy"), "")):  # numpy's is ILP64
+        if module is None:  # scipy not imported, so its copy is not loaded
+            continue
         site = os.path.dirname(os.path.dirname(module.__file__))
         for path in sorted(glob.glob(f"{site}/{module.__name__}.libs/libscipy_openblas*.so")):
             if path not in _OPENBLAS_BINDINGS:
@@ -324,6 +325,7 @@ def _lapack_factor(a: np.ndarray) -> bool:
     """The factor step of _chol_with_jitter: a, Fortran-ordered, factored
     in its own memory by dpotrf, with its upper triangle zeroed, ready for
     dpotrs and the in-place inverse."""
+    import scipy.linalg
     _, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1, overwrite_a=1)
     return info == 0
 
@@ -340,7 +342,7 @@ def _invert_lower(l: np.ndarray) -> None:
     freed before the second is made, and B passes through dtrmm in panels
     of _INVERSE_LEAF columns, then rows: at the top split the copies peak
     near N^2 / 4 doubles, never a second N x N array."""
-    lapack, blas = scipy.linalg.lapack, scipy.linalg.blas
+    from scipy.linalg import blas, lapack
     n = l.shape[0]
     if n <= _INVERSE_LEAF:
         l[...] = lapack.dtrtri(l, lower=1)[0]
@@ -381,6 +383,7 @@ def nll_and_grad(
     read, so a fit job passes one pair to every call of its start. A call
     without them allocates its own; the results have the same bits.
     """
+    import scipy.linalg
     inputs = np.asarray(inputs, dtype=float)
     n, d = inputs.shape
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
@@ -445,6 +448,7 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> tupl
     hyperparameters theta, the standardized training inputs and its
     standardized target column, and the jitter its factor needed. The
     weights are solved by dpotrs on the factor, which is freed on return."""
+    import scipy.linalg
     chol, jitter = _output_factor(theta, xs)
     alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
     return OutputModel(theta, alpha), jitter
@@ -523,6 +527,7 @@ def _run_start(xs: np.ndarray, zs: np.ndarray, config: FitConfig, j: int,
                start: np.ndarray) -> tuple[np.ndarray, dict]:
     """One L-BFGS-B run of output j, whose targets are the column j of
     the standardized targets zs, from theta start; returns (theta, info)."""
+    import scipy.optimize
     # the column is taken here, in the job: one handed to a worker arrives
     # contiguous, and that changes the bits of the objective's targets @ alpha
     zs_col = zs[:, j]

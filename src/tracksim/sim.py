@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
@@ -550,7 +551,9 @@ def rollout(
             *machine.vel, *machine.slip, math.hypot(ref.x - x_b, ref.y - y_b),
         ))
         tracker.observe(delta)
-    return RolloutLog(*np.array(rows).T.copy())
+    width = len(_LOG_FIELDS)
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, count=len(rows) * width)
+    return RolloutLog(*flat.reshape(-1, width).T.copy())  # one contiguous array per column
 
 
 def learned_inverse(model: GpModel) -> InverseModelFn:

@@ -251,12 +251,14 @@ class TestConfigErrors:
         assert "controller.slot" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["collect", "evaluate", "gains-check"])
+    @pytest.mark.parametrize("command", ["simulate", "collect", "train", "evaluate",
+                                         "gains-check"])
     @pytest.mark.parametrize("end, ramp_time, samples", [(0.002, 0.01, 2), (0.01, 0.05, 3)])
     def test_reference_too_short_to_collect_rejected(self, tmp_path, capsys, command, end,
                                                      ramp_time, samples):
         # such a log yields too few samples to split, which used to exit 1;
-        # gains-check, which exited 0, rejects what the run commands reject
+        # the config rejects the reference, so every command agrees with
+        # collect, and train's missing dataset is never opened
         model = tmp_path / "model.json"  # a valid two-sample model
         model.write_text(json.dumps(small_model(("kernel_kind",), gp.KERNEL_KIND)))
         cfg = tiny_config(tmp_path, plant="nominal", trajectory={
@@ -264,13 +266,16 @@ class TestConfigErrors:
             "ramp_time": ramp_time})
         out = tmp_path / "out"
         argv = {
+            "simulate": ["simulate", "--config", cfg, "--out", str(out)],
             "collect": ["collect", "--config", cfg, "--out", str(out)],
+            "train": ["train", str(tmp_path / "missing.csv"), "--config", cfg,
+                      "--out", str(out)],
             "evaluate": ["evaluate", "--config", cfg, "--out", str(out), "--model", str(model)],
             "gains-check": ["gains-check", "--config", cfg],
         }[command]
         assert main(argv) == 2
-        assert (f"{command} needs a reference of at least 4 samples, got {samples}"
-                in capsys.readouterr().err)
+        assert (f"trajectory: the reference has {samples} samples, fewer than the 4 every "
+                "command needs" in capsys.readouterr().err)
         assert not out.exists()
 
     def test_unknown_subcommand_rejected_by_argparse(self, tmp_path):
@@ -686,7 +691,7 @@ IMPORT_PROBE = """
 import json, sys
 from tracksim.cli import main
 code = main(sys.argv[1:])
-loaded = [m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules]
+loaded = [m for m in ("scipy", "scipy.linalg", "scipy.optimize") if m in sys.modules]
 print(json.dumps({"exit": code, "loaded": loaded}))
 """
 
@@ -710,15 +715,17 @@ def pipeline_dir(tmp_path_factory):
     return root
 
 
+# no command but train imports any of scipy; gp imports it where it calls it
+SCIPY = ["scipy", "scipy.linalg", "scipy.optimize"]
+
+
 class TestImports:
     @pytest.mark.parametrize("argv, absent", [
-        (["gains-check", "--config", "cfg.yaml"], ["scipy.linalg", "scipy.optimize"]),
-        (["collect", "--config", "cfg.yaml", "--out", "c"], ["scipy.linalg", "scipy.optimize"]),
-        (["simulate", "--config", "cfg.yaml", "--out", "s"], ["scipy.linalg", "scipy.optimize"]),
-        (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"],
-         ["scipy.linalg", "scipy.optimize"]),
-        (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"],
-         ["scipy.linalg", "scipy.optimize"]),
+        (["gains-check", "--config", "cfg.yaml"], SCIPY),
+        (["collect", "--config", "cfg.yaml", "--out", "c"], SCIPY),
+        (["simulate", "--config", "cfg.yaml", "--out", "s"], SCIPY),
+        (["evaluate", "--config", "cfg.yaml", "--model", "m/model.json", "--out", "e"], SCIPY),
+        (["simulate", "--config", "gp.yaml", "--model", "m/model.json", "--out", "g"], SCIPY),
     ], ids=["gains-check", "collect", "simulate", "evaluate", "simulate-gp"])
     def test_command_loads_only_the_scipy_it_runs(self, pipeline_dir, argv, absent):
         proc = subprocess.run(

@@ -1,14 +1,19 @@
 """Tests for YAML experiment-config parsing and resolution."""
 
 import math
+import os
+import tempfile
 
+import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracksim import config
+from tracksim.cli import main
 from tracksim.config import ConfigError, load_config, parse_config
+from tracksim.gp import FitConfig, fit, save_model
 from tracksim.kinematics import VehicleParams
 from tracksim.sim import make_figure8
 
@@ -361,13 +366,50 @@ DOCUMENTS = st.tuples(entries(set(SCHEMA_KEYS) | {"plant"}, section), section("t
 )
 
 
+# waypoint references of 2 and 3 samples, which the corpus above rarely draws
+SHORT_2 = {"trajectory": {"kind": "waypoints", "points": [[0, 0], [0.002, 0]], "ramp_time": 0.01}}
+SHORT_3 = {"trajectory": {"kind": "waypoints", "points": [[0, 0], [0.01, 0]], "ramp_time": 0.05}}
+UNSTABLE = {"gains": {"kp": [3.0, 3.0]}}
+
+
 class TestFuzz:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(DOCUMENTS)
+    @example(SHORT_2)
+    @example(SHORT_3)
     def test_only_config_errors_escape(self, doc):
         # a document either resolves, reference included, or raises ConfigError
         try:
             cfg = parse_config(doc)
         except ConfigError:
             return
-        assert len(cfg.trajectory()) >= 1
+        assert len(cfg.trajectory()) >= 4
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(DOCUMENTS)
+    @example(SHORT_2)
+    @example(SHORT_3)
+    @example(UNSTABLE)
+    def test_gains_check_rejects_what_simulate_rejects(self, learned_model, doc):
+        # both read the same file; gains-check reports unstable gains, which
+        # simulate refuses as a bad run request, with exit 1 instead of 2
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(doc, fh)
+            checked = main(["gains-check", "--config", path])
+            simulated = main(["simulate", "--config", path, "--model", learned_model,
+                              "--out", os.path.join(tmp, "out")])
+        assert checked in (0, 1, 2)
+        assert (simulated == 2) == (checked != 0), (checked, simulated)
+
+
+@pytest.fixture(scope="module")
+def learned_model(tmp_path_factory):
+    """A model file for documents that put the learned inverse in the slot."""
+    rng = np.random.default_rng(0)
+    model = fit(rng.normal(size=(20, 6)), rng.normal(size=(20, 2)),
+                FitConfig(restarts=0, max_iter=20))
+    path = str(tmp_path_factory.mktemp("model") / "model.json")
+    save_model(model, path)
+    return path

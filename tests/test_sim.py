@@ -356,6 +356,28 @@ class TestRollout:
         want = np.hypot(log.ref_x - log.x_b, log.ref_y - log.y_b)
         assert np.allclose(log.err, want, atol=1e-14)
 
+    def test_plugged_inverse_sees_the_realized_delta_and_drives_the_tracks(self):
+        # the contract a learned slot, and the benchmark's recording wrapper
+        # around it, rely on: a PoseDelta in, a TrackCommand out
+        traj = make_figure8(amplitude=1.0, period_steps=120, sample_time=0.05)
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
+        seen, issued = [], []
+
+        def plugged(u, delta, phi):
+            seen.append((delta.dx, delta.dy, delta.dphi))
+            closed = inverse_second_order(u, delta, phi, PARAMS)
+            cmd = TrackCommand(0.9 * closed.left, closed.right + 1e-3)
+            issued.append((cmd.left, cmd.right))
+            return cmd
+
+        log = rollout(traj, GAINS2, 2, PARAMS, plant="slip", world=world, seed=5,
+                      inverse_model=plugged)
+        assert len(seen) == len(log)
+        realized = np.column_stack([log.dx, log.dy, log.dphi])
+        assert seen[0] == (0.0, 0.0, 0.0)  # nothing realized before the first step
+        assert np.array_equal(np.array(seen[1:]), realized[:-1])
+        assert np.array_equal(np.array(issued), np.column_stack([log.vl_cmd, log.vr_cmd]))
+
     def test_non_finite_state_aborts_with_step_index(self):
         traj = make_circle(radius=1.0, period_steps=100, sample_time=0.05)
         bad = lambda u, delta, phi: TrackCommand(math.nan, math.nan)
