@@ -263,7 +263,8 @@ def cmd_evaluate(cfg: ExperimentConfig, out: str, seed: Optional[int],
         write_csv(
             os.path.join(out, f"errors_seed{s}.csv"),
             ("t", "ref_x", "ref_y", "err_nominal", "err_gp"),
-            zip(range(len(log_nom)), log_nom.ref_x, log_nom.ref_y, m_nom.errors, m_gp.errors),
+            zip(range(len(log_nom)), log_nom.ref_x.tolist(), log_nom.ref_y.tolist(),
+                m_nom.errors.tolist(), m_gp.errors.tolist()),
         )
     agg = {
         "nominal_mean_error": float(np.mean([r["nominal"]["mean_error"] for r in per_seed])),

@@ -40,6 +40,8 @@ STABILITY_MARGIN = 1e-9
 # realized at the previous step (zeros at the first), heading at the start
 # of that delta) -> the TrackCommand whose .left/.right the plant runs,
 # logged as vl_cmd/vr_cmd. Wrappers around a slot read these attributes.
+# A non-finite output stops the run in TrackCommand's own check, as the
+# plants clip +-inf to max_track_speed.
 InverseModelFn = Callable[[tuple[float, float], PoseDelta, float], TrackCommand]
 
 

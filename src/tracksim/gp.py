@@ -463,7 +463,8 @@ class GpModel:
     lengthscales l, stacked (M N, 2 D + 1) column-major so that the
     augmented queries [q, q o q, 1] times its transpose, read in order,
     are the exponents -|q - x|^2 / (2 l^2); and the weights signal_var
-    alpha, block-diagonal (M N, M), that turn their exps into the M means."""
+    alpha, block-diagonal (M N, M), that turn their exps into the M means.
+    scales: input_mean, input_std, target_mean, target_std as float lists."""
 
     inputs: np.ndarray  # raw training inputs (N, 6)
     targets: np.ndarray  # raw training targets (N, 2)
@@ -474,8 +475,11 @@ class GpModel:
     outputs: list[OutputModel]
     report: dict
     query: tuple = field(init=False, repr=False)
+    scales: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.scales = tuple(a.tolist() for a in (self.input_mean, self.input_std,
+                                                 self.target_mean, self.target_std))
         xs = (self.inputs - self.input_mean) / self.input_std
         n, d = xs.shape
         m = len(self.outputs)
@@ -729,23 +733,24 @@ def predict(
     variance=False none of that is done and the variance comes back as
     None; the means are the same. Each query q, standardized, becomes the
     row [q, q o q, 1], whose product with the model's augmented rows gives
-    the exponents of both outputs at once (_exp_weighted); the queries run
-    _QUERY_ROWS at a time through one block of exponents allocated per
-    call, so a batch's memory does not grow with its length. A single
-    query asked for its mean alone, the learned slot's query, skips that
-    block loop: its row is standardized in floats, the same IEEE
-    operations as the batch's, and made into [q, q o q, 1] by one np.array
-    call; its arrays are its own, allocated per call, so a returned mean is
-    never overwritten by a later call, and its bits are those of the row
-    queried as a one-row batch or as the lone last row of a batch. A row
-    that shares a block of a batch with others goes through one matrix
-    product instead, whose sums may round otherwise: it agrees with the
-    same row queried alone to about 1e-9 relative, not to the bit. The
-    means are the exps times the block-diagonal weights; the variance
-    reads each output's slice of the same exps. The bytes are independent
-    of the OpenBLAS thread count only inside _single_blas_thread(), which
-    every CLI command enters; a mean-only predict does not pin itself, as
-    the pin costs 40-70 us, more than a query at N = 1000.
+    the exponents of both outputs at once; their clamped exps times the
+    block-diagonal weights are the means, and the variance reads each
+    output's slice of the same exps. A batch runs _QUERY_ROWS rows at a
+    time through one block of exponents allocated per call, so its memory
+    does not grow with its length. A single query asked for its mean
+    alone, the learned slot's query, skips that loop: it is standardized,
+    and its means un-standardized, in floats against model.scales, and
+    only the two products, the clamp and the exp run on arrays, its own.
+    Those are the batch's IEEE operations in the batch's order, so its
+    mean, a new array, has the bits of the row queried as a one-row batch
+    or as the lone last row of a batch. A row that shares a block of a
+    batch with others goes through one matrix product instead, whose sums
+    may round otherwise: it agrees with the same row queried alone to
+    about 1e-9 relative, not to the bit. The bytes are independent of the
+    OpenBLAS thread count only inside _single_blas_thread(), which every
+    CLI command enters; a mean-only predict does not pin itself, as the
+    pin costs 40-70 us, more than a query at N = 1000. ndarray.dot makes
+    np.matmul's BLAS call at less overhead per call.
     """
     d = model.inputs.shape[1]
     block, weights = model.query
@@ -756,12 +761,13 @@ def predict(
             raise ValueError(f"query must have {d} columns, got {len(row)}")
         if not all(map(math.isfinite, row)):
             raise ValueError("prediction query contains non-finite values")
-        q = [(v - m) / s for v, m, s in
-             zip(row, model.input_mean.tolist(), model.input_std.tolist())]
-        mean = _exp_weighted(np.array(q + [v * v for v in q] + [1.0]), block, weights)[0]
-        mean *= model.target_std
-        mean += model.target_mean
-        return mean, None
+        in_mean, in_std, out_mean, out_std = model.scales
+        q = [(v - m) / s for v, m, s in zip(row, in_mean, in_std)]
+        e = np.array(q + [v * v for v in q] + [1.0]).dot(block.T)
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        z = e.dot(weights).tolist()
+        return np.array([v * s + m for v, s, m in zip(z, out_std, out_mean)]), None
     w = np.asarray(w, dtype=float)
     width = w.shape[-1] if w.ndim else 1
     if w.ndim > 2 or width != d:
@@ -794,8 +800,10 @@ def predict(
     # at N = 1000, 2 vCPUs, medians of 20 processes: 13.7 ms against 10.4 ms)
     exponents = np.empty((min(aug.shape[0], _QUERY_ROWS), block.shape[0]))
     for i in range(0, aug.shape[0], _QUERY_ROWS):
-        _, e = _exp_weighted(aug[i:i + _QUERY_ROWS], block, weights,
-                             exponents[:aug.shape[0] - i], means[i:i + _QUERY_ROWS])
+        e = aug[i:i + _QUERY_ROWS].dot(block.T, out=exponents[:aug.shape[0] - i])
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        e.dot(weights, out=means[i:i + _QUERY_ROWS])
         if variance:
             for j, out in enumerate(model.outputs):
                 signal_var = math.exp(out.theta[d])
@@ -809,19 +817,6 @@ def predict(
     if w.ndim == 1:
         return means[0], None if variances is None else variances[0]
     return means, variances
-
-
-def _exp_weighted(aug: np.ndarray, block: np.ndarray, weights: np.ndarray,
-                  exponents: Optional[np.ndarray] = None,
-                  out: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
-    """(means, exps): the standardized means of the augmented queries aug,
-    one row or a block of rows, and the exps of their clamped exponents,
-    formed in exponents and out when given, else in new arrays. ndarray.dot
-    makes the BLAS call np.matmul makes, at less overhead per call."""
-    e = aug.dot(block.T, out=exponents)
-    np.minimum(e, 0.0, out=e)
-    np.exp(e, out=e)
-    return e.dot(weights, out=out), e
 
 
 @_single_blas_thread()

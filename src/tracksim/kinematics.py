@@ -116,12 +116,14 @@ def check_delta(dx: float, dy: float, dphi: float) -> None:
         raise ValueError(f"|dphi| must be < pi, got {dphi}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PoseDelta:
     """One-interval pose increment (dx, dy, dphi).
 
     dphi is a genuine per-step increment, not a wrapped angle, checked by
-    check_delta.
+    check_delta. Slotted, not frozen (a frozen init costs more than a
+    control step's arithmetic): the tracker builds a new one per step, so
+    a slot that mutates the one it is handed changes nothing.
     """
 
     dx: float
@@ -138,9 +140,11 @@ class PoseDelta:
         return np.array([self.dx, self.dy])
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TrackCommand:
-    """Left/right track speed pair [m/s]."""
+    """Left/right track speed pair [m/s], slotted like PoseDelta. Its own
+    finiteness check is what stops an infinite command: the plants clip it
+    to max_track_speed before check_delta sees the realized delta."""
 
     left: float
     right: float

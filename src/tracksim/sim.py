@@ -24,7 +24,6 @@ with its successor to invert the actuator recursion.
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
@@ -655,16 +654,15 @@ def split_dataset(
 
 
 def write_csv(path: str, header: Sequence[str], rows) -> None:
-    """Write rows under header atomically; floats keep every digit (repr)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    """Write rows of Python ints and floats (as tolist() gives them) under
+    header atomically; repr keeps every digit of a float."""
     ncols = len(header)
+    lines = [",".join(header)]
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"row has {len(row)} fields, want {ncols}")
-        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
-    atomic_write_text(path, buf.getvalue())
+        lines.append(",".join(map(repr, row)))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str, header: Sequence[str]) -> np.ndarray:
@@ -679,7 +677,7 @@ def read_csv(path: str, header: Sequence[str]) -> np.ndarray:
 
 
 def save_log(log: RolloutLog, path: str) -> None:
-    columns = (getattr(log, name) for name in _LOG_FIELDS)
+    columns = (getattr(log, name).tolist() for name in _LOG_FIELDS)
     write_csv(path, LOG_COLUMNS, zip(range(len(log)), *columns))
 
 
@@ -691,7 +689,7 @@ DATASET_COLUMNS = ("w1", "w2", "w3", "w4", "w5", "w6", "z1", "z2")
 
 
 def save_dataset(data: Dataset, path: str) -> None:
-    write_csv(path, DATASET_COLUMNS, np.hstack([data.inputs, data.targets]))
+    write_csv(path, DATASET_COLUMNS, np.hstack([data.inputs, data.targets]).tolist())
 
 
 def load_dataset(path: str) -> Dataset:

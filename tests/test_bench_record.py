@@ -1,7 +1,8 @@
 """Tests for tools/bench_record.py's verdict on the runs it records.
 
 The benchmark itself is replaced by a stub result per run, so these
-tests check only how the recorder reacts to broken runs.
+tests check only how the recorder reacts to broken runs and what
+verdict it writes for given run values.
 """
 
 import importlib.util
@@ -20,8 +21,8 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
     DECLARED = json.load(fh)
 
 
-def stub_result(exit_code=0, correct=True, failed=0):
-    metrics = {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in DECLARED["end_to_end"]}
+def stub_result(exit_code=0, correct=True, failed=0, value=1.0):
+    metrics = {m["name"]: {"value": value, "unit": m["unit"]} for m in DECLARED["end_to_end"]}
     return {"exit_code": exit_code, "correct": correct, "attempted": 3, "failed": failed,
             "metrics": metrics}
 
@@ -29,7 +30,7 @@ def stub_result(exit_code=0, correct=True, failed=0):
 @pytest.fixture
 def record(monkeypatch, tmp_path):
     """Run the recorder on stub sides; returns (exit code, stderr, record)."""
-    def run(broken):
+    def run(broken, pairs=2):
         def run_once(checkout, workload, seed, seconds):
             pair = seed - 301
             return broken.get((workload, os.path.basename(checkout), pair), stub_result())
@@ -49,7 +50,7 @@ def record(monkeypatch, tmp_path):
         monkeypatch.setattr(bench_record, "run_once", run_once)
         out = tmp_path / "bench.json"
         code = bench_record.main(["--base", "a", "--change", "b", "--out", str(out),
-                                  "--pairs", "2"])
+                                  "--pairs", str(pairs)])
         return code, json.loads(out.read_text())
 
     return run
@@ -91,3 +92,49 @@ def test_broken_run_exits_one_and_is_named(record, capsys, result, shown):
     assert f"broken run: {workload} change pair 1: " in err
     assert shown in err
     assert err.count("broken run:") == 1
+
+
+def runs_of(base, change):
+    """Stub runs giving every metric the values base[i] and change[i] in pair i."""
+    workload = DECLARED["workloads"][0]["name"]
+    return workload, {
+        **{(workload, "base", i): stub_result(value=v) for i, v in enumerate(base)},
+        **{(workload, "change", i): stub_result(value=v) for i, v in enumerate(change)},
+    }
+
+
+BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR 3.5%
+
+
+@pytest.mark.parametrize("change, met", [
+    ([0.90] * 10, True),                # every pair won, gap 10% > IQR
+    ([0.90] * 9 + [1.10], True),        # nine of ten is enough
+    ([0.90] * 8 + [1.10] * 2, False),   # eight of ten is not
+    ([v - 0.02 for v in BASE], False),  # every pair won, gap 2% inside the IQR
+])
+def test_claim_rule_needs_nine_wins_and_a_gap_beyond_the_iqr(record, change, met):
+    workload, runs = runs_of(BASE, change)
+    _, written = record(runs, pairs=10)
+    for name, metric in written["workloads"][workload]["metrics"].items():
+        lower = metric["better"] == "lower"
+        assert metric["claim_rule_met"] is (met and lower), name
+        assert metric["worse_than_bound"] is False, name
+
+
+def test_worse_than_bound_reads_the_declared_bound(record):
+    # each metric's change median is its bound plus or minus 1% worse
+    workload = DECLARED["workloads"][0]["name"]
+    for over in (0.01, -0.01):
+        runs = {}
+        for i in range(2):
+            runs[workload, "base", i] = stub_result()
+            change = stub_result()
+            for m in DECLARED["end_to_end"]:
+                worse = m["bound"] + over
+                change["metrics"][m["name"]]["value"] = (
+                    1.0 + worse if m["better"] == "lower" else 1.0 - worse)
+            runs[workload, "change", i] = change
+        _, written = record(runs)
+        for name, metric in written["workloads"][workload]["metrics"].items():
+            assert metric["worse_than_bound"] is (over > 0), name
+            assert metric["claim_rule_met"] is False, name

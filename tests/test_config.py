@@ -1,5 +1,6 @@
 """Tests for YAML experiment-config parsing and resolution."""
 
+import collections
 import math
 import os
 import tempfile
@@ -361,12 +362,30 @@ def section(name):
 
 # every document gets a trajectory section, so that accepted ones build
 # references of each kind
-DOCUMENTS = st.tuples(entries(set(SCHEMA_KEYS) | {"plant"}, section), section("trajectory")).map(
-    lambda parts: {**parts[0], "trajectory": parts[1]}
-)
+SCHEMA_DOCUMENTS = st.tuples(
+    entries(set(SCHEMA_KEYS) | {"plant"}, section), section("trajectory")
+).map(lambda parts: {**parts[0], "trajectory": parts[1]})
+
+# Documents valid in every key, for the two rules a resolved config can
+# still break, which the documents above almost never reach: a waypoint
+# path of a centimeter or less, which ramps through in under 4 samples
+# unless its ramp is long, and gains either side of the stability bound
+# (with the default kd, an order-2 axis is stable for kp in (0, 1.3))
+SMALL = st.floats(0.0, 0.01)
+EDGE_DOCUMENTS = st.fixed_dictionaries({
+    "trajectory": st.fixed_dictionaries({
+        "kind": st.just("waypoints"),
+        "points": st.lists(st.lists(SMALL, min_size=2, max_size=2), min_size=2, max_size=3),
+        "ramp_time": st.floats(0.001, 0.5),
+    }),
+    "gains": st.fixed_dictionaries({"kp": st.lists(st.floats(-0.5, 2.0), min_size=2, max_size=2)}),
+})
+
+DOCUMENTS = mostly(SCHEMA_DOCUMENTS, EDGE_DOCUMENTS)
 
 
-# waypoint references of 2 and 3 samples, which the corpus above rarely draws
+# waypoint references of 2 and 3 samples and unstable gains, run whatever
+# the draws hold
 SHORT_2 = {"trajectory": {"kind": "waypoints", "points": [[0, 0], [0.002, 0]], "ramp_time": 0.01}}
 SHORT_3 = {"trajectory": {"kind": "waypoints", "points": [[0, 0], [0.01, 0]], "ramp_time": 0.05}}
 UNSTABLE = {"gains": {"kp": [3.0, 3.0]}}
@@ -385,23 +404,43 @@ class TestFuzz:
             return
         assert len(cfg.trajectory()) >= 4
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(DOCUMENTS)
-    @example(SHORT_2)
-    @example(SHORT_3)
-    @example(UNSTABLE)
-    def test_gains_check_rejects_what_simulate_rejects(self, learned_model, doc):
+    def test_gains_check_rejects_what_simulate_rejects(self, learned_model):
         # both read the same file; gains-check reports unstable gains, which
         # simulate refuses as a bad run request, with exit 1 instead of 2
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "cfg.yaml")
-            with open(path, "w", encoding="utf-8") as fh:
-                yaml.safe_dump(doc, fh)
-            checked = main(["gains-check", "--config", path])
-            simulated = main(["simulate", "--config", path, "--model", learned_model,
-                              "--out", os.path.join(tmp, "out")])
-        assert checked in (0, 1, 2)
-        assert (simulated == 2) == (checked != 0), (checked, simulated)
+        drawn = collections.Counter()
+
+        @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+        @given(DOCUMENTS)
+        @example(SHORT_2)
+        @example(SHORT_3)
+        @example(UNSTABLE)
+        def agree(doc):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "cfg.yaml")
+                with open(path, "w", encoding="utf-8") as fh:
+                    yaml.safe_dump(doc, fh)
+                checked = main(["gains-check", "--config", path])
+                simulated = main(["simulate", "--config", path, "--model", learned_model,
+                                  "--out", os.path.join(tmp, "out")])
+            assert checked in (0, 1, 2)
+            assert (simulated == 2) == (checked != 0), (checked, simulated)
+            if doc not in (SHORT_2, SHORT_3, UNSTABLE):
+                drawn[outcome(doc, checked)] += 1
+
+        agree()
+        # the drawn documents, not only the examples, reach both rules
+        assert drawn["short reference"] >= 5 and drawn["unstable gains"] >= 5, drawn
+
+
+def outcome(doc, checked):
+    """Which rule, if any, turned doc away, given gains-check's exit code."""
+    if checked == 1:
+        return "unstable gains"
+    try:
+        parse_config(doc)
+    except ConfigError as exc:
+        return "short reference" if "fewer than the 4" in str(exc) else "other error"
+    return "accepted"
 
 
 @pytest.fixture(scope="module")

@@ -949,6 +949,27 @@ class TestOneRowQuery:
             assert np.array_equal(mean, predict(model, q, variance=False)[0])
             assert np.array_equal(mean, predict(model, q[None], variance=False)[0][0])
 
+    def test_a_loaded_model_gives_the_fitted_models_bits(self, tmp_path):
+        # the float scales the one-row query reads are built by the model
+        # itself, so a file read back queries exactly as the fit it holds
+        rng = np.random.default_rng(43)
+        w, z = make_problem(rng, 40)
+        fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
+        path = str(tmp_path / "model.json")
+        save_model(fitted, path)
+        loaded = load_model(path)
+        for model in (fitted, loaded):
+            assert model.scales == (model.input_mean.tolist(), model.input_std.tolist(),
+                                    model.target_mean.tolist(), model.target_std.tolist())
+            assert all(type(v) is float for scale in model.scales for v in scale)
+        queries = w[rng.choice(40, size=12)] + rng.normal(0.0, 0.05, size=(12, 6))
+        for q in queries:
+            mean, _ = predict(fitted, tuple(q.tolist()), variance=False)
+            for model in (fitted, loaded):
+                assert np.array_equal(predict(model, tuple(q.tolist()), variance=False)[0], mean)
+                assert np.array_equal(predict(model, q, variance=False)[0], mean)
+                assert np.array_equal(predict(model, q[None], variance=False)[0][0], mean)
+
     def test_a_returned_mean_is_not_overwritten_by_the_next_call(self):
         model = recipe_shaped_model()
         first, _ = predict(model, model.inputs[0], variance=False)

@@ -78,6 +78,43 @@ def test_pose_delta_rejects_half_turn_and_nan():
             check(float("nan"), 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_value_types_reject_non_finite_components(bad):
+    for i in range(3):
+        parts = [0.1, -0.2, 0.3]
+        parts[i] = bad
+        with pytest.raises(ValueError, match="delta components must be finite"):
+            PoseDelta(*parts)
+    for parts in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="track speeds must be finite"):
+            TrackCommand(*parts)
+
+
+def test_pose_delta_rejects_every_half_turn_or_more():
+    for dphi in (math.pi, -math.pi, 4.0, -4.0):
+        with pytest.raises(ValueError, match=r"\|dphi\| must be < pi"):
+            PoseDelta(0.0, 0.0, dphi)
+    assert PoseDelta(0.0, 0.0, math.nextafter(math.pi, 0.0)).dphi < math.pi
+
+
+def test_value_types_keep_their_fields_and_compare_by_value():
+    delta = PoseDelta(0.1, -0.2, 0.3)
+    assert (delta.dx, delta.dy, delta.dphi) == (0.1, -0.2, 0.3)
+    assert delta == PoseDelta(0.1, -0.2, 0.3)
+    assert delta != PoseDelta(0.1, -0.2, 0.30000000000000004)
+    assert np.array_equal(delta.as_array(), [0.1, -0.2, 0.3])
+    assert np.array_equal(delta.xy(), [0.1, -0.2])
+    cmd = TrackCommand(0.5, -1.5)
+    assert (cmd.left, cmd.right) == (0.5, -1.5)
+    assert cmd == TrackCommand(0.5, -1.5) and cmd != TrackCommand(-1.5, 0.5)
+    assert np.array_equal(cmd.as_array(), [0.5, -1.5])
+    # slotted: no per-instance dict, and no field can be added by a typo
+    for value in (delta, cmd):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.left_speed = 0.0
+
+
 def test_vehicle_params_validation():
     with pytest.raises(ValueError):
         VehicleParams(steering_efficiency=0.0)

@@ -6,6 +6,8 @@ which pins the log convention, the plant sequencing, and the dataset
 pairing against each other.
 """
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -378,6 +380,30 @@ class TestRollout:
         assert np.array_equal(np.array(seen[1:]), realized[:-1])
         assert np.array_equal(np.array(issued), np.column_stack([log.vl_cmd, log.vr_cmd]))
 
+    def test_a_slot_that_mutates_its_delta_changes_nothing(self):
+        # the value types are not frozen: the tracker builds the delta anew
+        # from its own floats at every step, so a slot that writes into the
+        # one it was handed cannot reach the next step or the log
+        traj = make_figure8(amplitude=1.0, period_steps=120, sample_time=0.05)
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
+        handed = []
+
+        def closed(u, delta, phi):
+            return inverse_second_order(u, delta, phi, PARAMS)
+
+        def mutating(u, delta, phi):
+            cmd = closed(u, delta, phi)
+            handed.append(delta)
+            delta.dx, delta.dy, delta.dphi = 1e3, -1e3, 3.0
+            return cmd
+
+        kw = dict(plant="slip", world=world, seed=5)
+        want = rollout(traj, GAINS2, 2, PARAMS, inverse_model=closed, **kw)
+        got = rollout(traj, GAINS2, 2, PARAMS, inverse_model=mutating, **kw)
+        assert len(handed) == len(got) and len({id(d) for d in handed}) == len(handed)
+        for name in sim._LOG_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
     def test_non_finite_state_aborts_with_step_index(self):
         traj = make_circle(radius=1.0, period_steps=100, sample_time=0.05)
         bad = lambda u, delta, phi: TrackCommand(math.nan, math.nan)
@@ -560,6 +586,23 @@ class TestCsvPersistence:
         assert np.array_equal(loaded.targets, data.targets)
         header = path.read_text().splitlines()[0]
         assert header == ",".join(DATASET_COLUMNS) == "w1,w2,w3,w4,w5,w6,z1,z2"
+
+    def test_rows_are_the_bytes_csv_writer_gives(self, tmp_path):
+        # the oracle is the csv module fed repr(float(v)), the way rows were
+        # written before they were joined by hand
+        header = ("t", "a", "b")
+        rows = [(0, 0.1, -0.0), (1, 5e-324, 1.7976931348623157e308), (12, 1e-05, -2.5e16),
+                (10**6, 1 / 3, 123456789.0)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+        path = tmp_path / "rows.csv"
+        sim.write_csv(str(path), header, rows)
+        assert path.read_text() == buf.getvalue()
+        with pytest.raises(ValueError, match="row has 2 fields, want 3"):
+            sim.write_csv(str(path), header, [(0, 1.0)])
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -17,7 +17,12 @@ The output holds, per workload and end-to-end metric, each side's runs,
 median and quartiles, how many pairs the change won (ties count for
 neither side), and a noise band: the pairs split into two back-to-back
 recordings of half the pairs each, and the band is the largest relative
-difference between the two halves' medians on either side. It also
+difference between the two halves' medians on either side. Each metric
+also states its verdict: ``claim_rule_met`` when the change won at least
+nine pairs in ten and its median is better than the parent's by more
+than the parent's interquartile range, and ``worse_than_bound`` when its
+median is worse than the parent's by more than the metric's bound in
+BENCHMARK.json (both as shares of the parent's median). It also
 records nproc, the Python, numpy and scipy versions, and the thread
 count and build of each OpenBLAS, as the benchmark reports them, the
 OPENBLAS_NUM_THREADS and PYTHONDONTWRITEBYTECODE settings, and
@@ -37,6 +42,7 @@ import glob
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -142,6 +148,7 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         declared = json.load(fh)
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in declared["end_to_end"]}
     workloads = [w["name"] for w in declared["workloads"]]
     seconds = declared["run_seconds"]
     work = tempfile.mkdtemp(prefix="bench_record_")
@@ -181,16 +188,22 @@ def main(argv=None) -> int:
                 sign = 1.0 if direction == "lower" else -1.0
                 wins = sum(sign * (c - b) < 0 for b, c in zip(values["base"], values["change"]))
                 base, change = summary(values["base"]), summary(values["change"])
+                # the change's median gain (> 0 when better) and the parent's
+                # interquartile range, both as shares of the parent's median
+                gain = sign * (base["median"] - change["median"]) / base["median"]
+                iqr = (base["q3"] - base["q1"]) / base["median"]
                 metrics[name] = {
                     "unit": runs["base"][0]["metrics"][name]["unit"],
                     "better": direction,
                     "base": base,
                     "change": change,
                     "change_vs_base_pct": 100.0 * (change["median"] / base["median"] - 1.0),
-                    "base_iqr_pct": 100.0 * (base["q3"] - base["q1"]) / base["median"],
+                    "base_iqr_pct": 100.0 * iqr,
                     "change_wins": int(wins),
                     "noise_band_pct": 100.0 * max(noise_band(values["base"]),
                                                   noise_band(values["change"])),
+                    "claim_rule_met": bool(wins >= math.ceil(0.9 * args.pairs) and gain > iqr),
+                    "worse_than_bound": bool(-gain > bounds[name]),
                 }
             record["workloads"][workload] = {
                 "all_correct": all(r["correct"] for s in runs for r in runs[s]),
