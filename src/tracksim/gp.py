@@ -1,10 +1,8 @@
 """Gaussian-process regression of the vehicle's inverse command model.
 
-Each training sample pairs a six-dimensional context
-(next realized offset delta, current offset delta, heading) with the
-two-dimensional track command that produced it. The two command outputs
-are modeled by two independent zero-mean GPs over the shared inputs
-(conditional independence given the context), each with its own
+Each training sample pairs D inputs with M outputs (the learned slot's
+are sim.SLOT_INPUTS and sim.SLOT_TARGETS). The outputs are modeled by M
+independent zero-mean GPs over the shared inputs, each with its own
 squared-exponential ARD kernel and noise level.
 
 Each output's hyperparameters are one log-space vector theta = [log
@@ -234,7 +232,7 @@ def kernel_matrix(theta: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Paired regression data: inputs (N, 6), targets (N, 2)."""
+    """Paired regression data: inputs (N, D), targets (N, M)."""
 
     inputs: np.ndarray
     targets: np.ndarray
@@ -456,7 +454,7 @@ def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> tupl
 
 @dataclass
 class GpModel:
-    """Two independent GPs over shared inputs, with standardization.
+    """M independent GPs over D shared inputs, with standardization.
 
     query is predict's block of all M outputs: the augmented training
     rows [x / l^2, -0.5 / l^2, -0.5 |x / l|^2] of each output's
@@ -466,8 +464,8 @@ class GpModel:
     alpha, block-diagonal (M N, M), that turn their exps into the M means.
     scales: input_mean, input_std, target_mean, target_std as float lists."""
 
-    inputs: np.ndarray  # raw training inputs (N, 6)
-    targets: np.ndarray  # raw training targets (N, 2)
+    inputs: np.ndarray  # raw training inputs (N, D)
+    targets: np.ndarray  # raw training targets (N, M)
     input_mean: np.ndarray
     input_std: np.ndarray
     target_mean: np.ndarray
@@ -682,7 +680,7 @@ def _fit_outputs(
 
 
 def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()) -> GpModel:
-    """Fit both command outputs independently over the shared inputs.
+    """Fit each output independently over the shared inputs.
 
     Training sets larger than config.max_train are subsampled uniformly
     (seeded) before standardization. Each output gets its own RNG stream
@@ -720,11 +718,11 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
 def predict(
     model: GpModel, w: np.ndarray | tuple, variance: bool = True
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Posterior mean and observation variance of the command at w.
+    """Posterior mean and observation variance of the M outputs at w.
 
-    Accepts a single 6-vector (a 1-D array, or a tuple of six reals) or an
-    (M, 6) batch (an array, or a list of rows; a tuple is read as one
-    row); returns arrays shaped (2,)/(M, 2). Variance includes the
+    Accepts one row of D inputs (a 1-D array, or a tuple of D reals) or a
+    (K, D) batch (an array, or a list of rows; a tuple is read as one
+    row); returns arrays shaped (M,)/(K, M). Variance includes the
     fitted noise level. The model keeps no factor, so a call that asks for
     the variance loads scipy.linalg and builds, per output, one N x N
     kernel matrix and its Cholesky factor (_output_factor, on one BLAS
@@ -733,7 +731,7 @@ def predict(
     variance=False none of that is done and the variance comes back as
     None; the means are the same. Each query q, standardized, becomes the
     row [q, q o q, 1], whose product with the model's augmented rows gives
-    the exponents of both outputs at once; their clamped exps times the
+    the exponents of all outputs at once; their clamped exps times the
     block-diagonal weights are the means, and the variance reads each
     output's slice of the same exps. A batch runs _QUERY_ROWS rows at a
     time through one block of exponents allocated per call, so its memory
@@ -821,7 +819,7 @@ def predict(
 
 @_single_blas_thread()
 def held_out_error(model: GpModel, inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
-    """Per-point Euclidean command errors on a held-out set, plus mean."""
+    """Per-point Euclidean output errors on a held-out set, plus mean."""
     data = Dataset(inputs, targets)
     if len(data) == 0:
         raise ValueError("held-out set is empty")

@@ -556,21 +556,18 @@ def rollout(
 
 
 def learned_inverse(model: GpModel) -> InverseModelFn:
-    """Adapt a trained regression model to the controller's inverse slot.
-
-    The query layout mirrors dataset extraction: desired next offset
-    translation, newest realized offset delta, heading at that delta's
-    start.
-    """
-    if model.inputs.shape[1] != 6 or len(model.outputs) != 2:
+    """Adapt a trained regression model to the controller's inverse slot:
+    each step's SLOT_INPUTS, built as extract_dataset builds a log row's,
+    to the SLOT_TARGETS command."""
+    if model.inputs.shape[1] != len(SLOT_INPUTS) or len(model.outputs) != len(SLOT_TARGETS):
         raise ValueError(
-            "model does not match the six-input, two-command inverse slot: "
-            f"inputs {model.inputs.shape}, outputs {len(model.outputs)}"
+            f"model does not match the inverse slot's inputs {SLOT_INPUTS} and targets "
+            f"{SLOT_TARGETS}: inputs {model.inputs.shape}, outputs {len(model.outputs)}"
         )
 
     def fn(u: tuple[float, float], delta: PoseDelta, phi: float) -> TrackCommand:
-        ux, uy = u
-        mean, _ = predict(model, (ux, uy, delta.dx, delta.dy, delta.dphi, phi), variance=False)
+        row = _slot_inputs(u, (delta.dx, delta.dy, delta.dphi), phi)
+        mean, _ = predict(model, row, variance=False)
         return TrackCommand(*mean.tolist())
 
     return fn
@@ -603,29 +600,33 @@ def cartesian_error(log: RolloutLog) -> Metrics:
     return Metrics(errors, float(errors.mean()), float(errors.max()))
 
 
+# the learned inverse slot's inputs (w1, ...) and targets (z1, ...), in
+# dataset column order; _slot_inputs alone writes the input order
+SLOT_INPUTS = ("next_dx", "next_dy", "dx", "dy", "dphi", "phi")
+SLOT_TARGETS = ("left", "right")
+
+
+def _slot_inputs(u, delta, phi) -> tuple:
+    """SLOT_INPUTS of the next offset translation u (dx, dy), realized in
+    a log and desired at run time, the current offset delta (dx, dy, dphi)
+    and the heading phi at its start: one step's floats or a log's columns."""
+    return (*u, *delta, phi)
+
+
 def extract_dataset(log: RolloutLog) -> Dataset:
     """Inverse-model training pairs from a rollout log.
 
-    Anchored at interior rows t in [1, L-2]: the input stacks the next
-    realized offset translation, the current realized offset delta, and
-    the heading at that delta's start; the target is the command issued
-    at row t+1 (the command that produced the next delta). A length-L
-    log therefore yields L-2 samples.
+    Anchored at interior rows t in [1, L-2]: the inputs are the offset
+    translation realized by row t+1 and row t's delta and heading; the
+    targets, the command issued at row t+1, which produced that
+    translation. A length-L log therefore yields L-2 samples.
     """
     n = len(log)
     if n < 3:
         raise ValueError(f"need at least 3 log rows to extract samples, got {n}")
     t = np.arange(1, n - 1)
-    w = np.column_stack(
-        [
-            log.dx[t + 1],
-            log.dy[t + 1],
-            log.dx[t],
-            log.dy[t],
-            log.dphi[t],
-            log.phi[t],
-        ]
-    )
+    w = np.column_stack(_slot_inputs((log.dx[t + 1], log.dy[t + 1]),
+                                     (log.dx[t], log.dy[t], log.dphi[t]), log.phi[t]))
     z = np.column_stack([log.vl_cmd[t + 1], log.vr_cmd[t + 1]])
     return Dataset(w, z)
 
@@ -685,7 +686,8 @@ def load_log(path: str) -> RolloutLog:
     return RolloutLog(*read_csv(path, LOG_COLUMNS)[:, 1:].T.copy())
 
 
-DATASET_COLUMNS = ("w1", "w2", "w3", "w4", "w5", "w6", "z1", "z2")
+DATASET_COLUMNS = (*(f"w{i + 1}" for i in range(len(SLOT_INPUTS))),
+                   *(f"z{i + 1}" for i in range(len(SLOT_TARGETS))))
 
 
 def save_dataset(data: Dataset, path: str) -> None:
@@ -694,4 +696,4 @@ def save_dataset(data: Dataset, path: str) -> None:
 
 def load_dataset(path: str) -> Dataset:
     arr = read_csv(path, DATASET_COLUMNS)
-    return Dataset(arr[:, :6].copy(), arr[:, 6:].copy())
+    return Dataset(*(part.copy() for part in np.hsplit(arr, [len(SLOT_INPUTS)])))

@@ -26,7 +26,7 @@ from conftest import blas_thread_counts, wheel_openblas_count
 from tracksim import cli, gp
 from tracksim.cli import main
 from tracksim.gp import FitConfig, fit, held_out_error, load_model, save_model
-from tracksim.sim import load_dataset, load_log
+from tracksim.sim import SLOT_INPUTS, SLOT_TARGETS, load_dataset, load_log
 
 FAST_GP = {"restarts": 1, "max_iter": 80, "max_train": 200}
 
@@ -683,6 +683,22 @@ class TestEvaluate:
         cfg = tiny_config(tmp_path)
         assert main(["evaluate", "--config", cfg, "--out", str(tmp_path),
                      "--model", str(path)]) == 4
+
+    def test_five_input_model_exits_4_naming_the_slot(self, tmp_path, capsys):
+        # one input short of the slot: a file that loads, then cannot be queried
+        rng = np.random.default_rng(1)
+        model = fit(rng.normal(size=(12, 5)), rng.normal(size=(12, 2)),
+                    FitConfig(restarts=0, max_iter=5))
+        path = tmp_path / "five.json"
+        save_model(model, str(path))
+        assert load_model(str(path)).inputs.shape == (12, 5)
+        cfg = tiny_config(tmp_path)
+        assert main(["evaluate", "--config", cfg, "--out", str(tmp_path),
+                     "--model", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error: ")
+        assert str(SLOT_INPUTS) in err and str(SLOT_TARGETS) in err
+        assert "inputs (12, 5), outputs 2" in err
 
 
 # Run one command in a fresh interpreter, then name the scipy submodules

@@ -16,7 +16,7 @@ import pytest
 
 from tracksim import sim
 from tracksim.control import Gains
-from tracksim.gp import Dataset
+from tracksim.gp import Dataset, FitConfig, fit
 from tracksim.kinematics import (
     PoseDelta,
     TrackCommand,
@@ -551,6 +551,54 @@ class TestDatasetExtraction:
         big = Dataset(np.zeros((10, 6)), np.zeros((10, 2)))
         with pytest.raises(ValueError):
             split_dataset(big, train_fraction=1.5)
+
+
+class TestLearnedSlot:
+    """The slot reads the layout extraction writes: sim.SLOT_INPUTS."""
+
+    def test_query_rows_have_the_extracted_layout(self, monkeypatch):
+        # the row the slot hands predict at step t+1 is that step's desired
+        # translation, then the columns extraction takes from log row t
+        traj = make_figure8(amplitude=1.0, period_steps=120, sample_time=0.05)
+        world = SlipPlaneWorld(slope=0.3, base_slip=0.1, noise_sigma=1e-3)
+        data = extract_dataset(rollout(traj, GAINS2, 2, PARAMS, plant="slip", world=world,
+                                       seed=4))
+        inverse = sim.learned_inverse(fit(data.inputs, data.targets,
+                                          FitConfig(max_iter=20, restarts=0)))
+        rows, desired = [], []
+
+        def recording_predict(model, w, variance=True, _fn=sim.predict):
+            rows.append(w)
+            return _fn(model, w, variance)
+
+        def slot(u, delta, phi):
+            desired.append(u)
+            return inverse(u, delta, phi)
+
+        monkeypatch.setattr(sim, "predict", recording_predict)
+        log = rollout(traj, GAINS2, 2, PARAMS, plant="slip", world=world, seed=5,
+                      inverse_model=slot)
+        inputs = extract_dataset(log).inputs
+        assert len(rows) == len(desired) == len(log)
+        assert all(len(row) == len(sim.SLOT_INPUTS) for row in rows)
+        for t in range(1, len(log) - 1):
+            row = rows[t + 1]
+            assert tuple(row[:2]) == tuple(desired[t + 1])
+            assert tuple(row[2:5]) == tuple(inputs[t - 1][2:5])
+            # the heading at the delta's start is the pose's heading less
+            # the delta, equal to the logged one up to rounding
+            assert row[5] == pytest.approx(inputs[t - 1][5], rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("inputs, outputs", [(5, 2), (6, 3)])
+    def test_a_model_of_another_width_is_rejected_by_name(self, inputs, outputs):
+        rng = np.random.default_rng(3)
+        model = fit(rng.normal(size=(12, inputs)), rng.normal(size=(12, outputs)),
+                    FitConfig(restarts=0, max_iter=5))
+        with pytest.raises(ValueError) as caught:
+            sim.learned_inverse(model)
+        message = str(caught.value)
+        assert str(sim.SLOT_INPUTS) in message and str(sim.SLOT_TARGETS) in message
+        assert f"inputs {model.inputs.shape}, outputs {outputs}" in message
 
 
 class TestCsvPersistence:
