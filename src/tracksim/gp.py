@@ -20,12 +20,12 @@ each output at its chosen theta (_output_model), factoring the noisy
 kernel matrix to solve the weights alpha = K_y^-1 z, and keeps theta and
 alpha, not the N x N factor: the mean needs the weights alone (Rasmussen
 & Williams 2006, Alg. 2.1). The model file stores alpha, so loading a
-model factors nothing, and predict rebuilds the factor, per output and
-call, only when asked for the variance. GpModel keeps what a query reads
-of every output in two arrays: the augmented training rows of all
-outputs and their block-diagonal weights. A block of queries augmented
-the same way pays for one product with the rows, one clamp, one exp and
-one product with the weights, and scales nothing per output.
+model factors nothing, and predict, which returns the mean alone, never
+forms the factor. GpModel keeps what a query reads of every output in two
+arrays: the augmented training rows of all outputs and their
+block-diagonal weights. A block of queries augmented the same way pays
+for one product with the rows, one clamp, one exp and one product with
+the weights, and scales nothing per output.
 
 One evaluation of the fit's objective works in two N x N buffers: the
 kernel matrix K, and LAPACK's copy of it, whose lower triangle is
@@ -36,12 +36,12 @@ pair once and hands it to every objective call, so the fit's speed does
 not depend on how the allocator treats blocks freed before it. The
 gradient is read from one product of that triangle with an N x (D + 1)
 array, so no triangle is mirrored into a full matrix. An output's
-factor (_output_factor, for the build and predict's variance) takes the
-objective's path in one N x N array: each attempt of the one jitter
-loop, _chol_with_jitter, writes K from kernel_matrix(theta, x), exactly
-symmetric and a function of the values of theta and x alone, into the
-array it factors in place with _lapack_factor. So a model depends only
-on the bytes of its training data.
+factor (_output_factor, for the build) takes the objective's path in one
+N x N array: each attempt of the one jitter loop, _chol_with_jitter,
+writes K from kernel_matrix(theta, x), exactly symmetric and a function
+of the values of theta and x alone, into the array it factors in place
+with _lapack_factor. So a model depends only on the bytes of its
+training data.
 
 The optimizations, one per (output, start) pair, are independent jobs
 of one list, and so are the builds of the outputs at their chosen
@@ -55,25 +55,23 @@ once before the pool starts, so a job pickle cannot send raises before
 any worker exists. The results are merged per output in list order
 either way, so the model file has the same bytes on one CPU or several.
 
-Only the fit and predict's variance need scipy: both call scipy.linalg's
-LAPACK wrappers, and the optimizer is scipy.optimize's. Each function
-that calls scipy imports it, and loading and querying a model for its
-mean needs numpy alone, so a command that never fits a GP imports no part
-of scipy. A parallel fit loads scipy.optimize before its pool forks, so
-no worker imports it again.
+Only the fit needs scipy: it calls scipy.linalg's LAPACK wrappers, and
+the optimizer is scipy.optimize's. Each function that calls scipy imports
+it, and loading and querying a model needs numpy alone, so a command that
+never fits a GP imports no part of scipy. A parallel fit loads
+scipy.optimize before its pool forks, so no worker imports it again.
 
 _single_blas_thread() runs a block on one thread of each OpenBLAS the
 process has loaded, whatever OPENBLAS_NUM_THREADS says, and restores the
 previous thread counts afterwards. Every CLI command runs inside it, and
-the fit, held_out_error's batched prediction and the factors of
-predict's variance enter it themselves. Threaded reductions sum in
-another order, which made the fitted hyperparameters depend on the
-thread count, and at these problem sizes two threads made the fit about
-three times slower than one. Only the OpenBLAS bundled with the numpy
-and scipy Linux wheels is pinned, and scipy's only where the process has
-loaded it: the fit and predict's variance load it before they pin, and a
-command that never calls it does not load it just to pin it. Any other
-BLAS keeps its own setting.
+the fit and held_out_error's batched prediction enter it themselves.
+Threaded reductions sum in another order, which made the fitted
+hyperparameters depend on the thread count, and at these problem sizes
+two threads made the fit about three times slower than one. Only the
+OpenBLAS bundled with the numpy and scipy Linux wheels is pinned, and
+scipy's only where the process has loaded it: the fit loads it before it
+pins, and a command that never fits does not load it just to pin it. Any
+other BLAS keeps its own setting.
 """
 
 from __future__ import annotations
@@ -160,10 +158,10 @@ _OPENBLAS_BINDINGS: dict[str, tuple] = {}
 def _bundled_openblas() -> tuple:
     """(get, set) thread-count functions of each OpenBLAS bundled with the
     numpy and scipy Linux wheels that this process has loaded: numpy's,
-    which importing numpy loads, and scipy's once scipy.linalg or another
-    of its BLAS users has loaded it. A command that never calls scipy's
-    copy does not load it to pin it (a fresh process paid 2.8-6.6 ms, 1.5
-    MB and a thread). The tuple is empty when neither wheel bundles one."""
+    which importing numpy loads, and scipy's once the fit's scipy.linalg
+    or another of its BLAS users has loaded it. A command that never fits
+    does not load scipy's copy to pin it (a fresh process paid 2.8-6.6
+    ms, 1.5 MB and a thread). The tuple is empty when neither wheel bundles one."""
     found = []
     for module, suffix in ((np, "64_"), (sys.modules.get("scipy"), "")):  # numpy's is ILP64
         if module is None:  # scipy not imported, so its copy is not loaded
@@ -188,7 +186,8 @@ def _bundled_openblas() -> tuple:
 def _single_blas_thread():
     """Run the enclosed block on one thread of each OpenBLAS loaded at
     its start, then restore each library's previous thread count (also
-    when the block raises)."""
+    when the block raises). Every CLI command, the fit and held_out_error
+    enter it; predict does not."""
     libs = _bundled_openblas()
     previous = [get() for get, _ in libs]
     for _, put in libs:
@@ -276,7 +275,7 @@ class FitConfig:
     def __post_init__(self) -> None:
         # a GP needs two samples to fit, as train demands of its dataset
         for name, low in (("max_iter", 1), ("grad_tol", 0.0), ("restarts", 0),
-                          ("restart_spread", 0.0), ("max_train", 2)):
+                          ("restart_spread", 0.0), ("seed", 0), ("max_train", 2)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.restarts > MAX_RESTARTS:
@@ -715,83 +714,63 @@ def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()
                        [out for out, _ in fitted], report)
 
 
-def predict(
-    model: GpModel, w: np.ndarray | tuple, variance: bool = True
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Posterior mean and observation variance of the M outputs at w.
+def predict(model: GpModel, w: np.ndarray | tuple | list) -> np.ndarray:
+    """Posterior mean of the M outputs at w.
 
-    Accepts one row of D inputs (a 1-D array, or a tuple of D reals) or a
-    (K, D) batch (an array, or a list of rows; a tuple is read as one
-    row); returns arrays shaped (M,)/(K, M). Variance includes the
-    fitted noise level. The model keeps no factor, so a call that asks for
-    the variance loads scipy.linalg and builds, per output, one N x N
-    kernel matrix and its Cholesky factor (_output_factor, on one BLAS
-    thread, so with the bits the fit's build had), about N^3 / 3 flops
-    each, and solves against it; the factors are freed on return. With
-    variance=False none of that is done and the variance comes back as
-    None; the means are the same. Each query q, standardized, becomes the
-    row [q, q o q, 1], whose product with the model's augmented rows gives
-    the exponents of all outputs at once; their clamped exps times the
-    block-diagonal weights are the means, and the variance reads each
-    output's slice of the same exps. A batch runs _QUERY_ROWS rows at a
+    Accepts one row of D inputs (a tuple or list of D reals, or a 1-D
+    array) or a (K, D) batch (a 2-D array, or a list of rows); returns
+    the means shaped (M,)/(K, M). The mean reads the weights alone, so a
+    query needs numpy and no factor. Each query q, standardized, becomes
+    the row [q, q o q, 1], whose product with the model's augmented rows
+    gives the exponents of all outputs at once; their clamped exps times
+    the block-diagonal weights are the means. A single row, the learned
+    slot's query, is standardized, and its means un-standardized, in
+    floats against model.scales, and only the two products, the clamp and
+    the exp run on arrays, its own. A batch runs _QUERY_ROWS rows at a
     time through one block of exponents allocated per call, so its memory
-    does not grow with its length. A single query asked for its mean
-    alone, the learned slot's query, skips that loop: it is standardized,
-    and its means un-standardized, in floats against model.scales, and
-    only the two products, the clamp and the exp run on arrays, its own.
-    Those are the batch's IEEE operations in the batch's order, so its
-    mean, a new array, has the bits of the row queried as a one-row batch
-    or as the lone last row of a batch. A row that shares a block of a
-    batch with others goes through one matrix product instead, whose sums
-    may round otherwise: it agrees with the same row queried alone to
-    about 1e-9 relative, not to the bit. The bytes are independent of the
-    OpenBLAS thread count only inside _single_blas_thread(), which every
-    CLI command enters; a mean-only predict does not pin itself, as the
-    pin costs 40-70 us, more than a query at N = 1000. ndarray.dot makes
-    np.matmul's BLAS call at less overhead per call.
+    does not grow with its length. Both make the same IEEE operations in
+    the same order, so a row's mean, a new array, has the bits of the row
+    queried as a one-row batch or as the lone last row of a batch. A row
+    that shares a block of a batch with others goes through one matrix
+    product instead, whose sums may round otherwise: it agrees with the
+    same row queried alone to about 1e-9 relative, not to the bit. The
+    bytes are independent of the OpenBLAS thread count only inside
+    _single_blas_thread(), which every CLI command enters; predict does
+    not pin itself, as the pin costs 40-70 us, more than a query at
+    N = 1000. ndarray.dot makes np.matmul's BLAS call at less overhead
+    per call.
     """
     d = model.inputs.shape[1]
     block, weights = model.query
-    if not variance and (type(w) is tuple or isinstance(w, np.ndarray) and w.ndim == 1):
-        # one row, mean only: what the learned slot asks per step
-        row = w if type(w) is tuple else w.tolist()
-        if len(row) != d:
-            raise ValueError(f"query must have {d} columns, got {len(row)}")
-        if not all(map(math.isfinite, row)):
+    if type(w) is not tuple:
+        w = np.asarray(w, dtype=float)
+        if w.ndim == 1:
+            w = w.tolist()
+    if not isinstance(w, np.ndarray):  # one row, as the learned slot asks per step
+        if len(w) != d:
+            raise ValueError(f"query must have {d} columns, got {len(w)}")
+        if not all(map(math.isfinite, w)):
             raise ValueError("prediction query contains non-finite values")
         in_mean, in_std, out_mean, out_std = model.scales
-        q = [(v - m) / s for v, m, s in zip(row, in_mean, in_std)]
+        q = [(v - m) / s for v, m, s in zip(w, in_mean, in_std)]
         e = np.array(q + [v * v for v in q] + [1.0]).dot(block.T)
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         z = e.dot(weights).tolist()
-        return np.array([v * s + m for v, s, m in zip(z, out_std, out_mean)]), None
-    w = np.asarray(w, dtype=float)
+        return np.array([v * s + m for v, s, m in zip(z, out_std, out_mean)])
     width = w.shape[-1] if w.ndim else 1
-    if w.ndim > 2 or width != d:
+    if w.ndim != 2 or width != d:
         raise ValueError(f"query must have {d} columns, got {width}")
     if not np.isfinite(w).all():
         raise ValueError("prediction query contains non-finite values")
     # augmented queries [q, q o q, 1], q the standardized inputs
-    aug = np.empty(w.shape[:-1] + (2 * d + 1,))
-    q = aug[..., :d]
+    aug = np.empty((w.shape[0], 2 * d + 1))
+    q = aug[:, :d]
     np.subtract(w, model.input_mean, out=q)
     q /= model.input_std
-    np.multiply(q, q, out=aug[..., d:2 * d])
-    aug[..., 2 * d] = 1.0
-    if w.ndim < 2:
-        aug = aug.reshape(1, -1)
-    n = model.inputs.shape[0]
+    np.multiply(q, q, out=aug[:, d:2 * d])
+    aug[:, 2 * d] = 1.0
     means = np.empty((aug.shape[0], weights.shape[1]))
-    variances = np.empty_like(means) if variance else None
-    if variance:
-        # loaded before the pin, so that the pin finds scipy's OpenBLAS too
-        import scipy.linalg  # noqa: F401
-
-        # the standardized training inputs as fit forms them
-        xs = (model.inputs - model.input_mean) / model.input_std
-        with _single_blas_thread():
-            chols = [_output_factor(out.theta, xs)[0] for out in model.outputs]
     # exponents -|q - x|^2 / 2 under each output's lengthscales, (rows, M N),
     # allocated once: glibc mapped or trimmed a fresh 1 MB block per 64 rows
     # once the build freed no N x N array (the recipe's held-out predictions
@@ -802,19 +781,9 @@ def predict(
         np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         e.dot(weights, out=means[i:i + _QUERY_ROWS])
-        if variance:
-            for j, out in enumerate(model.outputs):
-                signal_var = math.exp(out.theta[d])
-                ks = signal_var * e[:, j * n:(j + 1) * n]
-                vs = scipy.linalg.solve_triangular(chols[j], ks.T, lower=True)
-                latent = np.maximum(signal_var - np.sum(vs**2, axis=0), 0.0)
-                var_s = latent + math.exp(out.theta[d + 1])
-                variances[i:i + _QUERY_ROWS, j] = var_s * model.target_std[j] ** 2
     means *= model.target_std
     means += model.target_mean
-    if w.ndim == 1:
-        return means[0], None if variances is None else variances[0]
-    return means, variances
+    return means
 
 
 @_single_blas_thread()
@@ -823,8 +792,7 @@ def held_out_error(model: GpModel, inputs: np.ndarray, targets: np.ndarray) -> t
     data = Dataset(inputs, targets)
     if len(data) == 0:
         raise ValueError("held-out set is empty")
-    mean, _ = predict(model, data.inputs, variance=False)
-    errors = np.linalg.norm(mean - data.targets, axis=1)
+    errors = np.linalg.norm(predict(model, data.inputs) - data.targets, axis=1)
     return errors, float(errors.mean())
 
 

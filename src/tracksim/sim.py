@@ -567,8 +567,7 @@ def learned_inverse(model: GpModel) -> InverseModelFn:
 
     def fn(u: tuple[float, float], delta: PoseDelta, phi: float) -> TrackCommand:
         row = _slot_inputs(u, (delta.dx, delta.dy, delta.dphi), phi)
-        mean, _ = predict(model, row, variance=False)
-        return TrackCommand(*mean.tolist())
+        return TrackCommand(*predict(model, row).tolist())
 
     return fn
 

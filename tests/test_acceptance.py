@@ -217,7 +217,7 @@ def test_c4_gp_correctness(tmp_path):
     ) + rng.normal(0.0, 0.05, size=(40, 2))
     model = fit(w, z, FitConfig(restarts=1, max_iter=60, seed=0))
     queries = rng.normal(size=(9, 6))
-    mean, _ = predict(model, queries)
+    mean = predict(model, queries)
     w_std = (w - model.input_mean) / model.input_std
     q_std = (queries - model.input_mean) / model.input_std
     z_std = (z - model.target_mean) / model.target_std
@@ -236,10 +236,8 @@ def test_c4_gp_correctness(tmp_path):
     path = str(tmp_path / "model.json")
     save_model(model, path)
     restored = load_model(path)
-    mean2, var2 = predict(restored, queries)
-    _, var1 = predict(model, queries)
+    mean2 = predict(restored, queries)
     assert np.allclose(mean, mean2, atol=1e-12)
-    assert np.allclose(var1, var2, atol=1e-12)
 
 
 @pytest.mark.criterion("C5", "inverse-model recovery from a clean figure-8 dataset")

@@ -704,13 +704,13 @@ class TestModelHoldsNoFactor:
 
 
 class TestPrediction:
-    def test_mean_and_variance_match_dense_solve(self):
+    def test_mean_matches_dense_solve(self):
         rng = np.random.default_rng(21)
         w, z = make_problem(rng, 30)
         log_ls = rng.normal(0.0, 0.2, size=6)
         model = manual_model(w, z, log_ls, 0.15, math.log(0.02))
         queries = rng.normal(size=(7, 6))
-        mean, var = predict(model, queries)
+        mean = predict(model, queries)
         for j in range(2):
             out = model.outputs[j]
             k = kernel_oracle(log_ls, 0.15, w, w)
@@ -718,62 +718,41 @@ class TestPrediction:
             ky = k + (math.exp(out.theta[7]) + jitter) * np.eye(30)
             ks = kernel_oracle(log_ls, 0.15, queries, w)
             mean_o = ks @ np.linalg.solve(ky, z[:, j])
-            var_o = (
-                math.exp(out.theta[6])
-                + math.exp(out.theta[7])
-                - np.einsum("ij,ij->i", ks, np.linalg.solve(ky, ks.T).T)
-            )
             assert np.allclose(mean[:, j], mean_o, atol=1e-10)
-            assert np.allclose(var[:, j], var_o, atol=1e-10)
 
     def test_single_query_equals_batch_row(self):
         rng = np.random.default_rng(22)
         w, z = make_problem(rng, 12)
         model = manual_model(w, z, np.zeros(6), 0.0, math.log(0.05))
-        m1, v1 = predict(model, w[3])
-        m2, v2 = predict(model, w[3:4])
-        assert m1.shape == (2,) and v1.shape == (2,)
+        m1 = predict(model, w[3])
+        m2 = predict(model, w[3:4])
+        assert m1.shape == (2,)
         assert np.array_equal(m1, m2[0])
-        assert np.array_equal(v1, v2[0])
-
-    def test_mean_only_query_gives_the_same_means(self):
-        rng = np.random.default_rng(27)
-        w, z = make_problem(rng, 25)
-        model = manual_model(w, z, rng.normal(0.0, 0.2, size=6), 0.1, math.log(0.03))
-        queries = rng.normal(size=(6, 6))
-        for q in (queries[2], queries):
-            mean, var = predict(model, q)
-            mean_only, none = predict(model, q, variance=False)
-            assert none is None and var is not None
-            assert mean_only.shape == mean.shape
-            assert np.array_equal(mean_only, mean)
 
     def test_near_zero_noise_interpolates_training_targets(self):
         rng = np.random.default_rng(23)
         w = rng.uniform(-1.0, 1.0, size=(20, 2))
         z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
         model = manual_model(w, z, np.zeros(2), 0.0, math.log(1e-10))
-        mean, var = predict(model, w)
+        mean = predict(model, w)
         assert np.max(np.abs(mean - z)) < 1e-6
-        assert np.all(var >= 0.0)
 
     def test_far_query_reverts_to_prior(self):
         rng = np.random.default_rng(24)
         w, z = make_problem(rng, 15)
         model = manual_model(w, z, np.zeros(6), 0.3, math.log(0.01))
-        mean, var = predict(model, np.full(6, 1e6))
+        mean = predict(model, np.full(6, 1e6))
         # prior mean is zero under identity standardization
         assert np.max(np.abs(mean)) < 1e-12
-        prior_var = math.exp(0.3) + 0.01
-        assert np.allclose(var, prior_var, atol=1e-12)
 
-    def test_variance_never_negative(self):
-        rng = np.random.default_rng(25)
-        w = np.vstack([rng.normal(size=(10, 6))] * 3)  # duplicated rows
-        z = np.vstack([rng.normal(size=(10, 2))] * 3)
-        model = manual_model(w, z, np.zeros(6), 0.0, math.log(1e-9))
-        _, var = predict(model, w)
-        assert np.all(var >= 0.0)
+    def test_a_query_loads_no_scipy(self, tmp_path):
+        # the mean needs the weights alone, so querying a loaded model, as
+        # evaluate does, imports numpy and no part of scipy
+        rng = np.random.default_rng(40)
+        w, z = make_problem(rng, 20)
+        path = tmp_path / "model.json"
+        save_model(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)), str(path))
+        assert json.loads(run_probe(QUERY_PROBE, str(path)).stdout) == []
 
     def test_rejects_bad_queries(self):
         rng = np.random.default_rng(26)
@@ -788,18 +767,15 @@ class TestPrediction:
 class TestPredictionCaches:
     def uncached_predict(self, model, w):
         """predict written against kernel_oracle, with nothing cached but
-        the weights, and the factor from _output_factor."""
+        the weights."""
         ws = (np.atleast_2d(w) - model.input_mean) / model.input_std
         xs = standardized_inputs(model)
         d = xs.shape[1]
-        means, variances = [], []
+        means = []
         for j, out in enumerate(model.outputs):
             ks = kernel_oracle(out.theta[:d], out.theta[d], ws, xs)
             means.append((ks @ out.alpha) * model.target_std[j] + model.target_mean[j])
-            v = scipy.linalg.solve_triangular(_output_factor(out.theta, xs)[0], ks.T, lower=True)
-            latent = np.maximum(math.exp(out.theta[d]) - np.sum(v**2, axis=0), 0.0)
-            variances.append((latent + math.exp(out.theta[d + 1])) * model.target_std[j] ** 2)
-        return np.column_stack(means), np.column_stack(variances)
+        return np.column_stack(means)
 
     def test_matches_the_uncached_kernel(self):
         # the stacked query sums q (x / l^2) in its exponents where the
@@ -811,38 +787,13 @@ class TestPredictionCaches:
         model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
                              input_mean=w.mean(axis=0), input_std=w.std(axis=0))
         queries = rng.normal(size=(9, 6))
-        mean, var = predict(model, queries)
-        mean_o, var_o = self.uncached_predict(model, queries)
+        mean = predict(model, queries)
+        mean_o = self.uncached_predict(model, queries)
         assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
-        assert np.max(np.abs(var - var_o)) <= 1e-10 * np.max(np.abs(var_o))
         for q in queries:
-            m1, v1 = predict(model, q)
-            mean_only, _ = predict(model, q, variance=False)
-            m_q, v_q = self.uncached_predict(model, q)
+            m1 = predict(model, q)
+            m_q = self.uncached_predict(model, q)
             assert np.max(np.abs(m1 - m_q[0])) <= 1e-10 * np.max(np.abs(m_q[0]))
-            assert np.max(np.abs(v1 - v_q[0])) <= 1e-10 * np.max(np.abs(v_q[0]))
-            assert np.array_equal(mean_only, m1)
-
-    def test_variance_solves_against_the_output_factor(self):
-        # the model keeps no factor: predict's variance is, to the bit, the
-        # one solved against _output_factor's, from the same exps
-        rng = np.random.default_rng(32)
-        w, z = make_problem(rng, 40)
-        model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
-                             input_mean=w.mean(axis=0), input_std=w.std(axis=0))
-        queries = rng.normal(size=(9, 6))
-        _, var = predict(model, queries)
-        xs = standardized_inputs(model)
-        q = (queries - model.input_mean) / model.input_std
-        aug = np.column_stack([q, q * q, np.ones(len(q))])
-        e = np.exp(np.minimum(aug @ model.query[0].T, 0.0))
-        for j, out in enumerate(model.outputs):
-            signal_var = math.exp(out.theta[6])
-            ks = signal_var * e[:, 40 * j:40 * (j + 1)]
-            v = scipy.linalg.solve_triangular(_output_factor(out.theta, xs)[0], ks.T, lower=True)
-            latent = np.maximum(signal_var - np.sum(v**2, axis=0), 0.0)
-            expected = (latent + math.exp(out.theta[7])) * model.target_std[j] ** 2
-            assert np.array_equal(var[:, j], expected)
 
     def test_a_batch_runs_in_blocks(self, monkeypatch):
         # 7 rows in blocks of 3: every row, the short last block's too, is
@@ -852,10 +803,9 @@ class TestPredictionCaches:
         model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.1, math.log(0.02))
         queries = rng.normal(size=(7, 6))
         monkeypatch.setattr(gp, "_QUERY_ROWS", 3)
-        mean, var = predict(model, queries)
+        mean = predict(model, queries)
         alone = [predict(model, q) for q in queries]
-        assert np.allclose(mean, [m for m, _ in alone], rtol=1e-12, atol=0.0)
-        assert np.allclose(var, [v for _, v in alone], rtol=1e-12, atol=0.0)
+        assert np.allclose(mean, alone, rtol=1e-12, atol=0.0)
 
     def test_fit_and_load_build_the_same_stacked_block(self):
         rng = np.random.default_rng(29)
@@ -921,8 +871,8 @@ def recipe_shaped_model(seed=40, n=1000):
 
 
 class TestOneRowQuery:
-    """The learned slot's query: one row, mean only, as a 1-D array or a
-    tuple of floats."""
+    """The learned slot's query: one row, as a 1-D array, or a tuple or
+    list of floats."""
 
     def test_one_row_mean_is_the_bits_of_the_row_queried_alone(self):
         # a row alone in its block of a batch takes the one-row products
@@ -932,22 +882,24 @@ class TestOneRowQuery:
         rng = np.random.default_rng(41)
         queries = model.inputs[rng.choice(1000, size=20)] + rng.normal(0.0, 0.01, size=(20, 6))
         for q in queries:
-            mean, none = predict(model, q, variance=False)
-            assert none is None and mean.shape == (2,)
-            assert np.array_equal(mean, predict(model, q[None], variance=False)[0][0])
+            mean = predict(model, q)
+            assert mean.shape == (2,)
+            assert np.array_equal(mean, predict(model, q[None])[0])
             tail = np.vstack([model.inputs[:gp._QUERY_ROWS], q])
-            assert np.array_equal(mean, predict(model, tail, variance=False)[0][-1])
+            assert np.array_equal(mean, predict(model, tail)[-1])
 
     def test_a_float_row_is_the_bits_of_the_array_row(self):
-        # the learned slot hands its six inputs as a tuple of floats
+        # the learned slot hands its six inputs as a tuple of floats; a
+        # list of them is one row too, not a batch
         model = recipe_shaped_model()
         rng = np.random.default_rng(42)
         queries = model.inputs[rng.choice(1000, size=20)] + rng.normal(0.0, 0.01, size=(20, 6))
         for q in queries:
-            mean, none = predict(model, tuple(q.tolist()), variance=False)
-            assert none is None and mean.shape == (2,)
-            assert np.array_equal(mean, predict(model, q, variance=False)[0])
-            assert np.array_equal(mean, predict(model, q[None], variance=False)[0][0])
+            mean = predict(model, tuple(q.tolist()))
+            assert mean.shape == (2,)
+            assert np.array_equal(mean, predict(model, q.tolist()))
+            assert np.array_equal(mean, predict(model, q))
+            assert np.array_equal(mean, predict(model, q[None])[0])
 
     def test_a_loaded_model_gives_the_fitted_models_bits(self, tmp_path):
         # the float scales the one-row query reads are built by the model
@@ -964,34 +916,41 @@ class TestOneRowQuery:
             assert all(type(v) is float for scale in model.scales for v in scale)
         queries = w[rng.choice(40, size=12)] + rng.normal(0.0, 0.05, size=(12, 6))
         for q in queries:
-            mean, _ = predict(fitted, tuple(q.tolist()), variance=False)
+            mean = predict(fitted, tuple(q.tolist()))
             for model in (fitted, loaded):
-                assert np.array_equal(predict(model, tuple(q.tolist()), variance=False)[0], mean)
-                assert np.array_equal(predict(model, q, variance=False)[0], mean)
-                assert np.array_equal(predict(model, q[None], variance=False)[0][0], mean)
+                assert np.array_equal(predict(model, tuple(q.tolist())), mean)
+                assert np.array_equal(predict(model, q), mean)
+                assert np.array_equal(predict(model, q[None])[0], mean)
 
     def test_a_returned_mean_is_not_overwritten_by_the_next_call(self):
         model = recipe_shaped_model()
-        first, _ = predict(model, model.inputs[0], variance=False)
+        first = predict(model, model.inputs[0])
         kept = first.copy()
-        second, _ = predict(model, model.inputs[1], variance=False)
+        second = predict(model, model.inputs[1])
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept)
         assert not np.array_equal(first, second)
 
-    @pytest.mark.parametrize("variance", [False, True])
-    def test_a_bad_row_raises_the_batch_error(self, variance):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_a_bad_row_raises_the_batch_error(self, batch):
+        # one row as an array, a tuple or a list, or a batch as a 2-D
+        # array or a list of rows: each form raises the same error
+        def forms(row):
+            if batch:
+                return (np.vstack([np.zeros(len(row)), row]), [[0.0] * len(row), list(row)])
+            return (np.asarray(row), tuple(row), list(row))
+
         model = recipe_shaped_model(n=20)
         for width in (5, 7):
-            for row in (np.zeros(width), (0.0,) * width):
+            for row in forms([0.0] * width):
                 with pytest.raises(ValueError, match=f"query must have 6 columns, got {width}"):
-                    predict(model, row, variance=variance)
+                    predict(model, row)
         for bad in (math.nan, math.inf, -math.inf):
-            q = np.zeros(6)
+            q = [0.0] * 6
             q[4] = bad
-            for row in (q, tuple(q.tolist())):
+            for row in forms(q):
                 with pytest.raises(ValueError, match="prediction query contains non-finite values"):
-                    predict(model, row, variance=variance)
+                    predict(model, row)
 
 
 class TestFit:
@@ -1035,7 +994,7 @@ class TestFit:
         m1 = fit(w, z, config)
         m2 = fit(w, z, config)
         q = rng.normal(size=(5, 6))
-        assert np.array_equal(predict(m1, q)[0], predict(m2, q)[0])
+        assert np.array_equal(predict(m1, q), predict(m2, q))
 
     def test_oversized_training_set_is_subsampled(self):
         rng = np.random.default_rng(35)
@@ -1053,8 +1012,7 @@ class TestFit:
         w, z = make_problem(rng, 25)
         w[:, 5] = 3.0  # zero variance column
         model = fit(w, z, FitConfig(max_iter=30, restarts=0, seed=1))
-        mean, var = predict(model, w[:3])
-        assert np.all(np.isfinite(mean)) and np.all(np.isfinite(var))
+        assert np.all(np.isfinite(predict(model, w[:3])))
 
     def test_restart_count_is_respected(self):
         rng = np.random.default_rng(37)
@@ -1068,6 +1026,8 @@ class TestFit:
             FitConfig(max_iter=0)
         with pytest.raises(ValueError):
             FitConfig(restarts=-1)
+        with pytest.raises(ValueError, match="seed must be at least 0, got -1"):
+            FitConfig(seed=-1)
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 6)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="finite"):
@@ -1104,8 +1064,8 @@ class TestBlasThreads:
             fit(w, z, FitConfig(max_iter=10, restarts=0))
         assert blas_thread_counts() == two_blas_threads
 
-    def test_refresh_caches_runs_on_one_thread(self, two_blas_threads, serial_fit,
-                                                monkeypatch):
+    def test_output_builds_run_on_one_thread(self, two_blas_threads, serial_fit,
+                                             monkeypatch):
         # the fit builds every output model on one thread: recorded inside
         # the factor step while a build runs, not while the objective does
         seen, building = [], []
@@ -1130,20 +1090,6 @@ class TestBlasThreads:
         fit(w, z, FitConfig(max_iter=5, restarts=0))
         assert seen == [[1] * len(two_blas_threads)] * 2
         assert blas_thread_counts() == two_blas_threads
-
-    def test_variance_factors_on_one_thread_of_scipys_openblas(self, tmp_path):
-        # in a process that had not loaded scipy's OpenBLAS, predict loads
-        # it before the pin, so the variance's factors run on one thread of it
-        libs = wheel_openblas_count()
-        if libs < 2:
-            pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
-        rng = np.random.default_rng(40)
-        w, z = make_problem(rng, 20)
-        path = tmp_path / "model.json"
-        save_model(manual_model(w, z, np.zeros(6), 0.0, math.log(0.1)), str(path))
-        seen = json.loads(run_probe(VARIANCE_PROBE, str(path),
-                                    env={"OPENBLAS_NUM_THREADS": "2"}).stdout)
-        assert seen == [[1] * libs] * 2
 
     def test_lookup_finds_scipys_openblas_once_loaded(self):
         # every CLI command looks the libraries up before train's fit loads
@@ -1331,25 +1277,17 @@ gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
 """
 
 
-# Run in a fresh interpreter, where nothing has loaded scipy's OpenBLAS
-# yet: load the model file argv[1] and ask for the variance. Prints the
-# thread counts of every wheel OpenBLAS loaded at each factor step.
-VARIANCE_PROBE = """
+# Run in a fresh interpreter, where nothing has imported scipy yet: load
+# the model file argv[1], query it for a batch and for its held-out error.
+# Prints the scipy modules loaded by then.
+QUERY_PROBE = """
 import json, sys
-import numpy as np
 from tracksim import gp
 
-seen = []
-factor = gp._lapack_factor
-
-def recording(a):
-    seen.append([get() for get, _ in gp._bundled_openblas()])
-    return factor(a)
-
-gp._lapack_factor = recording
 model = gp.load_model(sys.argv[1])
-gp.predict(model, model.inputs[:3], variance=True)
-print(json.dumps(seen))
+gp.predict(model, model.inputs[:3])
+gp.held_out_error(model, model.inputs, model.targets)
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
 """
 
 
@@ -1618,8 +1556,7 @@ class TestHeldOutError:
         errors, mean_err = held_out_error(model, w[:8], z[:8] + 0.1)
         assert errors.shape == (8,)
         assert abs(mean_err - errors.mean()) < 1e-15
-        mean, _ = predict(model, w[:8])
-        expected = np.linalg.norm(mean - (z[:8] + 0.1), axis=1)
+        expected = np.linalg.norm(predict(model, w[:8]) - (z[:8] + 0.1), axis=1)
         assert np.allclose(errors, expected, atol=1e-14)
 
     def test_empty_set_raises(self):
@@ -1639,10 +1576,9 @@ class TestPersistence:
         save_model(model, str(path))
         loaded = load_model(str(path))
         q = rng.normal(size=(9, 6))
-        m1, v1 = predict(model, q)
-        m2, v2 = predict(loaded, q)
+        m1 = predict(model, q)
+        m2 = predict(loaded, q)
         assert np.max(np.abs(m1 - m2)) < 1e-12
-        assert np.max(np.abs(v1 - v2)) < 1e-12
         for a, b in zip(model.outputs, loaded.outputs):
             assert np.array_equal(a.theta[:6], b.theta[:6])
             assert a.theta[7] == b.theta[7]

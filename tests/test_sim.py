@@ -567,9 +567,9 @@ class TestLearnedSlot:
                                           FitConfig(max_iter=20, restarts=0)))
         rows, desired = [], []
 
-        def recording_predict(model, w, variance=True, _fn=sim.predict):
+        def recording_predict(model, w, _fn=sim.predict):
             rows.append(w)
-            return _fn(model, w, variance)
+            return _fn(model, w)
 
         def slot(u, delta, phi):
             desired.append(u)
