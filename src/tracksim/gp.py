@@ -15,45 +15,42 @@ than OPTIMIZER_FTOL of its value, and its report says which. Inputs and
 targets are standardized internally; the stored transform is inverted at
 prediction time.
 
-A fitted or loaded model is complete from the start. The fit builds
-each output at its chosen theta (_output_model), factoring the noisy
-kernel matrix to solve the weights alpha = K_y^-1 z, and keeps theta and
-alpha, not the N x N factor: the mean needs the weights alone (Rasmussen
-& Williams 2006, Alg. 2.1). The model file stores alpha, so loading a
-model factors nothing, and predict, which returns the mean alone, never
-forms the factor. GpModel keeps what a query reads of every output in two
-arrays: the augmented training rows of all outputs and their
-block-diagonal weights. A block of queries augmented the same way pays
-for one product with the rows, one clamp, one exp and one product with
-the weights, and scales nothing per output.
+A fitted or loaded model is complete from the start. Each optimizer
+start ends by solving the weights alpha = K_y^-1 z at the theta it
+reached, and the fit keeps the best start's theta and alpha, not the
+N x N factor: the mean needs the weights alone (Rasmussen & Williams
+2006, Alg. 2.1). The model file stores alpha, so loading a model factors
+nothing, and predict, which returns the mean alone, never forms the
+factor. GpModel keeps what a query reads of every output in two arrays:
+the augmented training rows of all outputs and their block-diagonal
+weights. A block of queries augmented the same way pays for one product
+with the rows, one clamp, one exp and one product with the weights, and
+scales nothing per output.
 
-One evaluation of the fit's objective works in two N x N buffers: the
-kernel matrix K, and LAPACK's copy of it, whose lower triangle is
-factored, inverted through Level-3 blocks, and turned in place into the
-gradient's weights (alpha alpha' - K_y^-1) o K, negated. The buffers
-belong to the fit job: each (output, start) optimization allocates its
-pair once and hands it to every objective call, so the fit's speed does
-not depend on how the allocator treats blocks freed before it. The
-gradient is read from one product of that triangle with an N x (D + 1)
-array, so no triangle is mirrored into a full matrix. An output's
-factor (_output_factor, for the build) takes the objective's path in one
-N x N array: each attempt of the one jitter loop, _chol_with_jitter,
-writes K from kernel_matrix(theta, x), exactly symmetric and a function
-of the values of theta and x alone, into the array it factors in place
-with _lapack_factor. So a model depends only on the bytes of its
-training data.
+One path, _weights, takes theta to alpha, for every evaluation of the
+fit's objective and for each start's final solve. It works in two N x N
+buffers: K, and LAPACK's copy of it, whose lower triangle is factored in
+place; the objective then inverts that triangle through Level-3 blocks
+and turns it in place into the gradient's weights (alpha alpha' -
+K_y^-1) o K, negated. The buffers belong to the fit job: each (output,
+start) optimization allocates its pair once and hands it to every call,
+so the fit's speed does not depend on how the allocator treats blocks
+freed before it. The gradient is read from one product of that triangle
+with an N x (D + 1) array, so no triangle is mirrored into a full
+matrix. K, from kernel_matrix(theta, x), is exactly symmetric and a
+function of the values of theta and x alone, so a model depends only on
+the bytes of its training data.
 
-The optimizations, one per (output, start) pair, are independent jobs
-of one list, and so are the builds of the outputs at their chosen
-theta: where two or more CPUs are usable, both lists run in one pool of
-forked worker processes that ends with the fit, otherwise in the process
-itself. So a pooled fit's parent never forms an N x N array, and its
-outputs build side by side. On Linux a worker dies with the process that
-forked it, even when that process is killed. Each job takes the training
-data and its start or theta through pickle, which the parent tries
-once before the pool starts, so a job pickle cannot send raises before
-any worker exists. The results are merged per output in list order
-either way, so the model file has the same bytes on one CPU or several.
+The optimizations, one per (output, start) pair, are the independent
+jobs of one list: where two or more CPUs are usable, they run in one pool
+of forked worker processes that ends with the fit, otherwise in the
+process itself. So a pooled fit's parent never forms an N x N array. On
+Linux a worker dies with the process that forked it, even when that
+process is killed. Each job takes the training data and its start
+through pickle, which the parent tries once before the pool starts, so
+a job pickle cannot send raises before any worker exists. The results
+are merged per output in list order either way, so the model file has
+the same bytes on one CPU or several.
 
 Only the fit needs scipy: it calls scipy.linalg's LAPACK wrappers, and
 the optimizer is scipy.optimize's. Each function that calls scipy imports
@@ -87,7 +84,7 @@ import signal
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -282,28 +279,28 @@ class FitConfig:
             raise ValueError(f"restarts must be at most {MAX_RESTARTS}, got {self.restarts}")
 
 
-def _chol_with_jitter(fill: Callable[[], np.ndarray], noise_var: float) -> tuple[np.ndarray, float]:
+def _chol_with_jitter(k: np.ndarray, a: np.ndarray, noise_var: float) -> float:
     """Lower Cholesky factor of K + (noise_var + jitter) I, K a symmetric
     kernel matrix, with escalating jitter: the only code that adds either
     variance to a diagonal, and the one caller of _lapack_factor.
 
-    Each of the JITTER_ATTEMPTS attempts writes K into the Fortran-ordered
-    array fill() returns, adds noise_var and then the jitter, a share of
-    the noisy mean diagonal, to that array's diagonal, and factors it in
-    place with _lapack_factor, which says whether it was numerically
-    positive definite. Returns (a, jitter), a holding L. Raises
+    Each of the JITTER_ATTEMPTS attempts copies k into a, Fortran-ordered,
+    through its transpose, adds noise_var and then the jitter, a share of
+    the noisy mean diagonal, to a's diagonal, and factors a in place with
+    _lapack_factor, which says whether it was numerically positive
+    definite. k is only read. Returns the jitter, a holding L. Raises
     ConditioningError when the last attempt, at relative level
     JITTER_REL_MAX, fails too.
     """
+    n = a.shape[0]
     rel = JITTER_REL_INIT
     for attempt in range(1, JITTER_ATTEMPTS + 1):
-        a = fill()
-        n = a.shape[0]
+        np.copyto(a, k.T)  # K is symmetric: its transpose copies straight into Fortran order
         a.flat[:: n + 1] += noise_var
         jitter = rel * (float(np.trace(a)) / n)
         a.flat[:: n + 1] += jitter
         if _lapack_factor(a):
-            return a, jitter
+            return jitter
         if attempt == JITTER_ATTEMPTS:
             raise ConditioningError(
                 f"Cholesky failed at maximum jitter {jitter:.3e} (relative level "
@@ -313,8 +310,8 @@ def _chol_with_jitter(fill: Callable[[], np.ndarray], noise_var: float) -> tuple
 
 
 def _objective_buffers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two N x N arrays one objective evaluation works in: K,
-    C-ordered, and the factor's, Fortran-ordered as LAPACK wants it."""
+    """The two N x N arrays _weights works in: K, C-ordered, and the
+    factor's, Fortran-ordered as LAPACK wants it."""
     return np.empty((n, n)), np.empty((n, n), order="F")
 
 
@@ -357,6 +354,22 @@ def _invert_lower(l: np.ndarray) -> None:
         b[r:r + _INVERSE_LEAF] = blas.dtrmm(1.0, tri, b[r:r + _INVERSE_LEAF], side=1, lower=1)
 
 
+def _weights(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray,
+             buffers: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """(K, L, jitter, alpha) of one output at theta, over the inputs xs
+    and its target column zs_col: every objective evaluation and each
+    start's final solve take this path. K, noise-free, is written into
+    the first of buffers, the pair _objective_buffers(N) makes, and L into
+    the second, whose entry contents are never read; dpotrs solves
+    alpha = K_y^-1 z from L."""
+    import scipy.linalg
+    k_buf, work = buffers
+    k = kernel_matrix(theta, xs, out=k_buf)
+    jitter = _chol_with_jitter(k, work, math.exp(theta[xs.shape[1] + 1]))
+    alpha, _ = scipy.linalg.lapack.dpotrs(work, zs_col, lower=1)
+    return k, work, jitter, alpha
+
+
 def nll_and_grad(
     theta: np.ndarray, inputs: np.ndarray, targets: np.ndarray,
     buffers: Optional[tuple[np.ndarray, np.ndarray]] = None,
@@ -370,7 +383,7 @@ def nll_and_grad(
     both variance components.
 
     Two N x N buffers do all the work: K, left noise-free, and the
-    factor's, which each jitter attempt fills with K; its lower triangle
+    factor's, which _weights fills and factors; its lower triangle
     becomes in place L^-1 (_invert_lower), then K_y^-1 (dlauum),
     then -P, P = (alpha alpha' - K_y^-1) o K (a rank-1 update by dsyr and
     a Hadamard product with K). The gradient needs P only through
@@ -384,14 +397,8 @@ def nll_and_grad(
     inputs = np.asarray(inputs, dtype=float)
     n, d = inputs.shape
     signal_var, noise_var = math.exp(theta[d]), math.exp(theta[d + 1])
-    k_buf, work = _objective_buffers(n) if buffers is None else buffers
-    k = kernel_matrix(theta, inputs, out=k_buf)
-
-    def fill():  # K is symmetric: its transpose copies straight into Fortran order
-        np.copyto(work, k.T)
-        return work
-    l, jitter = _chol_with_jitter(fill, noise_var)
-    alpha, _ = scipy.linalg.lapack.dpotrs(l, targets, lower=1)
+    k, l, jitter, alpha = _weights(theta, inputs, targets,
+                                   _objective_buffers(n) if buffers is None else buffers)
     nll = (
         0.5 * float(targets @ alpha)
         + float(np.sum(np.log(np.diag(l))))
@@ -423,32 +430,10 @@ def nll_and_grad(
 class OutputModel:
     """One output's hyperparameters theta and its weights alpha = K_y^-1 z:
     all the mean needs, and all a model file stores of the output. The
-    N x N factor is not kept; _output_factor(theta, xs) gives it again."""
+    N x N factor is not kept; _weights solves both again from theta."""
 
     theta: np.ndarray
     alpha: np.ndarray
-
-
-def _output_factor(theta: np.ndarray, xs: np.ndarray) -> tuple[np.ndarray, float]:
-    """(L, jitter): the lower Cholesky factor of one output's noisy kernel
-    matrix over the standardized training inputs xs, and the jitter it
-    needed. Each jitter attempt fills one Fortran-ordered N x N array with
-    kernel_matrix, written through its transpose (K is exactly symmetric),
-    which _lapack_factor factors in place; L is that array."""
-    n, d = xs.shape
-    work = np.empty((n, n), order="F")
-    return _chol_with_jitter(lambda: kernel_matrix(theta, xs, out=work.T).T, math.exp(theta[d + 1]))
-
-
-def _output_model(theta: np.ndarray, xs: np.ndarray, zs_col: np.ndarray) -> tuple[OutputModel, float]:
-    """(model, jitter): the complete model of one output, from its
-    hyperparameters theta, the standardized training inputs and its
-    standardized target column, and the jitter its factor needed. The
-    weights are solved by dpotrs on the factor, which is freed on return."""
-    import scipy.linalg
-    chol, jitter = _output_factor(theta, xs)
-    alpha, _ = scipy.linalg.lapack.dpotrs(chol, zs_col, lower=1)
-    return OutputModel(theta, alpha), jitter
 
 
 @dataclass
@@ -525,9 +510,11 @@ def _starts(
 
 
 def _run_start(xs: np.ndarray, zs: np.ndarray, config: FitConfig, j: int,
-               start: np.ndarray) -> tuple[np.ndarray, dict]:
+               start: np.ndarray) -> tuple[Optional[tuple[OutputModel, float]], dict]:
     """One L-BFGS-B run of output j, whose targets are the column j of
-    the standardized targets zs, from theta start; returns (theta, info)."""
+    the standardized targets zs, from theta start; returns (built, info),
+    built the finished (model, jitter) at the theta it reached, or None
+    when no probe of the run factored."""
     import scipy.optimize
     # the column is taken here, in the job: one handed to a worker arrives
     # contiguous, and that changes the bits of the objective's targets @ alpha
@@ -576,23 +563,32 @@ def _run_start(xs: np.ndarray, zs: np.ndarray, config: FitConfig, j: int,
                       if result.message.upper().startswith(prefix)), result.message),
         "objective_trace": trace,
     }
-    return np.array(result.x), info
+    if last is None:  # the run never left its unfactorizable start
+        return None, info
+    # the run accepts only probes that factored, so its theta factors again
+    theta = np.array(result.x)
+    _, _, jitter, alpha = _weights(theta, xs, zs_col, buffers)
+    return (OutputModel(theta, alpha), jitter), info
 
 
-def _pick_best(runs: list[tuple[np.ndarray, dict]]) -> tuple[np.ndarray, dict]:
-    """The run with the lowest finite NLL, the first one on ties;
-    returns (theta, info)."""
+def _pick_best(runs: list[tuple[Optional[tuple[OutputModel, float]], dict]]
+               ) -> tuple[OutputModel, dict]:
+    """The finished model of the run with the lowest finite NLL, the
+    first one on ties; returns (model, info), info holding its jitter."""
     best = None
-    for idx, (_, info) in enumerate(runs):
+    for idx, (built, info) in enumerate(runs):
         info["start"] = idx
-        if np.isfinite(info["nll"]) and (best is None or info["nll"] < runs[best][1]["nll"]):
+        if (built is not None and np.isfinite(info["nll"])
+                and (best is None or info["nll"] < runs[best][1]["nll"])):
             best = idx
     if best is None:
-        raise ConditioningError("every optimizer start ended non-finite")
-    return runs[best][0], {
+        raise ConditioningError("no optimizer start ended on a factored, finite fit")
+    (model, jitter), info = runs[best]
+    return model, {
         "chosen_start": best,
-        "final_nll": runs[best][1]["nll"],
+        "final_nll": info["nll"],
         "starts": [info for _, info in runs],
+        "jitter": jitter,
     }
 
 
@@ -626,56 +622,48 @@ def _fit_outputs(
     xs: np.ndarray, zs: np.ndarray, config: FitConfig
 ) -> list[tuple[OutputModel, dict]]:
     """(model, info) of every output, info holding the jitter of its
-    build.
+    factor.
 
-    Every (output, start) pair is one independent job of a flat list, and
-    so is every output's build at the theta its best start reached. Where
-    two or more CPUs are usable and there are two or more (output, start)
-    jobs, both lists run in one pool of forked workers, otherwise in this
-    process; the results are merged per output in list order, and a
-    worker's pickled copy of the data gives the parent's bits, so the
-    outcome is the same to the bit either way.
+    Every (output, start) pair is one independent job of a flat list that
+    returns a finished model. Where two or more CPUs are usable and there
+    are two or more jobs, they run in one pool of forked workers,
+    otherwise in this process; the results are merged per output in list
+    order, and a worker's pickled copy of the data gives the parent's
+    bits, so the outcome is the same to the bit either way.
     """
     m = zs.shape[1]
     jobs = [(j, start) for j in range(m) for start in _starts(xs, zs[:, j], config, [config.seed, j])]
     optimize = functools.partial(_run_start, xs, zs, config)
-
-    def run(map_fn):
-        runs = list(map_fn(optimize, *zip(*jobs)))
-        best = [_pick_best([result for (k, _), result in zip(jobs, runs) if k == j])
-                for j in range(m)]
-        models = map_fn(_output_model, [theta for theta, _ in best], [xs] * m,
-                        [zs[:, j] for j in range(m)])
-        return [(out, dict(info, jitter=jitter)) for (out, jitter), (_, info) in zip(models, best)]
-
     workers = min(_usable_cpus(), len(jobs))
     if workers < 2:
-        return run(map)
-    # imported here, as only a parallel fit needs them and every command imports gp
-    import multiprocessing
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-    # the parent never calls minimize here, so without this every worker would import it
-    import scipy.optimize  # noqa: F401
+        runs = list(map(optimize, *zip(*jobs)))
+    else:
+        # imported here, as only a parallel fit needs them and every command imports gp
+        import multiprocessing
+        import pickle
+        from concurrent.futures import ProcessPoolExecutor
+        # the parent never calls minimize here, so without this every worker would import it
+        import scipy.optimize  # noqa: F401
 
-    # a job pickle cannot send raises here, before any worker exists; inside
-    # the pool it could leave pool.shutdown waiting on a job never sent
-    pickle.dumps(optimize), pickle.dumps(_output_model)
-    # fork, not spawn or forkserver: those start every pool by importing
-    # numpy and scipy again, which eats the saving (N=500 clean fit on
-    # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
-    # serial about 3.4 s). Forking after OpenBLAS started its threads is
-    # safe: OpenBLAS stops them in its own at-fork handler, and the pool
-    # forks all its workers before it starts a thread of its own, so
-    # Python 3.12's warning about forking a multi-threaded process does
-    # not fire. The workers inherit the parent's single BLAS thread.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_die_with_parent, initargs=(os.getpid(),))
-    try:
-        return run(pool.map)
-    finally:
-        # also when a job raised: drop the queued jobs and join every worker
-        pool.shutdown(cancel_futures=True)
+        # a job pickle cannot send raises here, before any worker exists; inside
+        # the pool it could leave pool.shutdown waiting on a job never sent
+        pickle.dumps(optimize)
+        # fork, not spawn or forkserver: those start every pool by importing
+        # numpy and scipy again, which eats the saving (N=500 clean fit on
+        # 2 CPUs, medians of 4: fork 1.84 s, spawn 2.99 s, forkserver 3.13 s,
+        # serial about 3.4 s). Forking after OpenBLAS started its threads is
+        # safe: OpenBLAS stops them in its own at-fork handler, and the pool
+        # forks all its workers before it starts a thread of its own, so
+        # Python 3.12's warning about forking a multi-threaded process does
+        # not fire. The workers inherit the parent's single BLAS thread.
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_die_with_parent, initargs=(os.getpid(),))
+        try:
+            runs = list(pool.map(optimize, *zip(*jobs)))
+        finally:
+            # also when a job raised: drop the queued jobs and join every worker
+            pool.shutdown(cancel_futures=True)
+    return [_pick_best([run for (k, _), run in zip(jobs, runs) if k == j]) for j in range(m)]
 
 
 def fit(inputs: np.ndarray, targets: np.ndarray, config: FitConfig = FitConfig()) -> GpModel:

@@ -24,7 +24,6 @@ from tracksim.gp import (
     FitConfig,
     fit,
     held_out_error,
-    kernel_matrix,
     load_model,
     nll_and_grad,
     predict,

@@ -25,7 +25,7 @@ import scipy.linalg
 import scipy.optimize
 from conftest import blas_thread_counts, wheel_openblas_count
 
-from tracksim import gp
+from tracksim import cli, gp
 from tracksim.control import Gains
 from tracksim.gp import (
     ConditioningError,
@@ -33,8 +33,6 @@ from tracksim.gp import (
     FitConfig,
     GpModel,
     _chol_with_jitter,
-    _output_factor,
-    _output_model,
     fit,
     held_out_error,
     kernel_matrix,
@@ -46,7 +44,7 @@ from tracksim.gp import (
     save_model,
 )
 from tracksim.kinematics import VehicleParams
-from tracksim.sim import extract_dataset, make_figure8, rollout, split_dataset
+from tracksim.sim import extract_dataset, make_figure8, rollout, save_dataset, split_dataset
 
 
 def kernel_oracle(log_ls, log_sf2, a, b):
@@ -84,12 +82,23 @@ def manual_model(w, z, log_ls, log_sf2, log_sn2, input_mean=None, input_std=None
     input_std = np.ones(d) if input_std is None else input_std
     xs = (w - input_mean) / input_std
     theta = hyperparameters(log_ls, log_sf2, log_sn2)
-    outputs = [_output_model(theta, xs, z[:, j])[0] for j in range(m)]
+    outputs = [gp.OutputModel(theta, solved(theta, xs, z[:, j])[2]) for j in range(m)]
     return GpModel(w, z, input_mean, input_std, np.zeros(m), np.ones(m), outputs, {})
+
+
+def solved(theta, xs, zs_col):
+    """(L, jitter, alpha) of one output at theta, through the fit's one
+    path from theta to the weights, in buffers of their own."""
+    _, l, jitter, alpha = gp._weights(theta, xs, zs_col, gp._objective_buffers(xs.shape[0]))
+    return l, jitter, alpha
 
 
 def standardized_inputs(model):
     return (model.inputs - model.input_mean) / model.input_std
+
+
+def standardized_targets(model):
+    return (model.targets - model.target_mean) / model.target_std
 
 
 class TestKernel:
@@ -171,10 +180,9 @@ class TestInputBytes:
         w, z = make_problem(rng, n)
         theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.05))
         unpickled = pickle.loads(pickle.dumps(w))
-        (out, _), (copy, _) = (_output_model(theta, w, z[:, 1]),
-                               _output_model(theta, unpickled, z[:, 1]))
-        chol, copy_chol = _output_factor(theta, w)[0], _output_factor(theta, unpickled)[0]
-        assert np.array_equal(copy_chol, chol) and np.array_equal(copy.alpha, out.alpha)
+        (chol, _, alpha), (copy_chol, _, copy_alpha) = (solved(theta, w, z[:, 1]),
+                                                        solved(theta, unpickled, z[:, 1]))
+        assert np.array_equal(copy_chol, chol) and np.array_equal(copy_alpha, alpha)
 
 
 class TestLikelihoodGradient:
@@ -389,16 +397,11 @@ class TestInvertLower:
         assert np.array_equal(work[upper], before)
 
 
-def filled(matrix):
-    """(a, fill): one Fortran-ordered array, and the fill _chol_with_jitter
-    calls on every attempt, which copies matrix into a and returns it."""
+def factored(matrix):
+    """(a, jitter): _chol_with_jitter of matrix in a Fortran-ordered array
+    a of its own, which holds L on return."""
     a = np.empty(matrix.shape, order="F")
-
-    def fill():
-        np.copyto(a, matrix)
-        return a
-
-    return a, fill
+    return a, _chol_with_jitter(matrix, a, 0.0)
 
 
 class TestCholeskyJitter:
@@ -406,16 +409,14 @@ class TestCholeskyJitter:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 8))
         spd = a @ a.T + 8 * np.eye(8)
-        filled_array, fill = filled(spd)
-        l, jitter = _chol_with_jitter(fill, 0.0)
-        assert l is filled_array
+        l, jitter = factored(spd)
         assert np.allclose(l @ l.T, spd + jitter * np.eye(8), atol=1e-9)
         assert jitter <= 2e-10 * np.trace(spd) / 8
 
     def test_escalates_until_factorization_succeeds(self):
         nearly = np.ones((3, 3))
         nearly[0, 0] -= 1e-8  # smallest eigenvalue just below zero
-        l, jitter = _chol_with_jitter(filled(nearly)[1], 0.0)
+        l, jitter = factored(nearly)
         assert np.all(np.isfinite(l))
         assert np.allclose(l @ l.T, nearly + jitter * np.eye(3), atol=1e-9)
         assert jitter >= 1e-9  # base level was not enough
@@ -424,7 +425,7 @@ class TestCholeskyJitter:
         indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ConditioningError,
                            match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
-            _chol_with_jitter(filled(indefinite)[1], 0.0)
+            factored(indefinite)
 
     def test_objective_leaves_k_noise_free_after_escalation_or_failure(self, monkeypatch):
         # nll_and_grad multiplies by K read from buffers[0] after the
@@ -468,13 +469,13 @@ class TestCholeskyJitter:
         nearly = np.ones((n, n)) - 5e-4 * np.eye(n)  # eigenvalues n - 5e-4 and -5e-4
         for matrix, rel in ((a @ a.T + n * np.eye(n), gp.JITTER_REL_INIT),
                             (nearly, gp.JITTER_REL_MAX)):
-            l, jitter = _chol_with_jitter(filled(matrix)[1], 0.0)
+            l, jitter = factored(matrix)
             assert jitter == pytest.approx(rel * float(np.trace(matrix)) / n, rel=1e-12)
             assert np.all(np.diag(l) > 0.0)
 
     def test_objective_factor_factors_its_argument_in_place(self):
-        # _chol_with_jitter returns the array it filled, so a dpotrf wrapper
-        # that factored a copy would hand the objective an unfactored K
+        # _chol_with_jitter leaves L in the caller's array, so a dpotrf
+        # wrapper that factored a copy would hand the objective an unfactored K
         n = 70
         rng = np.random.default_rng(6)
         a = rng.normal(size=(n, n))
@@ -511,13 +512,13 @@ class TestModelBuild:
         rel = gp.JITTER_REL_INIT
         calls = []
         if escalate:
-            # the first attempt of the build, and of the factor's rebuild, fails
-            calls = failing_factor(monkeypatch, lambda call: call % 2 == 1)
+            # the first attempt fails, so the second factors at ten times the jitter
+            calls = failing_factor(monkeypatch, lambda call: call == 1)
             rel *= 10.0
-        out, out_jitter = _output_model(theta, w, z[:, 0])
+        k_noise_free, chol, out_jitter, alpha = gp._weights(theta, w, z[:, 0],
+                                                            gp._objective_buffers(n))
         assert not escalate or len(calls) == 2
-        chol, chol_jitter = _output_factor(theta, w)
-        assert chol_jitter == out_jitter
+        assert np.array_equal(k_noise_free, kernel_matrix(theta, w))
         k = kernel_oracle(theta[:6], theta[6], w, w)
         jitter = rel * (float(np.trace(k)) / n + math.exp(theta[7]))
         assert out_jitter == pytest.approx(jitter)
@@ -525,7 +526,7 @@ class TestModelBuild:
         expected_alpha = np.linalg.solve(k_y, z[:, 0])
         assert np.max(np.abs(chol @ chol.T - k_y)) < 1e-10 * np.max(np.abs(k_y))
         assert np.array_equal(chol, np.tril(chol))
-        assert np.max(np.abs(out.alpha - expected_alpha)) < 1e-10 * np.max(np.abs(expected_alpha))
+        assert np.max(np.abs(alpha - expected_alpha)) < 1e-10 * np.max(np.abs(expected_alpha))
 
     def test_raises_at_maximum_jitter(self, monkeypatch):
         rng = np.random.default_rng(223)
@@ -533,7 +534,7 @@ class TestModelBuild:
         levels = failing_factor(monkeypatch, lambda call: True)
         with pytest.raises(ConditioningError,
                            match=r"maximum jitter .*relative level 1e-03, attempt 8 of 8"):
-            _output_model(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
+            solved(hyperparameters(np.zeros(6), 0.0, math.log(0.1)), w, z[:, 0])
         # 1e-10, 1e-9, ..., 1e-3: the last level tried is the documented cap
         assert gp.JITTER_REL_MAX == 1e-3 and gp.JITTER_ATTEMPTS == 8
         assert len(levels) == gp.JITTER_ATTEMPTS
@@ -541,30 +542,35 @@ class TestModelBuild:
         assert levels[-1] / levels[0] - 1.0 == pytest.approx(gp.JITTER_REL_MAX, rel=1e-6)
 
     def test_build_allocates_two_square_arrays(self):
-        # at most K and a factor of its own, plus vectors; a solve for the
-        # weights that needed another N x N array would exceed the bound
-        # (TestInPlaceFactor bounds the in-place build tighter, at one)
+        # a start builds its output's model: its two buffers, the objective's
+        # in-place inverse (copies near N^2 / 4) and vectors; a final solve
+        # for the weights that needed another N x N array would exceed the
+        # bound (TestInPlaceFactor bounds each call in the buffers tighter)
         n = 400
         rng = np.random.default_rng(224)
         w, z = make_problem(rng, n)
-        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
-        _output_model(theta, w, z[:, 0])
+        config = FitConfig(max_iter=2, restarts=0)
+        start = gp._starts(w, z[:, 0], config, [0, 0])[0]
+        gp._run_start(w, z, config, 0, start)  # load scipy's optimizer and LAPACK wrappers first
         tracemalloc.start()
         try:
-            _output_model(theta, w, z[:, 0])
+            built, _ = gp._run_start(w, z, config, 0, start)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert built is not None
         assert peak < 2.5 * n * n * 8, peak
 
 
 class TestInPlaceFactor:
-    """The build's factor, taken in place in one Fortran-ordered array,
-    against the objective's: the two share one path, so one set of bits."""
+    """A start's final solve against its objective's factor: the two share
+    one path, in the start's own buffers, so one set of bits."""
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 400])
     def test_both_paths_give_the_same_bits(self, n, monkeypatch):
-        # each factor step's result, copied before the objective inverts it
+        # a fitted output's alpha is dpotrs on the objective's factor at its
+        # theta; each factor step's result is copied before the objective
+        # inverts it
         factors = []
         factor = gp._lapack_factor
 
@@ -576,12 +582,14 @@ class TestInPlaceFactor:
         monkeypatch.setattr(gp, "_lapack_factor", recording)
         rng = np.random.default_rng(240 + n)
         w, z = make_problem(rng, n)
-        theta = hyperparameters(rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.03))
-        nll_and_grad(theta, w, z[:, 0])
+        config = FitConfig(max_iter=3, restarts=0)
+        (out, _), info = gp._run_start(w, z, config, 0, gp._starts(w, z[:, 0], config, [0, 0])[0])
+        assert len(factors) == info["evaluations"] + 1
+        final = factors[-1]
+        nll_and_grad(out.theta, w, z[:, 0])
         objective = factors[-1]
-        out, _ = _output_model(theta, w, z[:, 0])
-        assert factors[-1].flags.f_contiguous
-        assert np.array_equal(factors[-1], objective)
+        assert final.flags.f_contiguous
+        assert np.array_equal(final, objective)
         assert np.array_equal(out.alpha, scipy.linalg.lapack.dpotrs(objective, z[:, 0], lower=1)[0])
 
     def test_a_failed_level_refills_k(self, monkeypatch):
@@ -590,30 +598,40 @@ class TestInPlaceFactor:
         rng = np.random.default_rng(246)
         w, z = make_problem(rng, 130)
         theta = np.concatenate([rng.normal(0.0, 0.3, size=6), [0.3], [math.log(0.02)]])
-        base_jitter = _output_factor(theta, w)[1]
+        base_jitter = solved(theta, w, z[:, 0])[1]
         calls = failing_factor(monkeypatch, lambda call: call == 1)
-        chol, jitter = _output_factor(theta, w)
+        chol, jitter, _ = solved(theta, w, z[:, 0])
         assert len(calls) == 2
         assert jitter == pytest.approx(10.0 * base_jitter)
         expected = kernel_matrix(theta, w) + (math.exp(theta[7]) + jitter) * np.eye(130)
         assert np.max(np.abs(chol @ chol.T - expected)) < 1e-12 * np.max(np.abs(expected))
 
-    def test_build_allocates_one_square_array(self):
-        # K, factored in place, plus vectors and kernel_matrix's 64-row
-        # sums; a factor or a solve for the weights that needed another
-        # N x N array would exceed the bound
-        n = 800
+    def test_final_solve_allocates_no_square_array(self, monkeypatch):
+        # every call of the one path in a start, its final solve included,
+        # works in the start's two buffers: K, factored in their copy, plus
+        # vectors and kernel_matrix's 64-row sums. A factor or a solve for
+        # the weights that needed another N x N array would exceed the bound
+        n = 400
+        peaks = []
+        weights = gp._weights
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                return weights(*args)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
         rng = np.random.default_rng(247)
         w, z = make_problem(rng, n)
-        theta = np.concatenate([np.zeros(6), [0.0], [math.log(0.05)]])
-        _output_model(theta, w, z[:, 0])
-        tracemalloc.start()
-        try:
-            _output_model(theta, w, z[:, 0])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.25 * n * n * 8, peak
+        config = FitConfig(max_iter=2, restarts=0)
+        start = gp._starts(w, z[:, 0], config, [0, 0])[0]
+        nll_and_grad(start, w, z[:, 0])  # load scipy's LAPACK wrappers first
+        monkeypatch.setattr(gp, "_weights", measured)
+        _, info = gp._run_start(w, z, config, 0, start)
+        assert len(peaks) == info["evaluations"] + 1
+        assert max(peaks) < 0.5 * n * n * 8, peaks
 
 
 def square_arrays(obj, n):
@@ -657,7 +675,8 @@ class TestModelHoldsNoFactor:
         assert square_arrays(np.ones((n, n))[:1], n) == [(n, n)]  # the walker sees views
 
     def test_pooled_fit_forms_no_square_array_in_the_parent(self, forced_pool):
-        # the builds run in the workers too, so the parent holds vectors only
+        # every start solves its own weights in a worker, so the parent
+        # holds vectors only
         n = 400
         rng = np.random.default_rng(251)
         w, z = make_problem(rng, n)
@@ -714,7 +733,7 @@ class TestPrediction:
         for j in range(2):
             out = model.outputs[j]
             k = kernel_oracle(log_ls, 0.15, w, w)
-            jitter = _output_factor(out.theta, w)[1]
+            jitter = solved(out.theta, w, z[:, j])[1]
             ky = k + (math.exp(out.theta[7]) + jitter) * np.eye(30)
             ks = kernel_oracle(log_ls, 0.15, queries, w)
             mean_o = ks @ np.linalg.solve(ky, z[:, j])
@@ -840,17 +859,19 @@ class TestPredictionCaches:
                                rtol=1e-12, atol=1e-300)
 
     def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
-        # the factor helper adds the noise variance and the jitter the fit
-        # reported to K, for a fitted model and for the same model loaded back
+        # the fit's one path adds the noise variance and the jitter the fit
+        # reported to K, and solves the weights the model holds, for a
+        # fitted model and for the same model loaded back
         rng = np.random.default_rng(30)
         w, z = make_problem(rng, 25)
         fitted = fit(w, z, FitConfig(max_iter=15, restarts=0))
         loaded = model_from_dict(json.loads(json.dumps(model_to_dict(fitted))))
         for model in (fitted, loaded):
-            xs = standardized_inputs(model)
-            for out, info in zip(model.outputs, model.report["outputs"]):
-                chol, jitter = _output_factor(out.theta, xs)
+            xs, zs = standardized_inputs(model), standardized_targets(model)
+            for j, (out, info) in enumerate(zip(model.outputs, model.report["outputs"])):
+                chol, jitter, alpha = solved(out.theta, xs, zs[:, j])
                 assert jitter == info["jitter"]
+                assert np.array_equal(alpha, out.alpha)
                 k = kernel_matrix(out.theta, xs)
                 expected = k + (math.exp(out.theta[7]) + jitter) * np.eye(25)
                 error = np.max(np.abs(chol @ chol.T - expected))
@@ -1055,7 +1076,7 @@ class TestBlasThreads:
     def test_thread_count_restored_when_fit_raises(self, two_blas_threads, serial_fit,
                                                    monkeypatch):
         def failing(*args):
-            raise ConditioningError("every optimizer start ended non-finite")
+            raise ConditioningError("no optimizer start ended on a factored, finite fit")
 
         monkeypatch.setattr(gp, "_run_start", failing)
         rng = np.random.default_rng(37)
@@ -1066,29 +1087,21 @@ class TestBlasThreads:
 
     def test_output_builds_run_on_one_thread(self, two_blas_threads, serial_fit,
                                              monkeypatch):
-        # the fit builds every output model on one thread: recorded inside
-        # the factor step while a build runs, not while the objective does
-        seen, building = [], []
-        factor, build = gp._lapack_factor, gp._output_model
+        # every factor step of the fit runs on one thread: each objective
+        # evaluation's and each start's final solve for its output model
+        seen = []
+        factor = gp._lapack_factor
 
         def recording_factor(a):
-            if building:
-                seen.append(blas_thread_counts())
+            seen.append(blas_thread_counts())
             return factor(a)
 
-        def recording_build(*args):
-            building.append(1)
-            try:
-                return build(*args)
-            finally:
-                building.clear()
-
         monkeypatch.setattr(gp, "_lapack_factor", recording_factor)
-        monkeypatch.setattr(gp, "_output_model", recording_build)
         rng = np.random.default_rng(38)
         w, z = make_problem(rng, 10)
-        fit(w, z, FitConfig(max_iter=5, restarts=0))
-        assert seen == [[1] * len(two_blas_threads)] * 2
+        model = fit(w, z, FitConfig(max_iter=5, restarts=0))
+        evaluations = sum(s["evaluations"] for out in model.report["outputs"] for s in out["starts"])
+        assert seen == [[1] * len(two_blas_threads)] * (evaluations + 2)
         assert blas_thread_counts() == two_blas_threads
 
     def test_lookup_finds_scipys_openblas_once_loaded(self):
@@ -1487,6 +1500,27 @@ class TestParallelFit:
         assert all(loaded for _, loaded in rows)
 
 
+def fail_factors_during_starts(monkeypatch, fails):
+    """Make the factor step report failure wherever fails(call, j) holds:
+    call numbers the fit's _run_start calls from 1 and j is that call's
+    output, both None outside every start. Returns the output of each
+    call, in order."""
+    outputs, now = [], [None, None]
+    run_start, factor = gp._run_start, gp._lapack_factor
+
+    def start(xs, zs, config, j, theta):
+        outputs.append(j)
+        now[:] = len(outputs), j
+        try:
+            return run_start(xs, zs, config, j, theta)
+        finally:
+            now[:] = None, None
+
+    monkeypatch.setattr(gp, "_run_start", start)
+    monkeypatch.setattr(gp, "_lapack_factor", lambda a: not fails(*now) and factor(a))
+    return outputs
+
+
 class TestFitReport:
     def test_counters_match_the_objective_calls(self, serial_fit, monkeypatch):
         calls = []
@@ -1537,13 +1571,43 @@ class TestFitReport:
         starts = [s for out in model.report["outputs"] for s in out["starts"]]
         assert all(s["stop"] in ("ftol", "gtol") for s in starts), starts
 
+    def test_a_start_that_never_factored_is_passed_over(self, serial_fit, monkeypatch):
+        # every factor of output 0's first start fails: the start ends at
+        # once on its 1e25 value, has no model, and the next start is chosen
+        outputs = fail_factors_during_starts(monkeypatch, lambda call, j: call == 1)
+        rng = np.random.default_rng(69)
+        w, z = make_problem(rng, 20)
+        model = fit(w, z, FitConfig(max_iter=30, restarts=1, seed=2))
+        assert outputs == [0, 0, 1, 1]
+        info = model.report["outputs"][0]
+        assert info["chosen_start"] == 1
+        assert info["starts"][0]["nll"] == 1e25
+        assert info["starts"][0]["rejected_probes"] == info["starts"][0]["evaluations"] > 0
+
+    def test_an_output_whose_every_start_failed_raises(self, serial_fit, monkeypatch, tmp_path):
+        # every factor fails but those of output 1's starts: output 0 has
+        # no finished model, so the fit raises and train exits 3
+        fail_factors_during_starts(monkeypatch, lambda call, j: j != 1)
+        rng = np.random.default_rng(69)
+        w, z = make_problem(rng, 20)
+        with pytest.raises(ConditioningError):
+            fit(w, z, FitConfig(max_iter=30, restarts=1, seed=2))
+        dataset = tmp_path / "dataset.csv"
+        save_dataset(Dataset(w, z), str(dataset))
+        config = tmp_path / "cfg.yaml"
+        config.write_text(json.dumps({"gp": {"restarts": 1, "max_iter": 30}}))
+        out = tmp_path / "model"
+        assert cli.main(["train", str(dataset), "--config", str(config), "--out", str(out)]) == 3
+        assert not (out / "model.json").exists()
+
     def test_jitter_is_the_base_level_of_the_fitted_matrix(self):
         rng = np.random.default_rng(67)
         w, z = make_problem(rng, 20)
         model = fit(w, z, FitConfig(max_iter=30, restarts=0, seed=2))
-        for info, out in zip(model.report["outputs"], model.outputs):
+        xs, zs = standardized_inputs(model), standardized_targets(model)
+        for j, (info, out) in enumerate(zip(model.report["outputs"], model.outputs)):
             mean_diag = math.exp(out.theta[6]) + math.exp(out.theta[7])
-            jitter = _output_factor(out.theta, standardized_inputs(model))[1]
+            jitter = solved(out.theta, xs, zs[:, j])[1]
             assert info["jitter"] == jitter
             assert math.isclose(jitter, gp.JITTER_REL_INIT * mean_diag, rel_tol=1e-12)
 
