@@ -68,7 +68,10 @@ two threads made the fit about three times slower than one. Only the
 OpenBLAS bundled with the numpy and scipy Linux wheels is pinned, and
 scipy's only where the process has loaded it: the fit loads it before it
 pins, and a command that never fits does not load it just to pin it. Any
-other BLAS keeps its own setting.
+other BLAS keeps its own setting. The pin writes each library's thread
+count in place and starts no thread: a pooled fit's fork stops the
+parent's OpenBLAS thread pools, and they stay stopped after the fit until
+a threaded call needs them, when OpenBLAS restarts them itself.
 """
 
 from __future__ import annotations
@@ -148,33 +151,46 @@ class ConditioningError(RuntimeError):
     """Kernel matrix could not be factorized even at maximum jitter."""
 
 
-# (get, set) thread-count functions of each wheel OpenBLAS, by library path
+# (count, set) of each wheel OpenBLAS, by library path
 _OPENBLAS_BINDINGS: dict[str, tuple] = {}
 
 
+@functools.cache
+def _wheel_openblas_paths(module) -> list[str]:
+    """The OpenBLAS files in the .libs directory of module's wheel, listed
+    once, as one listing costs about 15 us, more than the rest of a pin."""
+    site = os.path.dirname(os.path.dirname(module.__file__))
+    return sorted(glob.glob(f"{site}/{module.__name__}.libs/libscipy_openblas*.so"))
+
+
 def _bundled_openblas() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS bundled with the
-    numpy and scipy Linux wheels that this process has loaded: numpy's,
-    which importing numpy loads, and scipy's once the fit's scipy.linalg
-    or another of its BLAS users has loaded it. A command that never fits
-    does not load scipy's copy to pin it (a fresh process paid 2.8-6.6
-    ms, 1.5 MB and a thread). The tuple is empty when neither wheel bundles one."""
+    """(count, set) of each OpenBLAS bundled with the numpy and scipy Linux
+    wheels that this process has loaded: numpy's, which importing numpy
+    loads, and scipy's once the fit's scipy.linalg or another of its BLAS
+    users has loaded it. A command that never fits does not load scipy's
+    copy to pin it (a fresh process paid 2.8-6.6 ms, 1.5 MB and a thread).
+    The tuple is empty when neither wheel bundles one.
+
+    count is the library's blas_cpu_number as a ctypes int, the thread
+    count its get_num_threads returns and its threaded calls read. Writing
+    it starts and stops no thread. set is the library's set_num_threads,
+    which stores the count and also starts the thread pool when it is
+    stopped, or grows it to a larger count. A count written in place must
+    not exceed the pool's size: a threaded call then waits on a thread
+    that does not exist."""
     found = []
     for module, suffix in ((np, "64_"), (sys.modules.get("scipy"), "")):  # numpy's is ILP64
         if module is None:  # scipy not imported, so its copy is not loaded
             continue
-        site = os.path.dirname(os.path.dirname(module.__file__))
-        for path in sorted(glob.glob(f"{site}/{module.__name__}.libs/libscipy_openblas*.so")):
+        for path in _wheel_openblas_paths(module):
             if path not in _OPENBLAS_BINDINGS:
                 try:  # RTLD_NOLOAD opens a library only if it is loaded already
                     lib = ctypes.CDLL(path, os.RTLD_NOLOAD)
                 except OSError:  # not loaded, so nothing is bound: the next call looks again
                     continue
-                get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
                 put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-                get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                _OPENBLAS_BINDINGS[path] = (get, put)
+                _OPENBLAS_BINDINGS[path] = (ctypes.c_int.in_dll(lib, "blas_cpu_number"), put)
             found.append(_OPENBLAS_BINDINGS[path])
     return tuple(found)
 
@@ -184,16 +200,23 @@ def _single_blas_thread():
     """Run the enclosed block on one thread of each OpenBLAS loaded at
     its start, then restore each library's previous thread count (also
     when the block raises). Every CLI command, the fit and held_out_error
-    enter it; predict does not."""
+    enter it; predict does not.
+
+    The pin writes each count in place, 1 and then the count it read,
+    neither above the pool's size, and never calls set_num_threads: that
+    call restarts a pool the fit's fork stopped, whose fresh threads spin
+    beside whatever the caller runs next. So after a pooled fit each pool
+    stays stopped until a threaded call needs it, and OpenBLAS restarts it
+    then."""
     libs = _bundled_openblas()
-    previous = [get() for get, _ in libs]
-    for _, put in libs:
-        put(1)
+    previous = [count.value for count, _ in libs]
+    for count, _ in libs:
+        count.value = 1
     try:
         yield
     finally:
-        for (_, put), count in zip(libs, previous):
-            put(count)
+        for (count, _), value in zip(libs, previous):
+            count.value = value
 
 
 def kernel_matrix(theta: np.ndarray, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -655,7 +678,9 @@ def _fit_outputs(
         # safe: OpenBLAS stops them in its own at-fork handler, and the pool
         # forks all its workers before it starts a thread of its own, so
         # Python 3.12's warning about forking a multi-threaded process does
-        # not fire. The workers inherit the parent's single BLAS thread.
+        # not fire. The workers inherit the parent's single BLAS thread. The
+        # parent's pools stay stopped after the fit, as the pin's restore
+        # starts no thread, until a threaded call needs them.
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                    initializer=_die_with_parent, initargs=(os.getpid(),))
         try:
@@ -724,9 +749,9 @@ def predict(model: GpModel, w: np.ndarray | tuple | list) -> np.ndarray:
     same row queried alone to about 1e-9 relative, not to the bit. The
     bytes are independent of the OpenBLAS thread count only inside
     _single_blas_thread(), which every CLI command enters; predict does
-    not pin itself, as the pin costs 40-70 us, more than a query at
-    N = 1000. ndarray.dot makes np.matmul's BLAS call at less overhead
-    per call.
+    not pin itself, as the pin costs about 2.5 us (2 vCPUs, both wheel
+    OpenBLAS loaded), a fifth of a one-row query at N = 1000.
+    ndarray.dot makes np.matmul's BLAS call at less overhead per call.
     """
     d = model.inputs.shape[1]
     block, weights = model.query

@@ -40,7 +40,7 @@ def pytest_runtest_logreport(report):
 
 
 def blas_thread_counts():
-    return [get() for get, _ in gp._bundled_openblas()]
+    return [count.value for count, _ in gp._bundled_openblas()]
 
 
 def wheel_openblas_count():
@@ -53,7 +53,10 @@ def wheel_openblas_count():
 
 @pytest.fixture
 def two_blas_threads():
-    """Set every bundled OpenBLAS to two threads for the test, then back."""
+    """Set every bundled OpenBLAS to two threads for the test, then back,
+    through each library's own set_num_threads: that call grows the thread
+    pool to the count, where a count written in place above the pool's
+    size would leave a threaded call waiting on a thread never started."""
     libs = gp._bundled_openblas()
     if not libs:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")

@@ -770,7 +770,7 @@ NUMPY_THREADS_PROBE = """
 import json
 import numpy
 from tracksim import gp
-print(json.dumps([get() for get, _ in gp._bundled_openblas()]))
+print(json.dumps([count.value for count, _ in gp._bundled_openblas()]))
 """
 
 # the same counts once importing the CLI has loaded numpy, and where the
@@ -778,7 +778,7 @@ print(json.dumps([get() for get, _ in gp._bundled_openblas()]))
 CLI_THREADS_PROBE = """
 import json, sys
 from tracksim import cli, gp
-counts = lambda: [get() for get, _ in gp._bundled_openblas()]
+counts = lambda: [count.value for count, _ in gp._bundled_openblas()]
 at_load, in_command = counts(), []
 def recording(*args, _fn=cli.validate_gains):
     in_command.append(counts())

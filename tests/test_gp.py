@@ -1111,6 +1111,33 @@ class TestBlasThreads:
             pytest.skip("numpy and scipy do not both bundle an OpenBLAS here")
         assert json.loads(run_probe(LOOKUP_PROBE).stdout) == [1, 2]
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"), reason="needs Linux /proc")
+    def test_pooled_fit_leaves_the_thread_pools_stopped(self):
+        # the fit's fork stops each OpenBLAS pool; the pin's restore must not
+        # restart them, or their fresh threads spin beside what runs next
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two usable CPUs for OpenBLAS to start a pool")
+        env = probe_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        proc = subprocess.run([sys.executable, "-c", STOPPED_POOL_PROBE], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        probe = json.loads(proc.stdout)
+        assert probe["tasks"] == 1
+        assert probe["after"] == probe["before"]
+        assert probe["product"]
+
+    def test_pin_leaves_raised_counts_usable(self):
+        # one thread per pool at start, raised to two through the library's
+        # own setter; a pin that wrote a count above its pool's size would
+        # leave the product waiting on a thread never started
+        if not wheel_openblas_count():
+            pytest.skip("numpy and scipy bundle no OpenBLAS here")
+        proc = run_probe(PIN_AFTER_RAISE_PROBE, timeout=60, env={"OPENBLAS_NUM_THREADS": "1"})
+        probe = json.loads(proc.stdout)
+        assert probe["raised"] == [2] * len(probe["raised"])
+        assert probe["after"] == probe["raised"]
+        assert probe["product"]
+
     def test_held_out_error_predicts_on_one_thread(self, two_blas_threads, monkeypatch):
         seen = []
         predict_batch = gp.predict
@@ -1254,7 +1281,7 @@ nll = gp.nll_and_grad
 
 def recording(*args):
     with open(sys.argv[1], "a") as fh:
-        fh.write(json.dumps([os.getpid(), [get() for get, _ in gp._bundled_openblas()]]) + "\\n")
+        fh.write(json.dumps([os.getpid(), [count.value for count, _ in gp._bundled_openblas()]]) + "\\n")
     return nll(*args)
 
 gp.nll_and_grad = recording
@@ -1312,6 +1339,58 @@ from tracksim import gp
 before = len(gp._bundled_openblas())
 import scipy.linalg
 print(json.dumps([before, len(gp._bundled_openblas())]))
+"""
+
+
+# Run in a fresh interpreter at OpenBLAS's default thread count, with two
+# usable CPUs: a pooled fit, after which the probe prints the thread
+# counts before and after it, the process's thread count, and whether a
+# 1000 x 1000 product then completed with the right value. The pool's own
+# threads are joined by the fit's end but may take a moment more to leave
+# /proc/self/task, so the probe waits up to 5 s for one thread; a restarted
+# OpenBLAS pool keeps its threads for the life of the process.
+STOPPED_POOL_PROBE = """
+import json, os, time
+import numpy as np
+import scipy.linalg
+from tracksim import gp
+
+counts = lambda: [count.value for count, _ in gp._bundled_openblas()]
+gp._CPU_MAX = os.devnull
+os.sched_getaffinity = lambda pid: {0, 1}
+rng = np.random.default_rng(75)
+w = rng.normal(0.0, 1.0, size=(20, 6))
+z = np.column_stack([np.sin(w[:, 0]), np.cos(w[:, 1])])
+before = counts()
+gp.fit(w, z, gp.FitConfig(max_iter=10, restarts=1))
+after, deadline = counts(), time.monotonic() + 5.0
+while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+    time.sleep(0.01)
+tasks = len(os.listdir("/proc/self/task"))
+a = np.eye(1000) * 2.0
+product = bool(np.array_equal(a @ a, np.eye(1000) * 4.0))
+print(json.dumps({"before": before, "after": after, "tasks": tasks, "product": product}))
+"""
+
+
+# Run in a fresh interpreter started with one OpenBLAS thread: raise every
+# wheel OpenBLAS to two threads as the two_blas_threads fixture does, enter
+# and leave the pin, then multiply two 2000 x 2000 matrices on two threads.
+PIN_AFTER_RAISE_PROBE = """
+import json
+import numpy as np
+import scipy.linalg
+from tracksim import gp
+
+counts = lambda: [count.value for count, _ in gp._bundled_openblas()]
+for _, put in gp._bundled_openblas():
+    put(2)
+raised = counts()
+with gp._single_blas_thread():
+    pass
+a = np.eye(2000) * 2.0
+product = bool(np.array_equal(a @ a, np.eye(2000) * 4.0))
+print(json.dumps({"raised": raised, "after": counts(), "product": product}))
 """
 
 
