@@ -23,9 +23,7 @@ N x N factor: the mean needs the weights alone (Rasmussen & Williams
 nothing, and predict, which returns the mean alone, never forms the
 factor. GpModel keeps what a query reads of every output in two arrays:
 the augmented training rows of all outputs and their block-diagonal
-weights. A block of queries augmented the same way pays for one product
-with the rows, one clamp, one exp and one product with the weights, and
-scales nothing per output.
+weights.
 
 One path, _weights, takes theta to alpha, for every evaluation of the
 fit's objective and for each start's final solve. It works in two N x N
@@ -132,9 +130,9 @@ _STOP_REASONS = {"CONVERGENCE: REL": "ftol", "CONVERGENCE: NORM": "gtol",
 # queries predict forms exponents for at a time, M N doubles a row. A
 # sweep of 2,000 mean-only queries on one BLAS thread (2 vCPUs with 2 MB
 # of L2 each, medians of 15, three passes), in ms by rows per block:
-#   N = 500:  32: 3.5-5.0, 64: 3.3-5.0, 128: 3.8-5.8, 256: 4.2-6.3, 512: 10.3-11.1
-#   N = 1000: 32: 6.5-6.9, 64: 7.4-7.9, 128: 8.3-12.2, 256: 13.6-13.9, 512: 12.8-18.2
-# At 64 rows a block of exponents is 0.5 MB at N = 500 and 1 MB at N = 1000.
+#   N = 500:  16: 3.4-5.6, 32: 3.2-5.2, 64: 2.9-3.4, 128: 3.3-3.5, 256: 3.6-5.2, 512: 4.8-5.1
+#   N = 1000: 16: 6.0-6.3, 32: 5.9-6.0, 64: 6.6-6.9, 128: 7.2-9.8, 256: 9.3-9.5, 512: 9.8-10.1
+# 64 rows, the fastest at N = 500, are 0.5 MB there and 1 MB at N = 1000; 8-128 give equal bits.
 _QUERY_ROWS = 64
 
 # rows of the blocks _invert_lower hands to dtrtri, and of the panels it
@@ -731,26 +729,29 @@ def predict(model: GpModel, w: np.ndarray | tuple | list) -> np.ndarray:
     """Posterior mean of the M outputs at w.
 
     Accepts one row of D inputs (a tuple or list of D reals, or a 1-D
-    array) or a (K, D) batch (a 2-D array, or a list of rows); returns
-    the means shaped (M,)/(K, M). The mean reads the weights alone, so a
-    query needs numpy and no factor. Each query q, standardized, becomes
-    the row [q, q o q, 1], whose product with the model's augmented rows
-    gives the exponents of all outputs at once; their clamped exps times
-    the block-diagonal weights are the means. A single row, the learned
-    slot's query, is standardized, and its means un-standardized, in
-    floats against model.scales, and only the two products, the clamp and
-    the exp run on arrays, its own. A batch runs _QUERY_ROWS rows at a
-    time through one block of exponents allocated per call, so its memory
-    does not grow with its length. Both make the same IEEE operations in
-    the same order, so a row's mean, a new array, has the bits of the row
-    queried as a one-row batch or as the lone last row of a batch. A row
-    that shares a block of a batch with others goes through one matrix
-    product instead, whose sums may round otherwise: it agrees with the
-    same row queried alone to about 1e-9 relative, not to the bit. The
-    bytes are independent of the OpenBLAS thread count only inside
-    _single_blas_thread(), which every CLI command enters; predict does
-    not pin itself, as the pin costs about 2.5 us (2 vCPUs, both wheel
-    OpenBLAS loaded), a fifth of a one-row query at N = 1000.
+    array) or a (K, D) batch (a 2-D array, or a list of rows); returns the
+    means shaped (M,)/(K, M). The mean reads the weights alone, so a query
+    needs numpy and no factor. Each query q, standardized, becomes the row
+    [q, q o q, 1], whose product with the model's augmented rows gives the
+    exponents of all outputs at once; their exps times the block-diagonal
+    weights are the means. Exponents are not clamped at 0: one rounds
+    above 0, by at most a few 1e-6 (2.2e-15 on the recipe's rows), only
+    within about 1e-7 lengthscales of a training row, so a clamp alters
+    only such queries. kernel_matrix clamps, as the fit's factor reads K's
+    diagonal. A single row, the learned slot's query, is standardized, and
+    its means un-standardized, in floats against model.scales, and only
+    the two products and the exp run on arrays, its own. A batch runs
+    _QUERY_ROWS rows at a time through one block of exponents allocated
+    per call, so its memory does not grow with its length. Both make the
+    same IEEE operations in the same order, so a row's mean, a new array,
+    has the bits of the row queried as a one-row batch or as the lone last
+    row of a batch. A row that shares a block of a batch with others goes
+    through one matrix product instead, whose sums may round otherwise: it
+    agrees with the same row queried alone to about 1e-9 relative, not to
+    the bit. The bytes are independent of the OpenBLAS thread count only
+    inside _single_blas_thread(), which every CLI command enters; predict
+    does not pin itself, as the pin costs about 2.5 us (2 vCPUs, both
+    wheel OpenBLAS loaded), a fifth of a one-row query at N = 1000.
     ndarray.dot makes np.matmul's BLAS call at less overhead per call.
     """
     d = model.inputs.shape[1]
@@ -767,7 +768,6 @@ def predict(model: GpModel, w: np.ndarray | tuple | list) -> np.ndarray:
         in_mean, in_std, out_mean, out_std = model.scales
         q = [(v - m) / s for v, m, s in zip(w, in_mean, in_std)]
         e = np.array(q + [v * v for v in q] + [1.0]).dot(block.T)
-        np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         z = e.dot(weights).tolist()
         return np.array([v * s + m for v, s, m in zip(z, out_std, out_mean)])
@@ -791,7 +791,6 @@ def predict(model: GpModel, w: np.ndarray | tuple | list) -> np.ndarray:
     exponents = np.empty((min(aug.shape[0], _QUERY_ROWS), block.shape[0]))
     for i in range(0, aug.shape[0], _QUERY_ROWS):
         e = aug[i:i + _QUERY_ROWS].dot(block.T, out=exponents[:aug.shape[0] - i])
-        np.minimum(e, 0.0, out=e)
         np.exp(e, out=e)
         e.dot(weights, out=means[i:i + _QUERY_ROWS])
     means *= model.target_std

@@ -53,10 +53,14 @@ def wheel_openblas_count():
 
 @pytest.fixture
 def two_blas_threads():
-    """Set every bundled OpenBLAS to two threads for the test, then back,
-    through each library's own set_num_threads: that call grows the thread
-    pool to the count, where a count written in place above the pool's
-    size would leave a threaded call waiting on a thread never started."""
+    """Set every bundled OpenBLAS to two threads for the test, then back.
+    The raise goes through each library's own set_num_threads: that call
+    grows the thread pool to the count, where a count written in place
+    above the pool's size would leave a threaded call waiting on a thread
+    never started. The restore writes each count in place, as
+    gp._single_blas_thread does: the count it puts back never exceeds the
+    pool, and the setter would restart a pool that a pooled fit inside the
+    test stopped, leaving its fresh threads spinning beside later tests."""
     libs = gp._bundled_openblas()
     if not libs:
         pytest.skip("numpy and scipy bundle no OpenBLAS here")
@@ -66,5 +70,5 @@ def two_blas_threads():
     try:
         yield blas_thread_counts()
     finally:
-        for (_, put), count in zip(libs, before):
-            put(count)
+        for (count, _), value in zip(libs, before):
+            count.value = value

@@ -800,19 +800,21 @@ class TestPredictionCaches:
         # the stacked query sums q (x / l^2) in its exponents where the
         # oracle sums squared differences: a few ulps apart per exponent,
         # which the weights alpha, large where the noise is small, amplify
-        # in the sums, so the two agree to 1e-10 relative and not bitwise
+        # in the sums, so the two agree to 1e-10 relative and not bitwise.
+        # At a training row itself the query's exponent may round above 0,
+        # where the oracle's is exactly 0, and the mean still agrees
         rng = np.random.default_rng(28)
         w, z = make_problem(rng, 40)
         model = manual_model(w, z, rng.normal(0.0, 0.3, size=6), 0.2, math.log(0.02),
                              input_mean=w.mean(axis=0), input_std=w.std(axis=0))
-        queries = rng.normal(size=(9, 6))
-        mean = predict(model, queries)
-        mean_o = self.uncached_predict(model, queries)
-        assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
-        for q in queries:
-            m1 = predict(model, q)
-            m_q = self.uncached_predict(model, q)
-            assert np.max(np.abs(m1 - m_q[0])) <= 1e-10 * np.max(np.abs(m_q[0]))
+        for queries in (rng.normal(size=(9, 6)), w[rng.choice(40, size=9, replace=False)]):
+            mean = predict(model, queries)
+            mean_o = self.uncached_predict(model, queries)
+            assert np.max(np.abs(mean - mean_o)) <= 1e-10 * np.max(np.abs(mean_o))
+            for q in queries:
+                m1 = predict(model, q)
+                m_q = self.uncached_predict(model, q)
+                assert np.max(np.abs(m1 - m_q[0])) <= 1e-10 * np.max(np.abs(m_q[0]))
 
     def test_a_batch_runs_in_blocks(self, monkeypatch):
         # 7 rows in blocks of 3: every row, the short last block's too, is
@@ -850,12 +852,14 @@ class TestPredictionCaches:
                                rtol=1e-14, atol=0.0)
             assert np.array_equal(weights[rows, j], math.exp(out.theta[6]) * out.alpha)
             assert not np.any(weights[other, j])
-        # [q, q o q, 1] times a row is the exponent -|q - x|^2 / (2 l^2)
+        # [q, q o q, 1] times a row is the exponent -|q - x|^2 / (2 l^2),
+        # exp'd as predict does, with no clamp: q is training row 3, whose
+        # own exponent may round above 0
         q = standardized_inputs(fitted)[3]
         aug = np.concatenate([q, q * q, [1.0]])
         for j, out in enumerate(fitted.outputs):
             k = kernel_oracle(out.theta[:6], out.theta[6], q[None], xs)[0] / math.exp(out.theta[6])
-            assert np.allclose(np.exp(np.minimum(block[20 * j:20 * (j + 1)] @ aug, 0.0)), k,
+            assert np.allclose(np.exp(block[20 * j:20 * (j + 1)] @ aug), k,
                                rtol=1e-12, atol=1e-300)
 
     def test_factor_is_of_the_kernel_matrix_plus_noise_and_jitter(self):
@@ -911,11 +915,12 @@ class TestOneRowQuery:
 
     def test_a_float_row_is_the_bits_of_the_array_row(self):
         # the learned slot hands its six inputs as a tuple of floats; a
-        # list of them is one row too, not a batch
+        # list of them is one row too, not a batch. Exact training rows,
+        # whose exponents may round above 0, keep equal bits too
         model = recipe_shaped_model()
         rng = np.random.default_rng(42)
         queries = model.inputs[rng.choice(1000, size=20)] + rng.normal(0.0, 0.01, size=(20, 6))
-        for q in queries:
+        for q in np.vstack([queries, model.inputs[rng.choice(1000, size=10, replace=False)]]):
             mean = predict(model, tuple(q.tolist()))
             assert mean.shape == (2,)
             assert np.array_equal(mean, predict(model, q.tolist()))
